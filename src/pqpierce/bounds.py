@@ -45,7 +45,7 @@ def binom(n: int, k: int) -> int:
     return comb(n, k)
 
 
-def _check_standing(p: int, q: int, d: int) -> None:
+def check_standing(p: int, q: int, d: int) -> None:
     if d < 1:
         raise ArityError(f"d must be >= 1, got {d}")
     if d == 1:
@@ -67,7 +67,7 @@ def kalai_bound(p: int, q: int, s: int, d: int) -> int:
 def ms_threshold(p: int, q: int, d: int) -> BoundResult:
     """Threshold above which p-q+1 points always suffice:
     r > C(p,q) - C(p+1-d, q+1-d)."""
-    _check_standing(p, q, d)
+    check_standing(p, q, d)
     return BoundResult(
         threshold_r=binom(p, q) - binom(p + 1 - d, q + 1 - d) + 1,
         pierce_bound=p - q + 1,
@@ -77,7 +77,7 @@ def ms_threshold(p: int, q: int, d: int) -> BoundResult:
 def lemma_r0_threshold(p: int, q: int, d: int, f: int) -> BoundResult:
     """Threshold certifying piercing by f points for 1 <= f <= p/d - 1:
     r >= kalai_bound(p, q, p-f-d, d) + 1."""
-    _check_standing(p, q, d)
+    check_standing(p, q, d)
     if f < 1 or d * (f + 1) > p:
         raise ArityError(f"need 1 <= f <= p/d - 1, got f={f}, p={p}, d={d}")
     return BoundResult(
@@ -119,7 +119,7 @@ def remark_threshold(p: int, q: int, d: int, f: int,
     f >= 1 is checked.  Either way the result carries the unknown-constant
     caveat.
     """
-    _check_standing(p, q, d)
+    check_standing(p, q, d)
     if f < 1:
         raise ArityError(f"need f >= 1, got f={f}")
     if epsilon is not None:
@@ -144,7 +144,7 @@ def thm2_threshold(p: int, q: int, d: int, epsilon: Fraction) -> BoundResult:
     k = M - q, it is p-(q+k)+2 at r = kalai_bound(p, q, q+k-d-1, d) + 1.
     Valid only for p beyond an unknown p0(epsilon), recorded as a caveat.
     """
-    _check_standing(p, q, d)
+    check_standing(p, q, d)
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ArityError(f"epsilon must be positive, got {epsilon}")
@@ -182,7 +182,7 @@ def thm3_threshold(p: int, q: int, d: int, k: int) -> BoundResult:
     """Threshold certifying piercing by k+2 points for non-(p-q)-degenerate
     families, interpolating between the extreme cases k = 0 and
     k = p-q-1 (where it coincides with :func:`ms_threshold`)."""
-    _check_standing(p, q, d)
+    check_standing(p, q, d)
     if not 0 <= k <= p - q - 1:
         raise ArityError(f"need 0 <= k <= p-q-1, got k={k}, p={p}, q={q}")
     m = m0(p, q, k)
@@ -217,7 +217,7 @@ def dim1_threshold(p: int, q: int, k: int) -> BoundResult:
 def hd_exact_region(p: int, q: int, d: int):
     """p-q+1 when d*q > (d-1)*p + d (the regime where the plain (p,q)
     property already pins the worst-case piercing number), else None."""
-    _check_standing(p, q, d)
+    check_standing(p, q, d)
     if d * q > (d - 1) * p + d:
         return p - q + 1
     return None
@@ -232,7 +232,7 @@ def implied_q(p: int, q: int, r: int, d: int) -> int:
     q-tuple count is capped by kalai_bound(p, q, q'-1-d, d); r above that
     cap forces an intersecting q'-tuple.
     """
-    _check_standing(p, q, d)
+    check_standing(p, q, d)
     if r < 1:
         raise ArityError(f"r must be >= 1, got {r}")
     for q_prime in range(p, q, -1):

@@ -2,9 +2,11 @@
 
 A family is an ordered multiset of same-dimension bodies; duplicates are
 distinct members (index identity), which the extremal constructions rely
-on.  Everything here is exhaustive enumeration at desk scale: q-tuple
-intersection flags are computed once per (family, q) and aggregated over
-p-subsets, with a configurable hard work cap instead of silent truncation.
+on.  Everything here is exhaustive enumeration at desk scale, read off
+one depth-first walk over the intersecting subfamilies
+(:func:`intersecting_subfamilies`): the q-tuple flags it yields are
+memoized for the most recent families and aggregated over p-subsets,
+with a configurable hard work cap instead of silent truncation.
 """
 
 from __future__ import annotations
@@ -73,31 +75,37 @@ def _check_arity(F: Family, p: int, q: int) -> None:
         raise ArityError(f"p={p} exceeds family size {len(F)}")
 
 
+def intersecting_subfamilies(F: Family, sizes: range):
+    """Yield (indices, region) for every intersecting subfamily of F whose
+    size lies in ``sizes`` (a step-1 range), in lexicographic order of the
+    index tuples; region is the common intersection of those members.
+
+    Depth-first with an explicit stack.  A prefix is not extended once its
+    running intersection is empty (extensions stay empty), once it reaches
+    the largest size, or past the last index from which ``sizes.start``
+    can still be reached.
+    """
+    bodies = F.bodies
+    n = len(bodies)
+    lo, hi = sizes.start, sizes.stop - 1
+    stack = [((i,), bodies[i]) for i in range(n - max(lo, 1), -1, -1)] if hi >= 1 else []
+    while stack:
+        chosen, region = stack.pop()
+        k = len(chosen)
+        if k >= lo:
+            yield chosen, region
+        if k < hi:
+            # children are pushed last index first, so the smallest pops next
+            for i in range(n - 1 - max(lo - k - 1, 0), chosen[-1], -1):
+                sub = intersect_bodies([region, bodies[i]])
+                if sub is not None:
+                    stack.append((chosen + (i,), sub))
+
+
 @lru_cache(maxsize=256)
 def _intersecting_qtuples(F: Family, q: int) -> frozenset[tuple[int, ...]]:
-    """Index tuples of the q-subsets with nonempty common intersection.
-
-    Depth-first over index prefixes, pruning any prefix whose running
-    intersection is already empty (extensions stay empty).
-    """
-    n = len(F)
-    found: set[tuple[int, ...]] = set()
-
-    def extend(prefix: tuple[int, ...], region, start: int) -> None:
-        for i in range(start, n):
-            if n - i < q - len(prefix):
-                break
-            sub = intersect_bodies([region, F.bodies[i]]) if region is not None else F.bodies[i]
-            if sub is None:
-                continue
-            chosen = prefix + (i,)
-            if len(chosen) == q:
-                found.add(chosen)
-            else:
-                extend(chosen, sub, i + 1)
-
-    extend((), None, 0)
-    return frozenset(found)
+    """Index tuples of the q-subsets with nonempty common intersection."""
+    return frozenset(indices for indices, _ in intersecting_subfamilies(F, range(q, q + 1)))
 
 
 def count_intersecting_qtuples(F: Family, q: int) -> int:
@@ -111,40 +119,40 @@ def count_intersecting_qtuples(F: Family, q: int) -> int:
 
 def f_vector(F: Family) -> tuple[int, ...]:
     """Entry j is the number of intersecting (j+1)-subsets, j = 0..n-1."""
-    n = len(F)
-    counts = [0] * n
-
-    def extend(size: int, region, start: int) -> None:
-        for i in range(start, n):
-            sub = intersect_bodies([region, F.bodies[i]]) if region is not None else F.bodies[i]
-            if sub is None:
-                continue
-            counts[size] += 1
-            extend(size + 1, sub, i + 1)
-
-    extend(0, None, 0)
+    counts = [0] * len(F)
+    for indices, _ in intersecting_subfamilies(F, range(1, len(F) + 1)):
+        counts[len(indices) - 1] += 1
     return tuple(counts)
 
 
-def max_r(F: Family, p: int, q: int, work_budget: int = DEFAULT_WORK_BUDGET) -> PQRReport:
-    """The largest r such that every p-subset of F contains at least r
-    intersecting q-tuples (0 means the plain (p,q) property fails)."""
+def _fewest_flagged(F: Family, p: int, q: int, flagged, floor: int,
+                    work_budget: int, what: str) -> tuple[int, tuple[int, ...]]:
+    """The p-subset of F holding the fewest q-tuples of ``flagged()``, as
+    (count, subset).  The scan stops at the first subset whose count falls
+    below ``floor``; ``flagged`` is called only once the budget check on
+    C(n,p) * C(p,q) + C(n,q) steps has passed."""
     _check_arity(F, p, q)
     n = len(F)
     work = comb(n, p) * comb(p, q) + comb(n, q)
     if work > work_budget:
-        raise BudgetExceededError(
-            f"max_r enumeration needs {work} steps, budget is {work_budget}"
-        )
-    flags = _intersecting_qtuples(F, q)
+        raise BudgetExceededError(f"{what} enumeration needs {work} steps, budget is {work_budget}")
+    flags = flagged()
     best: Optional[int] = None
     witness: tuple[int, ...] = ()
     for subset in itertools.combinations(range(n), p):
         count = sum(1 for tup in itertools.combinations(subset, q) if tup in flags)
         if best is None or count < best:
             best, witness = count, subset
-            if best == 0:
+            if best < floor:
                 break
+    return best, witness
+
+
+def max_r(F: Family, p: int, q: int, work_budget: int = DEFAULT_WORK_BUDGET) -> PQRReport:
+    """The largest r such that every p-subset of F contains at least r
+    intersecting q-tuples (0 means the plain (p,q) property fails)."""
+    best, witness = _fewest_flagged(F, p, q, lambda: _intersecting_qtuples(F, q), 1,
+                                    work_budget, "max_r")
     return PQRReport(p=p, q=q, max_r=best, witness_subset=witness)
 
 
@@ -164,23 +172,13 @@ def satisfies_pqr_through_line(F: Family, line: Line, p: int, q: int, r: int,
         raise DimensionMismatchError("through-line property is 2D only")
     if r < 1:
         raise ArityError(f"r must be >= 1, got {r}")
-    _check_arity(F, p, q)
-    n = len(F)
-    work = comb(n, p) * comb(p, q) + comb(n, q)
-    if work > work_budget:
-        raise BudgetExceededError(
-            f"through-line enumeration needs {work} steps, budget is {work_budget}"
-        )
-    on_line: set[tuple[int, ...]] = set()
-    for tup in itertools.combinations(range(n), q):
-        region = intersect_bodies([F.bodies[i] for i in tup])
-        if region is not None and line_meets_body(line, region):
-            on_line.add(tup)
-    for subset in itertools.combinations(range(n), p):
-        count = sum(1 for tup in itertools.combinations(subset, q) if tup in on_line)
-        if count < r:
-            return False
-    return True
+
+    def on_line():
+        return {indices for indices, region in intersecting_subfamilies(F, range(q, q + 1))
+                if line_meets_body(line, region)}
+
+    best, _ = _fewest_flagged(F, p, q, on_line, r, work_budget, "through-line")
+    return best >= r
 
 
 def degeneracy_level(F: Family):

@@ -308,13 +308,6 @@ def lexmax_body(body: ConvexBody):
     return max(body.vertices)
 
 
-def lexmin_body(body: ConvexBody):
-    """Lexicographically minimal point, dual to :func:`lexmax_body`."""
-    if body.dimension == 1:
-        return body.lo
-    return min(body.vertices)
-
-
 def body_contains_point(body: ConvexBody, p) -> bool:
     """Exact closed-set membership; 1D points are plain rationals."""
     if body.dimension == 1:

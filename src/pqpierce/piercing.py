@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import family as familymod
-from .bounds import dim1_threshold
+from .bounds import check_standing, dim1_threshold
 from .errors import ArityError, BudgetExceededError, DimensionMismatchError, PremiseViolationError
 from .family import Family
 from .geometry import (
@@ -76,41 +76,30 @@ class LineLemmaWitness:
     x0: Optional[Point]
 
 
-def _certify(F: Family, points: Sequence) -> bool:
-    return all(
-        any(body_contains_point(body, p) for p in points) for body in F.bodies
-    )
+def _certified(F: Family, points: Sequence) -> PiercingSet:
+    """The points, sorted, as a PiercingSet once every body of F is checked
+    to contain one of them.  Raises AssertionError otherwise; the check is
+    explicit so that it also runs under ``python -O``."""
+    for i, body in enumerate(F.bodies):
+        if not any(body_contains_point(body, p) for p in points):
+            raise AssertionError(f"piercing set misses body {i}")
+    return PiercingSet(points=tuple(sorted(points)), certified=True)
+
+
+def _subfamily_lexmaxes(F: Family, sizes: range) -> list:
+    return sorted({lexmax_body(region) for _, region in familymod.intersecting_subfamilies(F, sizes)})
 
 
 def candidate_points(F: Family) -> list:
     """Lexmax of every body and of every intersecting pair, deduplicated
     and sorted; sufficient for exact minimum piercing."""
-    seen = set()
-    for body in F.bodies:
-        seen.add(lexmax_body(body))
-    for i, j in itertools.combinations(range(len(F)), 2):
-        region = intersect_bodies([F.bodies[i], F.bodies[j]])
-        if region is not None:
-            seen.add(lexmax_body(region))
-    return sorted(seen)
+    return _subfamily_lexmaxes(F, range(1, 3))
 
 
 def exhaustive_candidate_points(F: Family) -> list:
     """Lexmax of the intersection of every intersecting subfamily; the
     unreduced candidate set used to validate the pair reduction."""
-    n = len(F)
-    seen = set()
-
-    def extend(region, start):
-        for i in range(start, n):
-            sub = intersect_bodies([region, F.bodies[i]]) if region is not None else F.bodies[i]
-            if sub is None:
-                continue
-            seen.add(lexmax_body(sub))
-            extend(sub, i + 1)
-
-    extend(None, 0)
-    return sorted(seen)
+    return _subfamily_lexmaxes(F, range(1, len(F) + 1))
 
 
 def sweep_piercing_1d(F: Family) -> PiercingSet:
@@ -124,8 +113,7 @@ def sweep_piercing_1d(F: Family) -> PiercingSet:
         stab = remaining[0].hi
         points.append(stab)
         remaining = [b for b in remaining if not b.contains(stab)]
-    assert _certify(F, points)
-    return PiercingSet(points=tuple(sorted(points)), certified=True)
+    return _certified(F, points)
 
 
 def _pairwise_disjoint_lower_bound(
@@ -167,10 +155,9 @@ def branch_and_bound_piercing(
     if not all(any(i in mask for _, mask in covers) for i in range(n)):
         raise AssertionError("candidate points fail to cover some body")
 
-    disjoint = [
-        [intersect_bodies([F.bodies[i], F.bodies[j]]) is None for j in range(n)]
-        for i in range(n)
-    ]
+    disjoint = [[i != j for j in range(n)] for i in range(n)]
+    for (i, j), _ in familymod.intersecting_subfamilies(F, range(2, 3)):
+        disjoint[i][j] = disjoint[j][i] = False
     point_choices: dict[int, list[int]] = {
         i: [ci for ci, (_, mask) in enumerate(covers) if i in mask] for i in range(n)
     }
@@ -207,9 +194,7 @@ def branch_and_bound_piercing(
             search(chosen + [ci], uncovered - covers[ci][1])
 
     search([], frozenset(range(n)))
-    points = tuple(sorted(covers[ci][0] for ci in best))
-    assert _certify(F, points)
-    return PiercingSet(points=points, certified=True)
+    return _certified(F, [covers[ci][0] for ci in best])
 
 
 def min_piercing(F: Family, node_budget: int = DEFAULT_NODE_BUDGET) -> PiercingSet:
@@ -217,18 +202,6 @@ def min_piercing(F: Family, node_budget: int = DEFAULT_NODE_BUDGET) -> PiercingS
     if F.dimension == 1:
         return sweep_piercing_1d(F)
     return branch_and_bound_piercing(F, node_budget=node_budget)
-
-
-def _intersecting_dtuples(F: Family, indices: Sequence[int]):
-    """(lexmax of intersection, index tuple) for every intersecting
-    d-tuple of the given members, d = family dimension."""
-    d = F.dimension
-    out = []
-    for tup in itertools.combinations(indices, d):
-        region = intersect_bodies([F.bodies[i] for i in tup])
-        if region is not None:
-            out.append((lexmax_body(region), tup, region))
-    return out
 
 
 def hd_pierce(F: Family, p: int, q: int) -> PiercingSet:
@@ -243,11 +216,7 @@ def hd_pierce(F: Family, p: int, q: int) -> PiercingSet:
     meet (p' = q') all survivors share a point by Helly.
     """
     d = F.dimension
-    if d == 1:
-        if not p >= q >= 2:
-            raise ArityError(f"need p >= q >= 2 in dimension 1, got p={p}, q={q}")
-    elif not p >= q >= d + 1:
-        raise ArityError(f"need p >= q >= d+1, got p={p}, q={q}")
+    check_standing(p, q, d)
     if len(F) < p:
         raise ArityError(f"family of size {len(F)} smaller than p={p}")
     if not d * q > (d - 1) * p + d:
@@ -275,13 +244,17 @@ def hd_pierce(F: Family, p: int, q: int) -> PiercingSet:
                 raise AssertionError("Helly base case found empty intersection")
             points.append(lexmax_body(region))
             break
-        tuples = _intersecting_dtuples(F, active)
+        # active is increasing, so sub's index tuples order as F's do
+        tuples = [
+            (lexmax_body(region), indices, region)
+            for indices, region in familymod.intersecting_subfamilies(sub, range(d, d + 1))
+        ]
         if not tuples:
             raise PremiseViolationError(
                 f"no intersecting {d}-tuple among {tuple(active)}",
                 witness=tuple(active),
             )
-        x0, a_tuple, a_region = min(tuples, key=lambda t: (t[0], t[1]))
+        x0, _, a_region = min(tuples, key=lambda t: (t[0], t[1]))
         points.append(x0)
         survivors = [i for i in active if not body_contains_point(F.bodies[i], x0)]
         for i in survivors:
@@ -304,10 +277,9 @@ def hd_pierce(F: Family, p: int, q: int) -> PiercingSet:
             points.extend(solved.points)
             break
 
-    assert len(points) <= p - q + 1
-    if not _certify(F, points):
-        raise AssertionError("constructed piercing set failed certification")
-    return PiercingSet(points=tuple(sorted(points)), certified=True)
+    if len(points) > p - q + 1:
+        raise AssertionError(f"construction produced {len(points)} > p-q+1 points")
+    return _certified(F, points)
 
 
 def _effective_witness_polygon(body: ConvexPolygon, x0: Point) -> ConvexPolygon:
@@ -443,9 +415,7 @@ def line_pierce(F: Family, line: Line, p: int, k: int) -> PiercingSet:
         points.extend(base + direction.scaled(t) for t in solved.points)
     if len(points) > k + 1:
         raise AssertionError(f"construction produced {len(points)} > k+1 points")
-    if not _certify(F, points):
-        raise AssertionError("line piercing failed certification")
-    return PiercingSet(points=tuple(sorted(points)), certified=True)
+    return _certified(F, points)
 
 
 def _trace_on_line(body: ConvexPolygon, line: Line) -> ConvexPolygon:

@@ -18,6 +18,7 @@ from pqpierce.bounds import (
 from pqpierce.family import (
     degeneracy_level,
     f_vector,
+    intersecting_subfamilies,
     max_r,
     satisfies_pqr,
 )
@@ -234,28 +235,13 @@ def test_criterion_8_pair_lemma():
             if region is not None:
                 pair_max[(i, j)] = lexmax_body(region)
 
-        def extend(prefix, region, start):
-            nonlocal subfamilies
-            for i in range(start, n):
-                sub = (
-                    intersect_bodies([region, F.bodies[i]])
-                    if region is not None
-                    else F.bodies[i]
-                )
-                if sub is None:
-                    continue
-                chosen = prefix + (i,)
-                if 3 <= len(chosen) <= 6:
-                    target = lexmax_body(sub)
-                    assert any(
-                        pair_max.get((a, b)) == target
-                        for a, b in itertools.combinations(chosen, 2)
-                    )
-                    subfamilies += 1
-                if len(chosen) < 6:
-                    extend(chosen, sub, i + 1)
-
-        extend((), None, 0)
+        for chosen, region in intersecting_subfamilies(F, range(3, 7)):
+            target = lexmax_body(region)
+            assert any(
+                pair_max.get((a, b)) == target
+                for a, b in itertools.combinations(chosen, 2)
+            )
+            subfamilies += 1
         families += 1
     assert families >= 300 and subfamilies > 0
     assert time.time() - started < 300.0

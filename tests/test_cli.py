@@ -3,7 +3,11 @@
 import json
 import subprocess
 import sys
+from decimal import Decimal
 
+import pytest
+
+from pqpierce.bounds import ms_threshold
 from pqpierce.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -67,6 +71,18 @@ class TestDocumentRoundTrip:
         payload = json.loads(out)
         assert "body 1" in payload["error"]["message"]
 
+    @pytest.mark.parametrize("dimension, body", [
+        (2, {"type": "polygon", "vertices": [5]}),
+        (True, {"type": "interval", "lo": "0", "hi": "1"}),
+    ], ids=["vertex-not-a-pair", "boolean-dimension"])
+    def test_malformed_document_exit_2(self, dimension, body, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"format_version": "1", "dimension": dimension,
+                                    "bodies": [body]}))
+        code, out = run_cli("pierce", str(path), capsys=capsys)
+        assert code == EXIT_INPUT
+        assert json.loads(out)["error"]["type"] == "ParseError"
+
 
 class TestBoundsCommand:
     def test_thm3_anchor(self, capsys):
@@ -102,6 +118,16 @@ class TestBoundsCommand:
         assert code == EXIT_OK
         assert payload["threshold_r"].isdigit()
         assert int(payload["threshold_r"]) > 10**9  # far beyond float-safe range
+
+    def test_threshold_beyond_int_str_limit(self, capsys):
+        # C(20000, 10000) has about 6000 digits, past CPython's 4300-digit
+        # int-to-str default
+        code, out = run_cli("bounds", "thm1", "--p", "20000", "--q", "10000", "--d", "2",
+                            capsys=capsys)
+        assert code == EXIT_OK
+        digits = json.loads(out)["threshold_r"]
+        assert len(digits) > 4300 and digits.isdigit()
+        assert Decimal(digits) == Decimal(ms_threshold(20000, 10000, 2).threshold_r)
 
 
 class TestAnalyzeCommand:
@@ -162,6 +188,20 @@ class TestPierceCommand:
         )
         assert code == EXIT_PREMISE
         assert json.loads(out)["error"]["type"] == "PremiseViolationError"
+
+    def test_line_with_leading_minus(self, tmp_path, capsys):
+        squares = [[["0", "0"], ["2", "0"], ["2", "2"], ["0", "2"]],
+                   [["1", "1"], ["3", "1"], ["3", "3"], ["1", "3"]]]
+        doc = {"format_version": "1", "dimension": 2,
+               "bodies": [{"type": "polygon", "vertices": v} for v in squares]}
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_cli(
+            "pierce", str(path), "--strategy", "line", "--p", "2", "--k", "0",
+            "--line", "-1,1,0", capsys=capsys,
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["points"] == [["2", "2"]]
 
 
 class TestGenerateCommand:

@@ -1,0 +1,130 @@
+"""The intersecting-subfamily walk and every consumer of it, checked
+against brute-force enumeration of all index tuples."""
+
+import itertools
+import subprocess
+import sys
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pqpierce.family import (
+    Family,
+    count_intersecting_qtuples,
+    f_vector,
+    intersecting_subfamilies,
+    max_r,
+    satisfies_pqr_through_line,
+)
+from pqpierce.generators import GeneratorSpec, random_family
+from pqpierce.geometry import Line, intersect_bodies, lexmax_body, line_meets_body
+from pqpierce.piercing import candidate_points
+
+from conftest import box
+
+LINES = (Line(0, 1, 0), Line(1, 1, 4), Line(1, -2, 1))
+
+
+def brute_subfamilies(F, sizes):
+    """Every intersecting subfamily with size in sizes, lexicographically."""
+    out = []
+    for indices in sorted(
+        tup for k in sizes for tup in itertools.combinations(range(len(F)), k)
+    ):
+        region = intersect_bodies([F.bodies[i] for i in indices])
+        if region is not None:
+            out.append((indices, region))
+    return out
+
+
+def brute_through_line(F, line, p, q, r):
+    """Flag every q-tuple meeting on the line, then test every p-subset."""
+    n = len(F)
+    on_line = set()
+    for tup in itertools.combinations(range(n), q):
+        region = intersect_bodies([F.bodies[i] for i in tup])
+        if region is not None and line_meets_body(line, region):
+            on_line.add(tup)
+    for subset in itertools.combinations(range(n), p):
+        count = sum(1 for tup in itertools.combinations(subset, q) if tup in on_line)
+        if count < r:
+            return False
+    return True
+
+
+def families_1d():
+    for seed in range(15):
+        yield random_family(GeneratorSpec("random_intervals", n=7, seed=seed))
+
+
+def families_2d():
+    for seed in range(8):
+        yield random_family(GeneratorSpec("random_polygons", n=5, seed=seed, span=5))
+
+
+class TestWalk:
+    def test_matches_brute_force(self):
+        for F in list(families_1d()) + list(families_2d()):
+            n = len(F)
+            for sizes in (range(1, n + 1), range(2, 3), range(3, n + 1), range(n, n + 1)):
+                assert list(intersecting_subfamilies(F, sizes)) == brute_subfamilies(F, sizes)
+
+    def test_sizes_outside_the_family(self):
+        F = Family.of([box(0, 0, 1, 1)] * 3)
+        assert list(intersecting_subfamilies(F, range(4, 6))) == []
+        assert list(intersecting_subfamilies(F, range(0, 1))) == []
+        assert [idx for idx, _ in intersecting_subfamilies(F, range(0, 2))] == [(0,), (1,), (2,)]
+
+
+class TestConsumersMatchBruteForce:
+    def test_f_vector_and_counts(self):
+        for F in list(families_1d()) + list(families_2d()):
+            n = len(F)
+            want = [len(brute_subfamilies(F, range(q, q + 1))) for q in range(1, n + 1)]
+            assert list(f_vector(F)) == want
+            for q in range(1, n + 1):
+                assert count_intersecting_qtuples(F, q) == want[q - 1]
+
+    def test_candidate_points(self):
+        for F in list(families_1d()) + list(families_2d()):
+            want = sorted({lexmax_body(region) for _, region in brute_subfamilies(F, range(1, 3))})
+            assert candidate_points(F) == want
+
+    def test_through_line(self):
+        answers = set()
+        for F in itertools.islice(families_2d(), 6):
+            for line in LINES:
+                for p, q, r in ((4, 2, 1), (4, 2, 3), (5, 2, 4), (5, 3, 1), (4, 3, 2)):
+                    want = brute_through_line(F, line, p, q, r)
+                    assert satisfies_pqr_through_line(F, line, p, q, r) == want
+                    answers.add(want)
+        assert answers == {True, False}
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10**6), dimension=st.sampled_from((1, 2)), data=st.data())
+def test_permuting_bodies_keeps_f_vector_and_max_r(seed, dimension, data):
+    kind, n = ("random_intervals", 7) if dimension == 1 else ("random_polygons", 5)
+    F = random_family(GeneratorSpec(kind, n=n, seed=seed, span=5))
+    order = data.draw(st.permutations(range(n)))
+    G = Family(dimension, tuple(F.bodies[i] for i in order))
+    assert f_vector(G) == f_vector(F)
+    for p, q in ((4, 2), (5, 3)):
+        assert max_r(G, p, q).max_r == max_r(F, p, q).max_r
+
+
+def test_certification_raises_under_optimize():
+    script = (
+        "from pqpierce.family import Family\n"
+        "from pqpierce.geometry import Interval\n"
+        "from pqpierce.piercing import _certified\n"
+        "F = Family.of([Interval(0, 1), Interval(2, 3)])\n"
+        "assert False, 'asserts are on'\n"
+        "try:\n"
+        "    _certified(F, [1])\n"
+        "except AssertionError as exc:\n"
+        "    print('raised:', exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "raised: piercing set misses body 1\n"
