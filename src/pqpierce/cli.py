@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import decimal
+import functools
 import io
 import json
 import sys
@@ -216,8 +217,7 @@ def cmd_bounds(args, out) -> int:
             raise ArityError("kalai requires --s")
         payload = {"value": _digits(boundsmod.kalai_bound(p, q, args.s, d))}
     elif theorem == "hd-region":
-        value = boundsmod.hd_exact_region(p, q, d)
-        payload = {"piercing_number": value}
+        payload = {"piercing_number": boundsmod.hd_exact_region(p, q, d)}
     elif theorem == "implied-q":
         if args.r is None:
             raise ArityError("implied-q requires --r")
@@ -318,25 +318,29 @@ def _experiment_rows(config: dict):
     """Yield (row dict, family, violation message or None) triples."""
     tag = config.get("theorem")
     seeds = config.get("seeds", 20)
-    if isinstance(seeds, int):
+    if type(seeds) is int:
         seeds = list(range(seeds))
+    elif type(seeds) is not list or any(type(seed) is not int for seed in seeds):
+        raise ParseError(f"seeds must be an int or a list of ints, got {seeds!r}")
+    dimension = config.get("dimension", 1)
+    if type(dimension) is not int or dimension not in (1, 2):
+        raise ParseError(f"dimension must be 1 or 2, got {dimension!r}")
+    n = config.get("n", 8)
+    kind = "random_intervals" if dimension == 1 else "random_polygons"
     if tag == "thm5":
-        dimension = config.get("dimension", 1)
-        n = config.get("n", 8)
         grid = config.get("grid", {})
         ps = grid.get("p", [3, 4, 5, 6])
-        kind = "random_intervals" if dimension == 1 else "random_polygons"
-        for p in ps:
-            qs = grid.get("q") or [
-                q
-                for q in range(2, p + 1)
-                if dimension * q > (dimension - 1) * p + dimension
-            ]
-            for q in qs:
-                claimed = p - q + 1
-                for seed in seeds:
-                    spec = genmod.GeneratorSpec(kind, n=max(n, p), seed=seed)
-                    F = genmod.random_family(spec)
+        # seeds outermost: one family's (p, q) queries run back to back,
+        # so its few q-tuple sets stay in the bounded memo of family.py
+        for seed in seeds:
+            for p in ps:
+                qs = grid.get("q") or [
+                    q
+                    for q in range(2, p + 1)
+                    if dimension * q > (dimension - 1) * p + dimension
+                ]
+                F = genmod.random_family(genmod.GeneratorSpec(kind, n=max(n, p), seed=seed))
+                for q in qs:
                     row = {
                         "seed": seed,
                         "n": len(F),
@@ -344,7 +348,7 @@ def _experiment_rows(config: dict):
                         "q": q,
                         "r_threshold": 1,
                         "theorem_tag": tag,
-                        "pierce_bound_claimed": claimed,
+                        "pierce_bound_claimed": p - q + 1,
                     }
                     yield _finish_row(row, F, premise=lambda F=F, p=p, q=q: familymod.satisfies_pqr(F, p, q, 1))
     elif tag == "prop-dim1":
@@ -367,9 +371,6 @@ def _experiment_rows(config: dict):
                     }
                     yield _finish_row(row, F, premise=lambda: True)
     elif tag == "kalai":
-        dimension = config.get("dimension", 1)
-        n = config.get("n", 8)
-        kind = "random_intervals" if dimension == 1 else "random_polygons"
         for seed in seeds:
             F = genmod.random_family(genmod.GeneratorSpec(kind, n=n, seed=seed))
             fvec = familymod.f_vector(F)
@@ -463,7 +464,9 @@ def cmd_experiment(args, out) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """Built once: building costs about fifteen parses."""
     parser = argparse.ArgumentParser(
         prog="pqpierce",
         description="Exact piercing thresholds, property checks, and solvers "

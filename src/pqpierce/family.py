@@ -5,8 +5,8 @@ distinct members (index identity), which the extremal constructions rely
 on.  Everything here is exhaustive enumeration at desk scale, read off
 one depth-first walk over the intersecting subfamilies
 (:func:`intersecting_subfamilies`): the q-tuple flags it yields are
-memoized for the most recent families and aggregated over p-subsets,
-with a configurable hard work cap instead of silent truncation.
+memoized for the last eight (family, q) queries and aggregated over
+p-subsets, with a configurable hard work cap instead of silent truncation.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ def intersecting_subfamilies(F: Family, sizes: range):
                     stack.append((chosen + (i,), sub))
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=8)
 def _intersecting_qtuples(F: Family, q: int) -> frozenset[tuple[int, ...]]:
     """Index tuples of the q-subsets with nonempty common intersection."""
     return frozenset(indices for indices, _ in intersecting_subfamilies(F, range(q, q + 1)))

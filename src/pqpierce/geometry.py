@@ -7,14 +7,16 @@ degenerate-sensitive, and an epsilon tolerance would silently break the
 tightness arguments they support.
 
 Degenerate convex polygons are first class: a single point has one vertex,
-a segment has two.  Everything is immutable after construction and safe to
-share between threads.
+a segment has two.  Intersections clip one halfplane at a time in a single
+order-preserving walk (Sutherland and Hodgman 1974).  Everything is
+immutable after construction and safe to share between threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Iterable, Optional, Sequence, Union
 
@@ -60,13 +62,9 @@ def dot(u: Point, v: Point) -> Fraction:
     return u.x * v.x + u.y * v.y
 
 
-def cross(u: Point, v: Point) -> Fraction:
-    return u.x * v.y - u.y * v.x
-
-
 def orient(o: Point, a: Point, b: Point) -> Fraction:
     """Twice the signed area of (o, a, b); > 0 means a left turn."""
-    return cross(a - o, b - o)
+    return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
 
 
 def sqdist(u: Point, v: Point) -> Fraction:
@@ -126,9 +124,10 @@ class ConvexPolygon:
 
     Vertices are counter-clockwise starting from the lexicographically
     smallest one, with no three collinear vertices stored.  One vertex is
-    a point, two are a segment.  Construction re-derives the hull and
-    rejects any argument that is not already canonical; use
-    :meth:`from_points` to build from an arbitrary point set.
+    a point, two are a segment.  Construction checks in one pass that the
+    argument is canonical (lexmin first, a strict left turn at every vertex,
+    lexicographic order rising once and then falling once) and rejects it
+    if not; use :meth:`from_points` to build from an arbitrary point set.
     """
 
     vertices: tuple[Point, ...]
@@ -138,7 +137,10 @@ class ConvexPolygon:
         object.__setattr__(self, "vertices", verts)
         if not verts:
             raise ValueError("polygon needs at least one vertex")
-        if convex_hull(verts) != verts:
+        n = len(verts)
+        rise = [u < w for u, w in zip(verts, verts[1:] + verts[:1])]
+        if rise != sorted(rise, reverse=True) or rise[-1] or (n > 1 and not rise[0]) or (
+                n > 2 and any(orient(verts[i - 2], verts[i - 1], verts[i]) <= 0 for i in range(n))):
             raise ValueError(f"vertices not in canonical convex position: {verts}")
 
     @classmethod
@@ -155,20 +157,16 @@ class ConvexPolygon:
     def halfplanes(self) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
         """Halfplanes (a, b, c), each meaning a*x + b*y <= c, whose
         intersection is exactly this region (degenerate cases included)."""
+        return self._halfplanes
+
+    @cached_property
+    def _halfplanes(self) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
         v = self.vertices
-        if len(v) == 1:
-            p = v[0]
-            one = Fraction(1)
-            return (
-                (one, Fraction(0), p.x),
-                (-one, Fraction(0), -p.x),
-                (Fraction(0), one, p.y),
-                (Fraction(0), -one, -p.y),
-            )
-        if len(v) == 2:
-            u, w = v
-            d = w - u
-            # on the supporting line, and between the endpoints
+        if len(v) <= 2:
+            # on the supporting line, and between the endpoints; a point is
+            # the segment from itself to itself along the x-axis
+            u, w = v[0], v[-1]
+            d = w - u if len(v) == 2 else Point(1, 0)
             return (
                 (d.y, -d.x, d.y * u.x - d.x * u.y),
                 (-d.y, d.x, -(d.y * u.x - d.x * u.y)),
@@ -244,31 +242,41 @@ class Line:
         return Point(self.c / self.a, Fraction(0))
 
 
-def _cyclic_edges(verts: Sequence[Point]) -> list[tuple[int, int]]:
-    n = len(verts)
-    if n == 1:
-        return []
-    if n == 2:
-        return [(0, 1), (1, 0)]
-    return [(i, (i + 1) % n) for i in range(n)]
-
-
 def _clip_halfplane(
     verts: tuple[Point, ...], a: Fraction, b: Fraction, c: Fraction
 ) -> Optional[tuple[Point, ...]]:
-    """Clip canonical convex vertices to {a*x + b*y <= c}; None if empty."""
+    """Clip canonical convex vertices to {a*x + b*y <= c}; None if empty.
+
+    One walk keeps the inner vertices and inserts each strict edge crossing.
+    A crossing lies strictly inside an edge, so no duplicate or collinear
+    triple arises and the output is canonical once rotated to its lexmin.
+    """
     sides = [a * v.x + b * v.y - c for v in verts]
-    if len(verts) == 1:
-        return verts if sides[0] <= 0 else None
-    kept: list[Point] = [v for v, s in zip(verts, sides) if s <= 0]
-    for i, j in _cyclic_edges(verts):
-        si, sj = sides[i], sides[j]
-        if (si < 0 < sj) or (sj < 0 < si):
-            t = si / (si - sj)
-            kept.append(verts[i] + (verts[j] - verts[i]).scaled(t))
+    # a Fraction has the sign of its numerator, an int compare is cheaper
+    signs = [s.numerator for s in sides]
+    if max(signs) <= 0:
+        return verts
+    n = len(verts)
+    kept: list[Point] = []
+    for i in range(n):
+        j = (i + 1) % n
+        if signs[i] <= 0:
+            kept.append(verts[i])
+        # a segment's one edge is walked once, from its first end
+        if (signs[i] < 0 < signs[j] or signs[j] < 0 < signs[i]) and (n > 2 or i == 0):
+            u, w = verts[i], verts[j]
+            t = sides[i] / (sides[i] - sides[j])
+            kept.append(Point(u.x + (w.x - u.x) * t, u.y + (w.y - u.y) * t))
     if not kept:
         return None
-    return convex_hull(kept)
+    k = kept.index(min(kept))
+    return tuple(kept[k:] + kept[:k])
+
+
+def clip_polygon(body: ConvexPolygon, a, b, c) -> Optional[ConvexPolygon]:
+    """The part of the polygon in {a*x + b*y <= c}, or None when empty."""
+    verts = _clip_halfplane(body.vertices, Fraction(a), Fraction(b), Fraction(c))
+    return None if verts is None else ConvexPolygon(verts)
 
 
 def intersect_bodies(bodies: Sequence[ConvexBody]) -> Optional[ConvexBody]:
@@ -328,12 +336,9 @@ def line_meets_body(line: Line, body: ConvexBody) -> bool:
 
 
 def _edges(poly: ConvexPolygon) -> list[tuple[Point, Point]]:
+    """The closed boundary's edges; a point is one edge of length zero."""
     v = poly.vertices
-    if len(v) == 1:
-        return []
-    if len(v) == 2:
-        return [(v[0], v[1])]
-    return [(v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
+    return [(v[i - 1], v[i]) for i in range(len(v))]
 
 
 def _closest_on_segment(p: Point, u: Point, w: Point) -> Point:
@@ -349,17 +354,8 @@ def _closest_on_segment(p: Point, u: Point, w: Point) -> Point:
 def _closest_pair(A: ConvexPolygon, B: ConvexPolygon) -> tuple[Point, Point]:
     """Deterministic closest pair (point of A, point of B); exact, and
     attained at a vertex of one body and a vertex or edge of the other."""
-    cands: list[tuple[Point, Point]] = []
-    for v in A.vertices:
-        if _edges(B):
-            cands.extend((v, _closest_on_segment(v, u, w)) for u, w in _edges(B))
-        else:
-            cands.append((v, B.vertices[0]))
-    for v in B.vertices:
-        if _edges(A):
-            cands.extend((_closest_on_segment(v, u, w), v) for u, w in _edges(A))
-        else:
-            cands.append((A.vertices[0], v))
+    cands = [(v, _closest_on_segment(v, u, w)) for v in A.vertices for u, w in _edges(B)]
+    cands += [(_closest_on_segment(v, u, w), v) for v in B.vertices for u, w in _edges(A)]
     return min(cands, key=lambda pair: (sqdist(pair[0], pair[1]), pair))
 
 

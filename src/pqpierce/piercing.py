@@ -39,8 +39,8 @@ from .geometry import (
     Interval,
     Line,
     Point,
-    _clip_halfplane,
     body_contains_point,
+    clip_polygon,
     dot,
     intersect_bodies,
     lexmax_body,
@@ -295,10 +295,10 @@ def _effective_witness_polygon(body: ConvexPolygon, x0: Point) -> ConvexPolygon:
 
 
 def _clip_to_halfplane(body: ConvexPolygon, a, b, c) -> ConvexPolygon:
-    verts = _clip_halfplane(body.vertices, Fraction(a), Fraction(b), Fraction(c))
-    if verts is None:
+    clipped = clip_polygon(body, a, b, c)
+    if clipped is None:
         raise AssertionError("clip emptied a polygon that must stay nonempty")
-    return ConvexPolygon(verts)
+    return clipped
 
 
 def _line_guarantee_holds(F: Family, ai: int, bi: int, line: Line) -> bool:

@@ -17,6 +17,7 @@ from pqpierce.cli import (
     family_to_document,
     main,
 )
+from pqpierce.family import _intersecting_qtuples
 from pqpierce.generators import GeneratorSpec, extremal_dim1, random_family
 
 
@@ -108,6 +109,15 @@ class TestBoundsCommand:
         code, out = run_cli("bounds", "thm1", "--p", "2", "--q", "3", "--d", "2", capsys=capsys)
         assert code == EXIT_INPUT
         assert "error" in json.loads(out)
+
+    def test_reused_parser_leaks_no_options(self, capsys):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "pqpierce.cli", "bounds", "thm1", "--p", "6", "--q", "3"],
+            capture_output=True, text=True, check=True,
+        ).stdout
+        run_cli("bounds", "thm3", "--p", "6", "--q", "3", "--d", "2", "--k", "2", capsys=capsys)
+        code, out = run_cli("bounds", "thm1", "--p", "6", "--q", "3", capsys=capsys)
+        assert code == EXIT_OK and out == fresh
 
     def test_big_integers_decimal(self, capsys):
         code, out = run_cli(
@@ -289,6 +299,31 @@ class TestExperimentCommand:
         config.write_text(json.dumps({"theorem": "nope"}))
         code, _ = run_cli("experiment", str(config), capsys=capsys)
         assert code == EXIT_INPUT
+
+    def test_thm5_walks_each_family_once_per_q(self, tmp_path, capsys):
+        # 12 seeds x 3 q values overflow the memo's 8 entries; with the
+        # seeds outermost every (family, q) pair is still walked only once
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps({"theorem": "thm5", "dimension": 1, "n": 6, "seeds": 12,
+                        "grid": {"p": [3, 4]}})
+        )
+        _intersecting_qtuples.cache_clear()
+        code, _ = run_cli("experiment", str(config), capsys=capsys)
+        assert code == EXIT_OK
+        assert _intersecting_qtuples.cache_info().misses == 12 * 3
+
+    @pytest.mark.parametrize("field", [
+        {"seeds": "x"}, {"seeds": [0, "1"]}, {"seeds": True},
+        {"dimension": 3}, {"dimension": True},
+    ])
+    def test_malformed_config_exit_2(self, field, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"theorem": "thm5", "n": 5, "grid": {"p": [3]}, **field}))
+        code, out = run_cli("experiment", str(config), capsys=capsys)
+        assert code == EXIT_INPUT
+        assert json.loads(out)["error"]["type"] == "ParseError"
+        assert next(iter(field)) in json.loads(out)["error"]["message"]
 
 
 class TestConsoleEntry:

@@ -1,16 +1,20 @@
 """Exact-geometry unit tests and randomized invariants."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pqpierce.errors import DimensionMismatchError, PremiseViolationError
+from pqpierce.family import Family, f_vector, max_r
+from pqpierce.generators import GeneratorSpec, random_family
 from pqpierce.geometry import (
     ConvexPolygon,
     Interval,
     Line,
     Point,
+    clip_polygon,
     convex_hull,
     intersect_bodies,
     lexmax_body,
@@ -204,3 +208,131 @@ class TestLineIncidence:
         assert Line(-1, 0, -2) == Line(1, 0, 2)
         with pytest.raises(ValueError):
             Line(0, 0, 1)
+
+
+def hull_rebuild_clip(verts, a, b, c):
+    """Reference clip: every vertex on the inner side plus every strict
+    edge crossing (both directions of a segment's edge), hulled again."""
+    sides = [a * v.x + b * v.y - c for v in verts]
+    if len(verts) == 1:
+        return verts if sides[0] <= 0 else None
+    n = len(verts)
+    edges = [(0, 1), (1, 0)] if n == 2 else [(i, (i + 1) % n) for i in range(n)]
+    kept = [v for v, s in zip(verts, sides) if s <= 0]
+    for i, j in edges:
+        si, sj = sides[i], sides[j]
+        if (si < 0 < sj) or (sj < 0 < si):
+            t = si / (si - sj)
+            kept.append(verts[i] + (verts[j] - verts[i]).scaled(t))
+    if not kept:
+        return None
+    return convex_hull(kept)
+
+
+def random_hull(rng, size, radius):
+    return convex_hull(pt(rng.randint(-radius, radius), rng.randint(-radius, radius))
+                       for _ in range(size))
+
+
+def lines_for(rng, hull, radius):
+    """Halfplanes (a, b, c) against a hull: through a vertex, along an edge
+    (the edge's own line, both ways), touching only at a vertex, and
+    general position."""
+    out = []
+    for _ in range(3):
+        v = rng.choice(hull)
+        a, b = Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        if a == b == 0:
+            a = Fraction(1)
+        out.append((a, b, a * v.x + b * v.y))
+    if len(hull) >= 2:
+        i = rng.randrange(len(hull))
+        u, w = hull[i], hull[(i + 1) % len(hull)]
+        a, b = w.y - u.y, u.x - w.x
+        out += [(a, b, a * u.x + b * u.y), (-a, -b, -(a * u.x + b * u.y))]
+    # the lexmax vertex alone touches x = max x when it is the only one there
+    top = max(hull)
+    out += [(Fraction(1), Fraction(0), top.x), (Fraction(-1), Fraction(0), -top.x)]
+    for _ in range(3):
+        a = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+        b = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+        if a == b == 0:
+            b = Fraction(1)
+        out.append((a, b, Fraction(rng.randint(-3 * radius, 3 * radius), rng.randint(1, 4))))
+    return out
+
+
+class TestClipAgainstHullRebuild:
+    def test_seeded_polygons_points_and_segments(self):
+        rng = random.Random(20240)
+        sizes = {1: 0, 2: 0, 3: 0}
+        for _ in range(600):
+            radius = rng.choice((1, 3, 8))
+            hull = random_hull(rng, rng.randint(1, 8), radius)
+            sizes[min(len(hull), 3)] += 1
+            body = ConvexPolygon(hull)
+            for a, b, c in lines_for(rng, hull, radius):
+                want = hull_rebuild_clip(hull, a, b, c)
+                got = clip_polygon(body, a, b, c)
+                assert (got.vertices if got is not None else None) == want, (hull, a, b, c)
+        assert min(sizes.values()) >= 30  # points, segments and polygons all drawn
+
+    def test_unchanged_when_nothing_outside(self):
+        tri = ConvexPolygon.from_points([pt(0, 0), pt(4, 0), pt(0, 4)])
+        assert clip_polygon(tri, 1, 1, 4).vertices == tri.vertices
+        assert clip_polygon(tri, 1, 1, -1) is None
+
+    def test_edge_on_line_keeps_that_edge(self):
+        tri = ConvexPolygon.from_points([pt(0, 0), pt(4, 0), pt(0, 4)])
+        assert clip_polygon(tri, 0, 1, 0).vertices == (pt(0, 0), pt(4, 0))
+        assert clip_polygon(tri, -1, 0, -4).vertices == (pt(4, 0),)
+
+
+class TestLinearCanonicalCheck:
+    def test_agrees_with_hull_fixed_point(self):
+        rng = random.Random(7)
+        cases = 0
+        for _ in range(400):
+            hull = list(random_hull(rng, rng.randint(1, 8), rng.choice((1, 3, 8))))
+            variants = [hull[k:] + hull[:k] for k in range(len(hull))]
+            variants += [v[::-1] for v in variants]
+            dup = rng.randrange(len(hull))
+            variants.append(hull[:dup + 1] + hull[dup:])
+            if len(hull) >= 2:
+                u, w = hull[dup - 1], hull[dup]
+                variants.append(hull[:dup] + [(u + w).scaled(Fraction(1, 2))] + hull[dup:])
+            variants.append(hull + [hull[0]])
+            variants.append(sorted(hull))
+            for verts in map(tuple, variants):
+                cases += 1
+                canonical = convex_hull(verts) == verts
+                try:
+                    ConvexPolygon(verts)
+                except ValueError:
+                    assert not canonical, verts
+                else:
+                    assert canonical, verts
+        assert cases > 3000
+
+    def test_star_pentagon_rejected(self):
+        # every turn is a strict left turn, but the boundary winds twice
+        p = convex_hull([pt(0, 0), pt(4, -1), pt(6, 3), pt(3, 6), pt(-1, 4)])
+        with pytest.raises(ValueError):
+            ConvexPolygon((p[0], p[2], p[4], p[1], p[3]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10**6),
+       shift=st.tuples(st.integers(-50, 50), st.integers(-50, 50)),
+       factor=st.fractions(min_value=Fraction(1, 20), max_value=20))
+def test_translating_or_scaling_keeps_f_vector_and_max_r(seed, shift, factor):
+    F = random_family(GeneratorSpec("random_polygons", n=5, seed=seed, span=5))
+    offset = pt(*shift)
+    moved = [Family.of([ConvexPolygon(tuple(v + offset for v in body.vertices))
+                        for body in F.bodies]),
+             Family.of([ConvexPolygon(tuple(v.scaled(factor) for v in body.vertices))
+                        for body in F.bodies])]
+    for G in moved:
+        assert f_vector(G) == f_vector(F)
+        for p, q in ((4, 2), (5, 3)):
+            assert max_r(G, p, q).max_r == max_r(F, p, q).max_r
