@@ -4,7 +4,8 @@ Subcommands: bounds, analyze, pierce, generate, experiment.  Families are
 exchanged as JSON documents with rationals serialized as exact
 "numerator/denominator" strings; experiment matrices are CSV.  Exit
 codes: 0 success, 1 theorem-claim violation (experiment), 2 input error,
-3 premise violation, 4 budget exceeded.
+3 premise violation, 4 budget exceeded, 5 internal fault (any other
+exception; its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ import argparse
 import csv
 import decimal
 import functools
-import io
 import json
 import sys
+import traceback
 from fractions import Fraction
 
 from . import bounds as boundsmod
@@ -39,6 +40,19 @@ EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_PREMISE = 3
 EXIT_BUDGET = 4
+EXIT_INTERNAL = 5
+
+#: The exit code of each error type the CLI reports (OSError: an --output
+#: path that cannot be written); any other exception is an internal fault.
+ERROR_EXITS = (
+    ((ParseError, ArityError, DimensionMismatchError, ValueError, OSError), EXIT_INPUT),
+    (PremiseViolationError, EXIT_PREMISE),
+    (BudgetExceededError, EXIT_BUDGET),
+)
+
+#: The GeneratorSpec fields that ``generate`` takes as options and writes
+#: to the document's metadata.
+GENERATOR_OPTIONS = ("p", "k", "a", "b", "dimension", "n", "seed", "span", "extent", "grid")
 
 CSV_COLUMNS = [
     "seed",
@@ -75,12 +89,7 @@ def family_to_document(F: Family, metadata: dict | None = None) -> dict:
         if F.dimension == 1:
             bodies.append({"type": "interval", "lo": _rat_str(body.lo), "hi": _rat_str(body.hi)})
         else:
-            bodies.append(
-                {
-                    "type": "polygon",
-                    "vertices": [[_rat_str(v.x), _rat_str(v.y)] for v in body.vertices],
-                }
-            )
+            bodies.append({"type": "polygon", "vertices": [_serialize_point(v) for v in body.vertices]})
     return {
         "format_version": FORMAT_VERSION,
         "dimension": F.dimension,
@@ -138,15 +147,18 @@ def dump_family(F: Family, metadata: dict | None = None) -> str:
     return json.dumps(family_to_document(F, metadata), sort_keys=True, indent=2) + "\n"
 
 
-def load_family(path: str) -> Family:
+def _read_json(path: str):
     try:
         with open(path) as handle:
-            doc = json.load(handle)
+            return json.load(handle)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}") from None
-    return document_to_family(doc)
+
+
+def load_family(path: str) -> Family:
+    return document_to_family(_read_json(path))
 
 
 def _serialize_point(p) -> object:
@@ -186,45 +198,38 @@ def _bound_json(result) -> dict:
     }
 
 
+def _epsilon(args):
+    """--epsilon as a Fraction or None; a zero denominator is an input error."""
+    try:
+        return None if args.epsilon is None else Fraction(args.epsilon)
+    except ZeroDivisionError as exc:
+        raise ParseError(f"bad rational {args.epsilon!r} in --epsilon: {exc}") from None
+
+
+#: Every theorem id of ``bounds``, in help order: the option it requires
+#: (None for none) and its payload from the parsed arguments.
+THEOREMS = {
+    "thm1": (None, lambda a: _bound_json(boundsmod.ms_threshold(a.p, a.q, a.d))),
+    "thm2": ("epsilon", lambda a: _bound_json(
+        boundsmod.thm2_threshold(a.p, a.q, a.d, _epsilon(a)))),
+    "thm3": ("k", lambda a: _bound_json(boundsmod.thm3_threshold(a.p, a.q, a.d, a.k))),
+    "prop-dim1": ("k", lambda a: _bound_json(boundsmod.dim1_threshold(a.p, a.q, a.k))),
+    "lemma-r0": ("f", lambda a: _bound_json(boundsmod.lemma_r0_threshold(a.p, a.q, a.d, a.f))),
+    "remark": ("f", lambda a: _bound_json(
+        boundsmod.remark_threshold(a.p, a.q, a.d, a.f, _epsilon(a)))),
+    "kalai": ("s", lambda a: {"value": _digits(boundsmod.kalai_bound(a.p, a.q, a.s, a.d))}),
+    "hd-region": (None, lambda a: {"piercing_number": boundsmod.hd_exact_region(a.p, a.q, a.d)}),
+    "implied-q": ("r", lambda a: {"q_prime": boundsmod.implied_q(a.p, a.q, a.r, a.d)}),
+}
+
+
 def cmd_bounds(args, out) -> int:
-    p, q, d = args.p, args.q, args.d
-    theorem = args.theorem
-    if theorem == "thm1":
-        payload = _bound_json(boundsmod.ms_threshold(p, q, d))
-    elif theorem == "thm2":
-        if args.epsilon is None:
-            raise ArityError("thm2 requires --epsilon")
-        payload = _bound_json(boundsmod.thm2_threshold(p, q, d, Fraction(args.epsilon)))
-    elif theorem == "thm3":
-        if args.k is None:
-            raise ArityError("thm3 requires --k")
-        payload = _bound_json(boundsmod.thm3_threshold(p, q, d, args.k))
-    elif theorem == "prop-dim1":
-        if args.k is None:
-            raise ArityError("prop-dim1 requires --k")
-        payload = _bound_json(boundsmod.dim1_threshold(p, q, args.k))
-    elif theorem == "lemma-r0":
-        if args.f is None:
-            raise ArityError("lemma-r0 requires --f")
-        payload = _bound_json(boundsmod.lemma_r0_threshold(p, q, d, args.f))
-    elif theorem == "remark":
-        if args.f is None:
-            raise ArityError("remark requires --f")
-        eps = Fraction(args.epsilon) if args.epsilon is not None else None
-        payload = _bound_json(boundsmod.remark_threshold(p, q, d, args.f, eps))
-    elif theorem == "kalai":
-        if args.s is None:
-            raise ArityError("kalai requires --s")
-        payload = {"value": _digits(boundsmod.kalai_bound(p, q, args.s, d))}
-    elif theorem == "hd-region":
-        payload = {"piercing_number": boundsmod.hd_exact_region(p, q, d)}
-    elif theorem == "implied-q":
-        if args.r is None:
-            raise ArityError("implied-q requires --r")
-        payload = {"q_prime": boundsmod.implied_q(p, q, args.r, d)}
-    else:  # unreachable thanks to argparse choices
-        raise ArityError(f"unknown theorem id {theorem!r}")
-    _emit(payload, out)
+    if args.theorem not in THEOREMS:
+        raise ArityError(f"unknown theorem id {args.theorem!r}")
+    required, payload = THEOREMS[args.theorem]
+    if required is not None and getattr(args, required) is None:
+        raise ArityError(f"{args.theorem} requires --{required}")
+    _emit(payload(args), out)
     return EXIT_OK
 
 
@@ -284,25 +289,22 @@ def _spec_from_args(args) -> genmod.GeneratorSpec:
         unknown = set(raw) - allowed
         if unknown:
             raise ParseError(f"unknown spec fields: {sorted(unknown)}")
-        try:
-            return genmod.GeneratorSpec(**raw)
-        except TypeError as exc:
-            raise ParseError(str(exc)) from None
+        for name, value in raw.items():
+            if name != "kind" and type(value) is not int:
+                raise ParseError(f"spec field {name} must be an int, got {value!r}")
+        return genmod.GeneratorSpec(**raw)
     if args.kind is None:
         raise ArityError("generate requires a kind or --spec-json")
-    fields = {}
-    for name in ("p", "k", "a", "b", "dimension", "n", "seed", "span", "extent", "grid"):
-        value = getattr(args, name, None)
-        if value is not None:
-            fields[name] = value
+    fields = {name: getattr(args, name) for name in GENERATOR_OPTIONS
+              if getattr(args, name) is not None}
     return genmod.GeneratorSpec(kind=args.kind.replace("-", "_"), **fields)
 
 
 def cmd_generate(args, out) -> int:
     spec = _spec_from_args(args)
     F = genmod.random_family(spec)
-    meta = {"kind": spec.kind, "seed": spec.seed}
-    for name in ("p", "k", "a", "b", "dimension", "n", "span", "extent", "grid"):
+    meta = {"kind": spec.kind}
+    for name in GENERATOR_OPTIONS:
         value = getattr(spec, name)
         if value is not None:
             meta[name] = value
@@ -314,26 +316,40 @@ def cmd_generate(args, out) -> int:
 # Experiments
 # ---------------------------------------------------------------------------
 
-def _experiment_rows(config: dict):
-    """Yield (row dict, family, violation message or None) triples."""
-    tag = config.get("theorem")
+def _int_list(value) -> bool:
+    return type(value) is list and all(type(item) is int for item in value)
+
+
+def _experiment_rows(config):
+    """Check the whole config, then yield (row, family, violation or None)."""
+    if not isinstance(config, dict):
+        raise ParseError(f"experiment config must be a JSON object, got {config!r}")
     seeds = config.get("seeds", 20)
     if type(seeds) is int:
         seeds = list(range(seeds))
-    elif type(seeds) is not list or any(type(seed) is not int for seed in seeds):
+    elif not _int_list(seeds):
         raise ParseError(f"seeds must be an int or a list of ints, got {seeds!r}")
     dimension = config.get("dimension", 1)
     if type(dimension) is not int or dimension not in (1, 2):
         raise ParseError(f"dimension must be 1 or 2, got {dimension!r}")
+    tag = config.get("theorem")
+    if tag not in ("thm5", "prop-dim1", "kalai"):
+        raise ParseError(f"unknown experiment theorem {tag!r}")
     n = config.get("n", 8)
+    if type(n) is not int:
+        raise ParseError(f"n must be an int, got {n!r}")
+    grid = config.get("grid", {})
+    if type(grid) is not dict:
+        raise ParseError(f"grid must be an object, got {grid!r}")
+    for key in ("p", "q", "k"):
+        if key in grid and not _int_list(grid[key]):
+            raise ParseError(f"grid {key} must be a list of ints, got {grid[key]!r}")
     kind = "random_intervals" if dimension == 1 else "random_polygons"
     if tag == "thm5":
-        grid = config.get("grid", {})
-        ps = grid.get("p", [3, 4, 5, 6])
         # seeds outermost: one family's (p, q) queries run back to back,
         # so its few q-tuple sets stay in the bounded memo of family.py
         for seed in seeds:
-            for p in ps:
+            for p in grid.get("p", [3, 4, 5, 6]):
                 qs = grid.get("q") or [
                     q
                     for q in range(2, p + 1)
@@ -350,27 +366,23 @@ def _experiment_rows(config: dict):
                         "theorem_tag": tag,
                         "pierce_bound_claimed": p - q + 1,
                     }
-                    yield _finish_row(row, F, premise=lambda F=F, p=p, q=q: familymod.satisfies_pqr(F, p, q, 1))
+                    yield _finish_row(row, F)
     elif tag == "prop-dim1":
-        grid = config.get("grid", {})
-        ps = grid.get("p", [4, 5, 6, 7, 8, 9])
-        for p in ps:
+        for p in grid.get("p", [4, 5, 6, 7, 8, 9]):
             for q in grid.get("q") or range(2, p + 1):
-                ks = grid.get("k") or range(0, p - q)
-                for k in ks:
+                for k in grid.get("k") or range(0, p - q):
                     F = genmod.extremal_dim1(p, k)
-                    threshold = boundsmod.dim1_threshold(p, q, k).threshold_r
                     row = {
                         "seed": 0,
                         "n": len(F),
                         "p": p,
                         "q": q,
-                        "r_threshold": threshold,
+                        "r_threshold": boundsmod.dim1_threshold(p, q, k).threshold_r,
                         "theorem_tag": tag,
                         "pierce_bound_claimed": k + 2,
                     }
-                    yield _finish_row(row, F, premise=lambda: True)
-    elif tag == "kalai":
+                    yield _finish_row(row, F)
+    else:  # kalai
         for seed in seeds:
             F = genmod.random_family(genmod.GeneratorSpec(kind, n=n, seed=seed))
             fvec = familymod.f_vector(F)
@@ -389,7 +401,6 @@ def _experiment_rows(config: dict):
                         "max_r": observed,
                         "theorem_tag": tag,
                         "pierce_bound_claimed": len(F),
-                        "pierce_actual": "",
                         "status": "ok",
                     }
                     violation = (
@@ -399,15 +410,13 @@ def _experiment_rows(config: dict):
                     )
                     yield row, F, violation
                 break  # smallest s dominates; one row set per seed and q
-    else:
-        raise ParseError(f"unknown experiment theorem {tag!r}")
 
 
-def _finish_row(row: dict, F: Family, premise) -> tuple:
+def _finish_row(row: dict, F: Family) -> tuple:
     try:
         report = familymod.max_r(F, row["p"], row["q"])
         row["max_r"] = report.max_r
-        holds = premise() and report.max_r >= row["r_threshold"]
+        holds = report.max_r >= row["r_threshold"]
         actual = len(piercingmod.min_piercing(F))
         row["pierce_actual"] = actual
         row["status"] = "ok"
@@ -418,22 +427,13 @@ def _finish_row(row: dict, F: Family, premise) -> tuple:
                 f"(seed {row['seed']}, p={row['p']}, q={row['q']})"
             )
         return row, F, violation
-    except BudgetExceededError:
-        row.setdefault("max_r", "")
-        row["pierce_actual"] = ""
+    except BudgetExceededError:  # the CSV writer leaves unset columns empty
         row["status"] = "budget_exceeded"
         return row, F, None
 
 
 def cmd_experiment(args, out) -> int:
-    try:
-        with open(args.config) as handle:
-            config = json.load(handle)
-    except OSError as exc:
-        raise ParseError(f"cannot read {args.config}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON in {args.config}: {exc}") from None
-
+    config = _read_json(args.config)
     rows = []
     for row, F, violation in _experiment_rows(config):
         rows.append(row)
@@ -445,12 +445,9 @@ def cmd_experiment(args, out) -> int:
             return EXIT_VIOLATION
     rows.sort(key=lambda r: (str(r["theorem_tag"]), r["p"], r["q"], str(r["r_threshold"]), r["seed"]))
 
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=CSV_COLUMNS)
+    writer = csv.DictWriter(out, fieldnames=CSV_COLUMNS)
     writer.writeheader()
-    for row in rows:
-        writer.writerow({col: row.get(col, "") for col in CSV_COLUMNS})
-    out.write(buffer.getvalue())
+    writer.writerows(rows)
     if args.output:
         with open(args.output + ".config.json", "w") as handle:
             json.dump(config, handle, sort_keys=True, indent=2)
@@ -475,20 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("bounds", help="evaluate a threshold or bound formula")
-    b.add_argument(
-        "theorem",
-        choices=[
-            "thm1",
-            "thm2",
-            "thm3",
-            "prop-dim1",
-            "lemma-r0",
-            "remark",
-            "kalai",
-            "hd-region",
-            "implied-q",
-        ],
-    )
+    b.add_argument("theorem", choices=list(THEOREMS))
     b.add_argument("--p", type=int, required=True)
     b.add_argument("--q", type=int, required=True)
     b.add_argument("--d", type=int, default=1)
@@ -515,22 +499,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_pierce)
 
     g = sub.add_parser("generate", help="emit a deterministic family document")
-    g.add_argument(
-        "kind",
-        nargs="?",
-        choices=["extremal-dim1", "disjoint-plus-container", "random-intervals", "random-polygons"],
-    )
+    g.add_argument("kind", nargs="?", choices=[kind.replace("_", "-") for kind in genmod.KINDS])
     g.add_argument("--spec-json", type=str, help="full GeneratorSpec as JSON")
-    g.add_argument("--p", type=int)
-    g.add_argument("--k", type=int)
-    g.add_argument("--a", type=int)
-    g.add_argument("--b", type=int)
-    g.add_argument("--dimension", type=int)
-    g.add_argument("--n", type=int)
-    g.add_argument("--seed", type=int)
-    g.add_argument("--span", type=int)
-    g.add_argument("--extent", type=int)
-    g.add_argument("--grid", type=int)
+    for name in GENERATOR_OPTIONS:
+        g.add_argument("--" + name, type=int)
     g.set_defaults(func=cmd_generate)
 
     e = sub.add_parser("experiment", help="run a validation grid and write CSV")
@@ -558,18 +530,16 @@ def main(argv=None) -> int:
             with open(args.output, "w") as handle:
                 return args.func(args, handle)
         return args.func(args, sys.stdout)
-    except (ParseError, ArityError, DimensionMismatchError, ValueError) as exc:
-        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, sys.stdout)
-        return EXIT_INPUT
-    except PremiseViolationError as exc:
-        payload = {"error": {"type": "PremiseViolationError", "message": str(exc)}}
-        if exc.witness is not None:
-            payload["error"]["witness"] = [list(w) if isinstance(w, tuple) else w for w in exc.witness]
-        _emit(payload, sys.stdout)
-        return EXIT_PREMISE
-    except BudgetExceededError as exc:
-        _emit({"error": {"type": "BudgetExceededError", "message": str(exc)}}, sys.stdout)
-        return EXIT_BUDGET
+    except Exception as exc:
+        code = next((code for types, code in ERROR_EXITS if isinstance(exc, types)), EXIT_INTERNAL)
+        if code == EXIT_INTERNAL:
+            traceback.print_exc()
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        witness = getattr(exc, "witness", None)
+        if witness is not None:
+            error["witness"] = [list(w) if isinstance(w, tuple) else w for w in witness]
+        _emit({"error": error}, sys.stdout)
+        return code
 
 
 if __name__ == "__main__":

@@ -2,7 +2,8 @@
 
 The CLI maps these onto its exit-code contract: input problems
 (parse, arity, dimension) exit 2, violated premises exit 3, exhausted
-enumeration budgets exit 4.
+enumeration budgets exit 4.  Any other exception is an internal fault
+and exits 5.
 """
 
 

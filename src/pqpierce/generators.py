@@ -102,8 +102,12 @@ def _grid_fraction(rng: random.Random, lo: int, hi: int, grid: int) -> Fraction:
 def random_family(spec: GeneratorSpec) -> Family:
     """Deterministic pseudo-random family drawn from the spec."""
     if spec.kind == "extremal_dim1":
+        if spec.p is None or spec.k is None:
+            raise ArityError(f"extremal_dim1 needs p and k, got p={spec.p}, k={spec.k}")
         return extremal_dim1(spec.p, spec.k)
     if spec.kind == "disjoint_plus_container":
+        if spec.a is None or spec.b is None:
+            raise ArityError(f"disjoint_plus_container needs a and b, got a={spec.a}, b={spec.b}")
         return disjoint_plus_container(spec.a, spec.b, spec.dimension)
     if spec.n is None or spec.n < 1:
         raise ArityError(f"random kinds need n >= 1, got {spec.n}")

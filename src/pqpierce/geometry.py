@@ -217,12 +217,6 @@ class Line:
         object.__setattr__(self, "c", Fraction(ic))
 
     @classmethod
-    def through(cls, p: Point, q: Point) -> "Line":
-        if p == q:
-            raise ValueError("two distinct points required")
-        return cls.from_point_direction(p, q - p)
-
-    @classmethod
     def from_point_direction(cls, p: Point, d: Point) -> "Line":
         if d.x == 0 and d.y == 0:
             raise ValueError("zero direction")

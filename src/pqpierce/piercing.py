@@ -317,8 +317,23 @@ def ms_line(F: Family) -> LineLemmaWitness:
     Branch (i): some pair is disjoint; any separating line works.
     Branch (ii): all pairs intersect; take x0 as the lexmin over pairs of
     lexmax of the pair intersection, and search for a line through x0
-    weakly separating the beyond-x0 parts of the minimizing pair.  The
-    guarantee predicate is verified against the family before returning.
+    weakly separating the beyond-x0 parts wa, wb of the minimizing pair.
+    The guarantee predicate is verified against the family before returning.
+
+    Why the directions searched always hold such a line: wa and wb lie in
+    the halfplane x >= x0.x and meet only in x0.  A common point right of
+    the line x = x0.x, or above x0 on it, would lie in A∩B beyond its
+    lexmax x0; two parts sharing a segment of that line below x0 both reach
+    right of it (a part inside the line keeps only y >= x0.y) and would
+    overlap right of it.  So their cones at x0 are arcs of the right
+    half-circle of directions meeting only at the apex, one below the
+    other, and the line along the upper boundary ray of the lower cone
+    separates them.  That ray runs along an edge of wa or wb through x0,
+    or, when one of them is the point x0, the other's lower ray or the
+    vertical serves; each is in ``directions``.  Every such line
+    passes the guarantee: a body C meeting A and B holds lexmax(A∩C) in wa
+    and lexmax(B∩C) in wb, both lexicographically at least x0 by the choice
+    of x0, and the segment of C between them crosses the line.
     """
     if F.dimension != 2:
         raise DimensionMismatchError("the line lemma construction is 2D only")
@@ -351,17 +366,9 @@ def ms_line(F: Family) -> LineLemmaWitness:
             if v != x0:
                 directions.add(v - x0)
 
-    def candidate_lines():
-        for dvec in sorted(directions):
-            yield Line.from_point_direction(x0, dvec)
-        for body in F.bodies:  # fallback sweep
-            for v in sorted(body.vertices):
-                if v != x0:
-                    yield Line.through(x0, v)
-        yield Line.from_point_direction(x0, Point(Fraction(1), Fraction(0)))
-
     tried = set()
-    for line in candidate_lines():
+    for dvec in sorted(directions):
+        line = Line.from_point_direction(x0, dvec)
         if line in tried:
             continue
         tried.add(line)

@@ -7,9 +7,11 @@ from decimal import Decimal
 
 import pytest
 
+from pqpierce import piercing
 from pqpierce.bounds import ms_threshold
 from pqpierce.cli import (
     EXIT_INPUT,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_PREMISE,
     document_to_family,
@@ -109,6 +111,19 @@ class TestBoundsCommand:
         code, out = run_cli("bounds", "thm1", "--p", "2", "--q", "3", "--d", "2", capsys=capsys)
         assert code == EXIT_INPUT
         assert "error" in json.loads(out)
+
+    @pytest.mark.parametrize("theorem", ["thm2", "remark"])
+    def test_zero_denominator_epsilon_exit_2(self, theorem, capsys):
+        code, out = run_cli("bounds", theorem, "--p", "6", "--q", "3", "--f", "1",
+                            "--epsilon", "1/0", capsys=capsys)
+        assert code == EXIT_INPUT
+        assert json.loads(out)["error"]["type"] == "ParseError"
+
+    def test_unwritable_output_exit_2(self, tmp_path, capsys):
+        code, out = run_cli("bounds", "thm1", "--p", "6", "--q", "3",
+                            "--output", str(tmp_path / "missing" / "out.json"), capsys=capsys)
+        assert code == EXIT_INPUT
+        assert json.loads(out)["error"]["type"] == "FileNotFoundError"
 
     def test_reused_parser_leaks_no_options(self, capsys):
         fresh = subprocess.run(
@@ -248,6 +263,20 @@ class TestGenerateCommand:
         code, _ = run_cli("generate", "extremal-dim1", "--p", "2", "--k", "3", capsys=capsys)
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("argv, error", [
+        (["extremal-dim1"], "ArityError"),
+        (["extremal-dim1", "--p", "4"], "ArityError"),
+        (["disjoint-plus-container", "--a", "1"], "ArityError"),
+        (["--spec-json", '{"kind": "random_intervals", "n": "x"}'], "ParseError"),
+        # a null seed would draw from the OS, a new family on every run
+        (["--spec-json", '{"kind": "random_intervals", "n": 3, "seed": null}'], "ParseError"),
+        (["--spec-json", '{"kind": "random_intervals", "n": true}'], "ParseError"),
+    ], ids=["no-p-or-k", "no-k", "no-b", "string-n", "null-seed", "boolean-n"])
+    def test_incomplete_or_mistyped_spec_exit_2(self, argv, error, capsys):
+        code, out = run_cli("generate", *argv, capsys=capsys)
+        assert code == EXIT_INPUT
+        assert json.loads(out)["error"]["type"] == error
+
 
 class TestExperimentCommand:
     def test_prop_dim1_grid(self, tmp_path, capsys):
@@ -316,14 +345,37 @@ class TestExperimentCommand:
     @pytest.mark.parametrize("field", [
         {"seeds": "x"}, {"seeds": [0, "1"]}, {"seeds": True},
         {"dimension": 3}, {"dimension": True},
+        {"grid": [3]}, {"n": "x"}, {"grid": {"p": [3], "q": ["a"]}, "theorem": "prop-dim1"},
+        [1, 2],
     ])
     def test_malformed_config_exit_2(self, field, tmp_path, capsys):
+        # a dict replaces fields of a valid config, anything else is the config
+        base = {"theorem": "thm5", "n": 5, "grid": {"p": [3]}}
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"theorem": "thm5", "n": 5, "grid": {"p": [3]}, **field}))
+        config.write_text(json.dumps({**base, **field} if isinstance(field, dict) else field))
         code, out = run_cli("experiment", str(config), capsys=capsys)
         assert code == EXIT_INPUT
         assert json.loads(out)["error"]["type"] == "ParseError"
-        assert next(iter(field)) in json.loads(out)["error"]["message"]
+        named = next(iter(field)) if isinstance(field, dict) else "JSON object"
+        assert named in json.loads(out)["error"]["message"]
+
+
+class TestInternalFault:
+    def test_uncaught_exception_exit_5(self, tmp_path, capsys, monkeypatch):
+        def broken(F):
+            raise AssertionError("piercing set misses body 0")
+
+        monkeypatch.setattr(piercing, "min_piercing", broken)
+        path = tmp_path / "fam.json"
+        path.write_text(dump_family(extremal_dim1(4, 0)))
+        code = main(["pierce", str(path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INTERNAL
+        assert json.loads(captured.out) == {
+            "error": {"type": "AssertionError", "message": "piercing set misses body 0"}
+        }
+        assert captured.out.count("\n") == 1
+        assert "Traceback" in captured.err
 
 
 class TestConsoleEntry:

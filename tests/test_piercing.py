@@ -1,14 +1,18 @@
 """Solvers and constructive procedures."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pqpierce.errors import ArityError, PremiseViolationError
-from pqpierce.family import Family, satisfies_pqr
+from pqpierce.family import Family, degeneracy_level, satisfies_pqr
 from pqpierce.generators import GeneratorSpec, extremal_dim1, random_family
 from pqpierce.geometry import (
+    ConvexPolygon,
     Interval,
     Line,
     body_contains_point,
@@ -173,6 +177,49 @@ class TestMsLine:
                 ):
                     assert line_meets_body(witness.line, C)
 
+    @staticmethod
+    def degenerate_corpus():
+        """Pairwise-meeting families of points, segments and bodies that
+        touch at one vertex, where the witness line is least obvious."""
+        hull = ConvexPolygon.from_points
+        sectors = [((1, 0), (1, 1)), ((0, 1), (-1, 1)), ((-1, 0), (-1, -1)),
+                   ((0, -1), (1, -1)), ((1, 1), (0, 1)), ((-1, -1), (0, -1))]
+        for size in (2, 3, 4):
+            for combo in itertools.combinations(sectors, size):
+                yield Family.of([hull([pt(0, 0), pt(*a), pt(*b)]) for a, b in combo])
+                yield Family.of([hull([pt(0, 0), pt(*a)]) for a, _ in combo])
+        yield Family.of([hull([pt(1, 1)])] * 3)
+        yield Family.of([hull([pt(0, 0), pt(2, 0)]), hull([pt(1, 0), pt(3, 0)]),
+                         hull([pt(1, -1), pt(1, 1)])])
+        rng = random.Random(5)
+        for _ in range(400):
+            c = (rng.randint(-2, 2), rng.randint(-2, 2))
+            grid = [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(12)]
+            for bodies in (
+                [hull([pt(*c)] + [pt(c[0] + rng.randint(-3, 3), c[1] + rng.randint(-3, 3))
+                                  for _ in range(rng.randint(0, 2))])
+                 for _ in range(rng.randint(2, 5))],
+                [hull([pt(*grid.pop()) for _ in range(rng.choice((1, 2, 2, 3)))])
+                 for _ in range(rng.randint(2, 4))],
+            ):
+                if all(intersect_bodies([A, B]) is not None
+                       for A, B in itertools.combinations(bodies, 2)):
+                    yield Family.of(bodies)
+
+    def test_degenerate_corpus(self):
+        # every family takes the all-pairs-meet branch; the first line
+        # through x0 that separates the pair must also pass the guarantee
+        count = 0
+        for F in self.degenerate_corpus():
+            witness = ms_line(F)
+            assert witness.x0 is not None and witness.line.side(witness.x0) == 0
+            A, B = F.bodies[witness.A_index], F.bodies[witness.B_index]
+            for C in F.bodies:
+                if intersect_bodies([A, C]) is not None and intersect_bodies([B, C]) is not None:
+                    assert line_meets_body(witness.line, C)
+            count += 1
+        assert count > 300
+
 
 class TestLinePierce:
     AXIS = Line(0, 1, 0)
@@ -230,3 +277,15 @@ class TestPairLemma:
                         if sub is not None:
                             pair_maxima.add(lexmax_body(sub))
                     assert target in pair_maxima
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10**6), dimension=st.sampled_from((1, 2)), data=st.data())
+def test_duplicating_a_body_keeps_piercing_number(seed, dimension, data):
+    kind, n = ("random_intervals", 7) if dimension == 1 else ("random_polygons", 5)
+    F = random_family(GeneratorSpec(kind, n=n, seed=seed, span=5))
+    copied = data.draw(st.integers(0, n - 1))
+    G = Family(dimension, F.bodies + (F.bodies[copied],))
+    assert len(min_piercing(G)) == len(min_piercing(F))
+    # the copy raises the count of every point by 0 or 1, and n by 1
+    assert degeneracy_level(G)[0] - degeneracy_level(F)[0] in (0, 1)
