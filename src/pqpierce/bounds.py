@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 
 from .errors import ArityError
 
@@ -164,7 +164,12 @@ def thm2_threshold(p: int, q: int, d: int, epsilon: Fraction) -> BoundResult:
 
 
 def m0(p: int, q: int, k: int) -> int:
-    """Smallest m with C(m+1, 2) >= (p-q-k-1)(p-q+k+2)/2 + 1."""
+    """Smallest m with C(m+1, 2) >= (p-q-k-1)(p-q+k+2)/2 + 1.
+
+    Closed form: m = (isqrt(8*target + 1) - 1) // 2 is the largest m with
+    C(m+1, 2) = m(m+1)/2 <= target, so the answer is m, or m + 1 when
+    C(m+1, 2) falls short of the target.
+    """
     if not p >= q:
         raise ArityError(f"need p >= q, got p={p}, q={q}")
     if not 0 <= k <= p - q - 1:
@@ -172,10 +177,8 @@ def m0(p: int, q: int, k: int) -> int:
     product = (p - q - k - 1) * (p - q + k + 2)
     assert product % 2 == 0  # the factors always differ by an odd number
     target = product // 2 + 1
-    m = 1
-    while binom(m + 1, 2) < target:
-        m += 1
-    return m
+    m = (isqrt(8 * target + 1) - 1) // 2
+    return m if binom(m + 1, 2) >= target else m + 1
 
 
 def thm3_threshold(p: int, q: int, d: int, k: int) -> BoundResult:
@@ -231,11 +234,21 @@ def implied_q(p: int, q: int, r: int, d: int) -> int:
     A p-subset with no intersecting q'-tuple has f_{q'-1} = 0, so its
     q-tuple count is capped by kalai_bound(p, q, q'-1-d, d); r above that
     cap forces an intersecting q'-tuple.
+
+    kalai_bound(p, q, s, d) counts the q-subsets of a p-set that meet a
+    fixed (p-s)-set in at most d elements.  Growing s shrinks that set, so
+    the count never decreases in s = q'-1-d, and the q' in (q, p] whose
+    cap r exceeds form a prefix.  Bisection finds its last element with
+    at most (p-q).bit_length() evaluations of the bound.
     """
     check_standing(p, q, d)
     if r < 1:
         raise ArityError(f"r must be >= 1, got {r}")
-    for q_prime in range(p, q, -1):
-        if r > kalai_bound(p, q, q_prime - 1 - d, d):
-            return q_prime
-    return q
+    lo, hi = q, p  # lo is q or certified; every q' above hi is not
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if r > kalai_bound(p, q, mid - 1 - d, d):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo

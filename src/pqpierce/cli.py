@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import decimal
 import functools
 import json
@@ -50,8 +51,7 @@ ERROR_EXITS = (
     (BudgetExceededError, EXIT_BUDGET),
 )
 
-#: The GeneratorSpec fields that ``generate`` takes as options and writes
-#: to the document's metadata.
+#: The GeneratorSpec fields that ``generate`` takes as options.
 GENERATOR_OPTIONS = ("p", "k", "a", "b", "dimension", "n", "seed", "span", "extent", "grid")
 
 CSV_COLUMNS = [
@@ -303,11 +303,9 @@ def _spec_from_args(args) -> genmod.GeneratorSpec:
 def cmd_generate(args, out) -> int:
     spec = _spec_from_args(args)
     F = genmod.random_family(spec)
-    meta = {"kind": spec.kind}
-    for name in GENERATOR_OPTIONS:
-        value = getattr(spec, name)
-        if value is not None:
-            meta[name] = value
+    # every field, so that the metadata read back as --spec-json is the spec
+    meta = {name: value for name, value in dataclasses.asdict(spec).items()
+            if value is not None}
     out.write(dump_family(F, metadata=meta))
     return EXIT_OK
 

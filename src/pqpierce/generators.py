@@ -45,6 +45,9 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ArityError(f"unknown generator kind {self.kind!r}")
+        # random.Random(None) would seed from the OS, a new family per call
+        if type(self.seed) is not int:
+            raise ArityError(f"seed must be an int, got {self.seed!r}")
 
 
 def extremal_dim1(p: int, k: int) -> Family:

@@ -1,9 +1,11 @@
 """Threshold formulas: anchored values, identities, hypothesis checks."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from pqpierce import bounds
 from pqpierce.bounds import (
     CAVEAT_NON_DEGENERATE,
     CAVEAT_P0_UNKNOWN,
@@ -51,8 +53,8 @@ class TestKalaiBound:
     def test_nondecreasing_in_s(self):
         # stronger emptiness hypotheses (smaller s) cap the count harder,
         # so the bound grows with s on the tested grid
-        for p in range(3, 12):
-            for d in (1, 2):
+        for p in range(3, 31):
+            for d in (1, 2, 3):
                 for q in range(d + 1, p + 1):
                     values = [kalai_bound(p, q, s, d) for s in range(0, p + 1)]
                     assert values == sorted(values)
@@ -206,13 +208,15 @@ class TestM0:
 
     def test_direct_search_oracle(self):
         # independent restatement: first m whose triangular number C(m+1,2)
-        # reaches the target
-        for p, q, k in [(6, 3, 0), (10, 4, 2), (9, 3, 1), (12, 5, 3)]:
-            target = (p - q - k - 1) * (p - q + k + 2) // 2 + 1
-            m = 1
-            while (m + 1) * m // 2 < target:
-                m += 1
-            assert m0(p, q, k) == m
+        # reaches the target, on every valid (p, q, k) with p < 40
+        for p in range(1, 40):
+            for q in range(p + 1):
+                for k in range(p - q):
+                    target = (p - q - k - 1) * (p - q + k + 2) // 2 + 1
+                    m = 1
+                    while (m + 1) * m // 2 < target:
+                        m += 1
+                    assert m0(p, q, k) == m
 
     def test_k_range(self):
         with pytest.raises(ArityError):
@@ -274,6 +278,20 @@ class TestHdExactRegion:
                 assert hd_exact_region(p, q, 1) == p - q + 1
 
 
+def implied_q_scan(p, q, r, d):
+    """The linear scan implied_q replaced: q' from p down, first certified."""
+    for q_prime in range(p, q, -1):
+        if r > kalai_bound(p, q, q_prime - 1 - d, d):
+            return q_prime
+    return q
+
+
+def paper_r(p, q, d):
+    """The paper's r = ceil(C(p,q) / p^(q/(2d))), decided over the integers."""
+    x = -(-(binom(p, q) ** (2 * d)) // p**q)
+    return ceil_power(x, Fraction(1, 2 * d))
+
+
 class TestImpliedQ:
     def test_anchored_17_gives_5(self):
         assert implied_q(6, 3, 17, 2) == 5
@@ -294,6 +312,44 @@ class TestImpliedQ:
             qp = implied_q(p, q, r, d)
             if qp > q:
                 assert r > kalai_bound(p, q, qp - 1 - d, d)
+
+    def test_linear_scan_oracle(self):
+        rng = random.Random(7)
+        cases = 0
+        for _ in range(600):
+            d = rng.choice((1, 2, 3))
+            p = rng.randint(d + 1, 90)
+            q = rng.randint(max(2, d + 1), p)
+            c = binom(p, q)
+            for r in (1, c, c + 1, paper_r(p, q, d), rng.randint(1, c + 1)):
+                assert implied_q(p, q, r, d) == implied_q_scan(p, q, r, d)
+                cases += 1
+        for p in (100, 300, 1000):
+            for d in (2, 3):
+                for q in (p // 4, p // 2):
+                    r = paper_r(p, q, d)
+                    assert implied_q(p, q, r, d) == implied_q_scan(p, q, r, d)
+                    cases += 1
+        assert cases > 3000
+
+    def test_logarithmic_kalai_calls(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return kalai_bound(*args)
+
+        monkeypatch.setattr(bounds, "kalai_bound", counting)
+        p, q = 2000, 1000
+        c = binom(p, q)
+        for d in (1, 2, 3):
+            for r in (1, 2, paper_r(p, q, d), c // 3, c, c + 1):
+                calls.clear()
+                qp = implied_q(p, q, r, d)
+                assert 0 < len(calls) <= (p - q).bit_length() + 1
+                # the answer is certified and the next q' is not
+                assert qp == q or r > kalai_bound(p, q, qp - 1 - d, d)
+                assert qp == p or r <= kalai_bound(p, q, qp - d, d)
 
 
 class TestReductionIdentity:

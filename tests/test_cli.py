@@ -259,6 +259,22 @@ class TestGenerateCommand:
         )
         assert code == EXIT_OK and len(json.loads(out)["bodies"]) == 4
 
+    @pytest.mark.parametrize("argv", [
+        ["--spec-json", '{"kind": "random_polygons", "n": 2, "seed": 3, '
+                        '"min_vertices": 1, "max_vertices": 2}'],
+        ["--spec-json", '{"kind": "random_intervals", "n": 5, "seed": 4, "span": 3}'],
+        ["extremal-dim1", "--p", "5", "--k", "1"],
+        ["disjoint-plus-container", "--a", "2", "--b", "1", "--dimension", "2"],
+    ], ids=["polygons-vertex-counts", "intervals-span", "extremal", "container"])
+    def test_metadata_regenerates_document(self, argv, capsys):
+        # metadata values are strings in the document; the spec takes ints
+        code, out = run_cli("generate", *argv, capsys=capsys)
+        assert code == EXIT_OK
+        meta = json.loads(out)["metadata"]
+        spec = {name: value if name == "kind" else int(value) for name, value in meta.items()}
+        code, again = run_cli("generate", "--spec-json", json.dumps(spec), capsys=capsys)
+        assert code == EXIT_OK and again == out
+
     def test_invalid_spec_exit_2(self, capsys):
         code, _ = run_cli("generate", "extremal-dim1", "--p", "2", "--k", "3", capsys=capsys)
         assert code == EXIT_INPUT

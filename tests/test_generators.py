@@ -98,6 +98,11 @@ class TestRandomFamilies:
         with pytest.raises(BudgetExceededError):
             sample_until(spec, lambda fam: False, max_tries=5)
 
+    @pytest.mark.parametrize("seed", [None, True, 1.0, "1"])
+    def test_seed_must_be_int(self, seed):
+        with pytest.raises(ArityError):
+            GeneratorSpec("random_intervals", n=3, seed=seed)
+
     def test_unknown_kind(self):
         with pytest.raises(ArityError):
             GeneratorSpec("mystery")
