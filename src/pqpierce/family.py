@@ -1,12 +1,14 @@
-"""Families of convex bodies and brute-force property verification.
+"""Families of convex bodies and exact property verification.
 
 A family is an ordered multiset of same-dimension bodies; duplicates are
 distinct members (index identity), which the extremal constructions rely
-on.  Everything here is exhaustive enumeration at desk scale, read off
-one depth-first walk over the intersecting subfamilies
-(:func:`intersecting_subfamilies`): the q-tuple flags it yields are
-memoized for the last eight (family, q) queries and aggregated over
-p-subsets, with a configurable hard work cap instead of silent truncation.
+on.  In 2D the intersecting subfamilies are read off one depth-first walk
+(:func:`intersecting_subfamilies`); in 1D one sweep over the intervals
+sorted by left endpoint gives them in closed form, because by Helly a set
+of intervals meets exactly when its pairs do.  The q-tuple flags are
+memoized for the last eight (family, q) queries and aggregated by a
+pruned depth-first search over p-subsets, with a configurable hard work
+cap instead of silent truncation.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Optional
 
 from .errors import ArityError, BudgetExceededError, DimensionMismatchError
 from .geometry import ConvexBody, Line, body_contains_point, intersect_bodies, line_meets_body
@@ -102,9 +103,34 @@ def intersecting_subfamilies(F: Family, sizes: range):
                     stack.append((chosen + (i,), sub))
 
 
+def _interval_sweep(F: Family):
+    """Yield (i, earlier) for every interval of a 1D family in (lo, index)
+    order, where ``earlier`` lists the intervals before i in that order
+    whose ``hi`` reaches ``lo_i``.
+
+    Each of them contains ``lo_i``, so i with any subset of ``earlier`` is
+    an intersecting subfamily whose last member in this order is i, and
+    every intersecting subfamily arises once this way: its members all
+    contain the largest left endpoint among them.
+    """
+    bodies = F.bodies
+    active: list[int] = []
+    for i in sorted(range(len(bodies)), key=lambda j: (bodies[j].lo, j)):
+        lo = bodies[i].lo
+        # left endpoints only grow, so an interval ending before lo_i
+        # reaches no later one either
+        active = [j for j in active if bodies[j].hi >= lo]
+        yield i, active
+        active = active + [i]
+
+
 @lru_cache(maxsize=8)
 def _intersecting_qtuples(F: Family, q: int) -> frozenset[tuple[int, ...]]:
     """Index tuples of the q-subsets with nonempty common intersection."""
+    if F.dimension == 1:
+        return frozenset(tuple(sorted(others + (i,)))
+                         for i, earlier in _interval_sweep(F)
+                         for others in itertools.combinations(earlier, q - 1))
     return frozenset(indices for indices, _ in intersecting_subfamilies(F, range(q, q + 1)))
 
 
@@ -118,7 +144,13 @@ def count_intersecting_qtuples(F: Family, q: int) -> int:
 
 
 def f_vector(F: Family) -> tuple[int, ...]:
-    """Entry j is the number of intersecting (j+1)-subsets, j = 0..n-1."""
+    """Entry j is the number of intersecting (j+1)-subsets, j = 0..n-1.
+
+    In 1D an interval with d earlier intervals in :func:`_interval_sweep`
+    closes C(d, j) intersecting (j+1)-subsets."""
+    if F.dimension == 1:
+        degrees = [len(earlier) for _, earlier in _interval_sweep(F)]
+        return tuple(sum(comb(d, j) for d in degrees) for j in range(len(F)))
     counts = [0] * len(F)
     for indices, _ in intersecting_subfamilies(F, range(1, len(F) + 1)):
         counts[len(indices) - 1] += 1
@@ -127,25 +159,52 @@ def f_vector(F: Family) -> tuple[int, ...]:
 
 def _fewest_flagged(F: Family, p: int, q: int, flagged, floor: int,
                     work_budget: int, what: str) -> tuple[int, tuple[int, ...]]:
-    """The p-subset of F holding the fewest q-tuples of ``flagged()``, as
-    (count, subset).  The scan stops at the first subset whose count falls
-    below ``floor``; ``flagged`` is called only once the budget check on
-    C(n,p) * C(p,q) + C(n,q) steps has passed."""
+    """The lexicographically first p-subset of F holding the fewest
+    q-tuples of ``flagged()``, as (count, subset).  The scan stops at the
+    first subset whose count falls below ``floor``; ``flagged`` is called
+    only once the budget check on C(n,p) * C(p,q) + C(n,q) steps has
+    passed.
+
+    Depth-first over p-subsets in lexicographic order, with an explicit
+    stack because p may exceed the recursion limit.  Each flagged q-tuple
+    is kept as the bitmask of its first q-1 indices under its last index,
+    so adding index i to a prefix adds the tuples under i whose mask lies
+    inside the prefix.  Counts only grow along a branch, so a prefix whose
+    count already reaches the best so far is not extended (its later
+    siblings still are), and only a strictly smaller count replaces the
+    best.
+    """
     _check_arity(F, p, q)
     n = len(F)
     work = comb(n, p) * comb(p, q) + comb(n, q)
     if work > work_budget:
         raise BudgetExceededError(f"{what} enumeration needs {work} steps, budget is {work_budget}")
-    flags = flagged()
-    best: Optional[int] = None
-    witness: tuple[int, ...] = ()
-    for subset in itertools.combinations(range(n), p):
-        count = sum(1 for tup in itertools.combinations(subset, q) if tup in flags)
-        if best is None or count < best:
-            best, witness = count, subset
-            if best < floor:
-                break
-    return best, witness
+    closed_by: list[list[int]] = [[] for _ in range(n)]
+    for tup in flagged():
+        mask = 0
+        for j in tup[:-1]:
+            mask |= 1 << j
+        closed_by[tup[-1]].append(mask)
+    best = comb(p, q) + 1  # above every count, so the first subset replaces it
+    best_mask = 0
+    # (prefix size once i is added, prefix mask before i, its count, i);
+    # children are pushed last index first, so the smallest pops next
+    stack = [(1, 0, 0, i) for i in range(n - p, -1, -1)]
+    while stack:
+        size, mask, count, i = stack.pop()
+        for m in closed_by[i]:
+            if m & mask == m:
+                count += 1
+        if count >= best:
+            continue
+        mask |= 1 << i
+        if size < p:
+            stack.extend([(size + 1, mask, count, j) for j in range(n - p + size, i, -1)])
+            continue
+        best, best_mask = count, mask
+        if best < floor:
+            break
+    return best, tuple(j for j in range(n) if best_mask >> j & 1)
 
 
 def max_r(F: Family, p: int, q: int, work_budget: int = DEFAULT_WORK_BUDGET) -> PQRReport:
@@ -161,7 +220,9 @@ def satisfies_pqr(F: Family, p: int, q: int, r: int,
     """Whether among any p members at least r of the q-tuples intersect."""
     if r < 1:
         raise ArityError(f"r must be >= 1, got {r}")
-    return max_r(F, p, q, work_budget=work_budget).max_r >= r
+    best, _ = _fewest_flagged(F, p, q, lambda: _intersecting_qtuples(F, q), r,
+                              work_budget, "max_r")
+    return best >= r
 
 
 def satisfies_pqr_through_line(F: Family, line: Line, p: int, q: int, r: int,

@@ -92,7 +92,11 @@ def _subfamily_lexmaxes(F: Family, sizes: range) -> list:
 
 def candidate_points(F: Family) -> list:
     """Lexmax of every body and of every intersecting pair, deduplicated
-    and sorted; sufficient for exact minimum piercing."""
+    and sorted; sufficient for exact minimum piercing.  In 1D a pair's
+    lexmax is min(hi_i, hi_j), already a body's, so these are the
+    distinct right endpoints."""
+    if F.dimension == 1:
+        return sorted({body.hi for body in F.bodies})
     return _subfamily_lexmaxes(F, range(1, 3))
 
 

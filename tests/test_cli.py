@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from decimal import Decimal
 
 import pytest
@@ -344,6 +345,21 @@ class TestExperimentCommand:
         config.write_text(json.dumps({"theorem": "nope"}))
         code, _ = run_cli("experiment", str(config), capsys=capsys)
         assert code == EXIT_INPUT
+
+    def test_kalai_grid_on_forty_intervals(self, tmp_path, capsys):
+        # the f-vector of 40 intervals has terms up to C(40, 20): it must
+        # come from the interval sweep, not from a subfamily walk
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"theorem": "kalai", "dimension": 1, "n": 40, "seeds": [0, 1]}))
+        start = time.process_time()
+        code, out = run_cli("experiment", str(config), capsys=capsys)
+        assert time.process_time() - start < 10
+        assert code == EXIT_OK
+        header, *lines = out.strip().splitlines()
+        rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+        assert {row["seed"] for row in rows} == {"0", "1"}
+        for row in rows:
+            assert int(row["max_r"]) <= int(row["r_threshold"])
 
     def test_thm5_walks_each_family_once_per_q(self, tmp_path, capsys):
         # 12 seeds x 3 q values overflow the memo's 8 entries; with the

@@ -2,13 +2,17 @@
 
 import itertools
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from pqpierce.bounds import kalai_bound
 from pqpierce.errors import ArityError, BudgetExceededError
 from pqpierce.family import (
+    DEFAULT_WORK_BUDGET,
     Family,
+    _fewest_flagged,
+    _intersecting_qtuples,
     count_intersecting_qtuples,
     f_vector,
     is_t_degenerate,
@@ -17,7 +21,7 @@ from pqpierce.family import (
     satisfies_pqr_through_line,
 )
 from pqpierce.generators import GeneratorSpec, extremal_dim1, random_family
-from pqpierce.geometry import Interval, Line, intersect_bodies
+from pqpierce.geometry import Interval, Line, intersect_bodies, line_meets_body
 
 from conftest import box, intervals
 
@@ -60,6 +64,82 @@ class TestCounting:
     def test_arity(self):
         with pytest.raises(ArityError):
             count_intersecting_qtuples(intervals((0, 1)), 2)
+
+
+def scan_fewest(flags, n, p, q, floor):
+    """Oracle for the pruned p-subset search: every p-subset in
+    lexicographic order, each counted in full, stopping at the first count
+    below floor; (fewest count, first subset attaining it)."""
+    best, witness = None, ()
+    for subset in itertools.combinations(range(n), p):
+        count = sum(1 for tup in itertools.combinations(subset, q) if tup in flags)
+        if best is None or count < best:
+            best, witness = count, subset
+            if best < floor:
+                break
+    return best, witness
+
+
+def assert_floor_matches_scan(F, flags, p, q, floor):
+    got = _fewest_flagged(F, p, q, lambda: flags, floor, DEFAULT_WORK_BUDGET, "test")
+    assert got == scan_fewest(flags, len(F), p, q, floor)
+
+
+def seeded_families():
+    for seed in range(6):
+        for n in (5, 7, 9):
+            yield random_family(GeneratorSpec("random_intervals", n=n, seed=seed, span=4))
+    for seed in range(3):
+        for n in (5, 6):
+            yield random_family(GeneratorSpec("random_polygons", n=n, seed=seed, span=4))
+
+
+def on_line_flags(F, line, q):
+    return {tup for tup in itertools.combinations(range(len(F)), q)
+            if (region := intersect_bodies([F.bodies[i] for i in tup])) is not None
+            and line_meets_body(line, region)}
+
+
+class TestPrunedScanAgainstOracle:
+    def test_max_r_and_floors(self):
+        for F in seeded_families():
+            n = len(F)
+            for q in range(1, n + 1):
+                flags = _intersecting_qtuples(F, q)
+                for p in range(q, n + 1):
+                    want = scan_fewest(flags, n, p, q, 1)
+                    report = max_r(F, p, q)
+                    assert (report.max_r, report.witness_subset) == want
+                    for r in (2, 3, comb(p, q)):
+                        assert_floor_matches_scan(F, flags, p, q, r)
+                        assert satisfies_pqr(F, p, q, r) == (want[0] >= r)
+
+    def test_through_line(self):
+        line = Line(0, 1, 0)
+        for F in seeded_families():
+            if F.dimension != 2:
+                continue
+            n = len(F)
+            for q in range(1, n + 1):
+                flags = on_line_flags(F, line, q)
+                for p in range(q, n + 1):
+                    want = scan_fewest(flags, n, p, q, 1)
+                    for r in (1, 2, 4):
+                        assert_floor_matches_scan(F, flags, p, q, r)
+                        assert satisfies_pqr_through_line(F, line, p, q, r) == (want[0] >= r)
+
+    def test_satisfies_pqr_agrees_with_max_r(self):
+        for F in seeded_families():
+            for p, q in ((3, 1), (4, 2), (5, 3), (5, 2)):
+                r_max = max_r(F, p, q).max_r
+                for r in range(1, comb(p, q) + 2):
+                    assert satisfies_pqr(F, p, q, r) == (r_max >= r)
+
+    def test_deeper_than_the_recursion_limit(self):
+        F = intervals(*[(i, i + 1) for i in range(1200)])
+        report = max_r(F, 1200, 1)
+        assert report.max_r == 1200
+        assert report.witness_subset == tuple(range(1200))
 
 
 class TestMaxR:

@@ -10,17 +10,19 @@ from hypothesis import strategies as st
 
 from pqpierce.family import (
     Family,
+    _intersecting_qtuples,
     count_intersecting_qtuples,
+    degeneracy_level,
     f_vector,
     intersecting_subfamilies,
     max_r,
     satisfies_pqr_through_line,
 )
 from pqpierce.generators import GeneratorSpec, random_family
-from pqpierce.geometry import Line, intersect_bodies, lexmax_body, line_meets_body
-from pqpierce.piercing import candidate_points
+from pqpierce.geometry import Interval, Line, intersect_bodies, lexmax_body, line_meets_body
+from pqpierce.piercing import candidate_points, min_piercing
 
-from conftest import box
+from conftest import box, intervals
 
 LINES = (Line(0, 1, 0), Line(1, 1, 4), Line(1, -2, 1))
 
@@ -99,6 +101,56 @@ class TestConsumersMatchBruteForce:
                     assert satisfies_pqr_through_line(F, line, p, q, r) == want
                     answers.add(want)
         assert answers == {True, False}
+
+
+#: interval families whose endpoints tie: touching endpoints, point
+#: intervals, duplicates, equal left endpoints and nesting
+TIE_CORPUS = (
+    ((0, 1), (1, 2), (2, 3), (3, 4)),
+    ((2, 3), (1, 2), (0, 1)),
+    ((1, 1), (1, 1), (0, 2), (2, 2), (0, 0)),
+    ((0, 3), (0, 3), (0, 3), (1, 2), (1, 2)),
+    ((0, 1), (0, 3), (0, 2), (0, 0), (0, 2)),
+    ((0, 10), (1, 9), (2, 8), (3, 7), (5, 5), (4, 6)),
+    ((3, 7), (0, 10), (5, 5), (2, 8), (1, 9)),
+    ((0, 2), (2, 4), (2, 2), (1, 3), (2, 4), (4, 5), (0, 5)),
+)
+
+
+class TestIntervalSweep:
+    """The closed-form 1D counts against the subfamily walk."""
+
+    def families(self):
+        yield from (intervals(*pairs) for pairs in TIE_CORPUS)
+        yield from families_1d()
+
+    def test_qtuples_and_f_vector(self):
+        for F in self.families():
+            n = len(F)
+            walk = [frozenset(idx for idx, _ in intersecting_subfamilies(F, range(q, q + 1)))
+                    for q in range(1, n + 1)]
+            for q in range(1, n + 1):
+                assert _intersecting_qtuples(F, q) == walk[q - 1]
+            assert f_vector(F) == tuple(len(tuples) for tuples in walk)
+
+    def test_candidate_points(self):
+        for F in self.families():
+            want = sorted({lexmax_body(region) for _, region in intersecting_subfamilies(F, range(1, 3))})
+            assert candidate_points(F) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(-4, 4), st.integers(0, 3)), min_size=1, max_size=8))
+def test_mirroring_intervals_keeps_counts_and_piercing(pairs):
+    F = intervals(*((lo, lo + length) for lo, length in pairs))
+    G = Family.of([Interval(-body.hi, -body.lo) for body in F.bodies])
+    n = len(F)
+    assert f_vector(G) == f_vector(F)
+    for p, q in ((n, 1), (n, 2), (min(n, 4), min(n, 3))):
+        if q <= p:
+            assert max_r(G, p, q).max_r == max_r(F, p, q).max_r
+    assert degeneracy_level(G)[0] == degeneracy_level(F)[0]
+    assert len(min_piercing(G)) == len(min_piercing(F))
 
 
 @settings(max_examples=30, deadline=None)
