@@ -2,20 +2,22 @@
 
 A family is an ordered multiset of same-dimension bodies; duplicates are
 distinct members (index identity), which the extremal constructions rely
-on.  In 2D the intersecting subfamilies are read off one depth-first walk
-(:func:`intersecting_subfamilies`); in 1D one sweep over the intervals
-sorted by left endpoint gives them in closed form, because by Helly a set
-of intervals meets exactly when its pairs do.  The q-tuple flags are
-memoized for the last eight (family, q) queries and aggregated by a
-pruned depth-first search over p-subsets, with a configurable hard work
-cap instead of silent truncation.
+on.  Each pair is clipped once per family, into the table
+:attr:`Family.pair_regions` that every 2D routine reads.  In 2D the
+intersecting subfamilies come from one depth-first walk
+(:func:`intersecting_subfamilies`) that starts from that table; in 1D
+one sweep over the intervals sorted by left endpoint gives them in closed
+form, because by Helly a set of intervals meets exactly when its pairs
+do.  The q-tuple flags are memoized for the last eight (family, q)
+queries and aggregated by a pruned depth-first search over p-subsets,
+with a configurable hard work cap instead of silent truncation.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 
 from .errors import ArityError, BudgetExceededError, DimensionMismatchError
@@ -55,6 +57,14 @@ class Family:
     def __len__(self) -> int:
         return len(self.bodies)
 
+    @cached_property
+    def pair_regions(self) -> dict[tuple[int, int], ConvexBody]:
+        """The region of every meeting pair (i, j), i < j, in lexicographic
+        order; cached outside the fields, so each pair is clipped once."""
+        bodies = self.bodies
+        return {(i, j): region for i, j in itertools.combinations(range(len(bodies)), 2)
+                if (region := intersect_bodies([bodies[i], bodies[j]])) is not None}
+
 
 @dataclass(frozen=True)
 class PQRReport:
@@ -84,7 +94,7 @@ def intersecting_subfamilies(F: Family, sizes: range):
     Depth-first with an explicit stack.  A prefix is not extended once its
     running intersection is empty (extensions stay empty), once it reaches
     the largest size, or past the last index from which ``sizes.start``
-    can still be reached.
+    can still be reached.  Pairs are read from :attr:`Family.pair_regions`.
     """
     bodies = F.bodies
     n = len(bodies)
@@ -98,7 +108,8 @@ def intersecting_subfamilies(F: Family, sizes: range):
         if k < hi:
             # children are pushed last index first, so the smallest pops next
             for i in range(n - 1 - max(lo - k - 1, 0), chosen[-1], -1):
-                sub = intersect_bodies([region, bodies[i]])
+                sub = (F.pair_regions.get((chosen[0], i)) if k == 1
+                       else intersect_bodies([region, bodies[i]]))
                 if sub is not None:
                     stack.append((chosen + (i,), sub))
 
@@ -140,6 +151,8 @@ def count_intersecting_qtuples(F: Family, q: int) -> int:
         raise ArityError(f"q must be positive, got {q}")
     if q > len(F):
         raise ArityError(f"q={q} exceeds family size {len(F)}")
+    if F.dimension == 1:  # i closes C(d_i, q-1) of them, as in f_vector
+        return sum(comb(len(earlier), q - 1) for _, earlier in _interval_sweep(F))
     return len(_intersecting_qtuples(F, q))
 
 

@@ -86,10 +86,6 @@ def _certified(F: Family, points: Sequence) -> PiercingSet:
     return PiercingSet(points=tuple(sorted(points)), certified=True)
 
 
-def _subfamily_lexmaxes(F: Family, sizes: range) -> list:
-    return sorted({lexmax_body(region) for _, region in familymod.intersecting_subfamilies(F, sizes)})
-
-
 def candidate_points(F: Family) -> list:
     """Lexmax of every body and of every intersecting pair, deduplicated
     and sorted; sufficient for exact minimum piercing.  In 1D a pair's
@@ -97,13 +93,14 @@ def candidate_points(F: Family) -> list:
     distinct right endpoints."""
     if F.dimension == 1:
         return sorted({body.hi for body in F.bodies})
-    return _subfamily_lexmaxes(F, range(1, 3))
+    return sorted({lexmax_body(region) for region in (*F.bodies, *F.pair_regions.values())})
 
 
 def exhaustive_candidate_points(F: Family) -> list:
     """Lexmax of the intersection of every intersecting subfamily; the
     unreduced candidate set used to validate the pair reduction."""
-    return _subfamily_lexmaxes(F, range(1, len(F) + 1))
+    walk = familymod.intersecting_subfamilies(F, range(1, len(F) + 1))
+    return sorted({lexmax_body(region) for _, region in walk})
 
 
 def sweep_piercing_1d(F: Family) -> PiercingSet:
@@ -160,7 +157,7 @@ def branch_and_bound_piercing(
         raise AssertionError("candidate points fail to cover some body")
 
     disjoint = [[i != j for j in range(n)] for i in range(n)]
-    for (i, j), _ in familymod.intersecting_subfamilies(F, range(2, 3)):
+    for i, j in F.pair_regions:
         disjoint[i][j] = disjoint[j][i] = False
     point_choices: dict[int, list[int]] = {
         i: [ci for ci, (_, mask) in enumerate(covers) if i in mask] for i in range(n)
@@ -306,13 +303,11 @@ def _clip_to_halfplane(body: ConvexPolygon, a, b, c) -> ConvexPolygon:
 
 
 def _line_guarantee_holds(F: Family, ai: int, bi: int, line: Line) -> bool:
-    A, B = F.bodies[ai], F.bodies[bi]
-    for C in F.bodies:
-        if intersect_bodies([A, C]) is None or intersect_bodies([B, C]) is None:
-            continue
-        if not line_meets_body(line, C):
-            return False
-    return True
+    """Whether every body meeting both A and B meets the line; which bodies
+    meet is read off the pair table, and a body meets itself."""
+    pairs = F.pair_regions
+    return all(line_meets_body(line, C) for c, C in enumerate(F.bodies)
+               if all(c == k or (min(c, k), max(c, k)) in pairs for k in (ai, bi)))
 
 
 def ms_line(F: Family) -> LineLemmaWitness:
@@ -344,31 +339,22 @@ def ms_line(F: Family) -> LineLemmaWitness:
     if len(F) < 2:
         raise ArityError("need at least two bodies")
 
-    pair_regions = []
+    pairs = F.pair_regions
     for i, j in itertools.combinations(range(len(F)), 2):
-        region = intersect_bodies([F.bodies[i], F.bodies[j]])
-        if region is None:
+        if (i, j) not in pairs:
             line = separating_line(F.bodies[i], F.bodies[j])
-            witness = LineLemmaWitness(A_index=i, B_index=j, line=line, x0=None)
             if not _line_guarantee_holds(F, i, j, line):
                 raise AssertionError("separating line failed the guarantee predicate")
-            return witness
-        pair_regions.append((lexmax_body(region), (i, j)))
+            return LineLemmaWitness(A_index=i, B_index=j, line=line, x0=None)
 
-    x0, (ai, bi) = min(pair_regions, key=lambda t: (t[0], t[1]))
+    x0, (ai, bi) = min((lexmax_body(region), ij) for ij, region in pairs.items())
     wa = _effective_witness_polygon(F.bodies[ai], x0)
     wb = _effective_witness_polygon(F.bodies[bi], x0)
 
     directions = {Point(Fraction(0), Fraction(1))}
     for poly in (wa, wb):
         verts = poly.vertices
-        for k in range(len(verts)):
-            u, w = verts[k], verts[(k + 1) % len(verts)]
-            if u != w:
-                directions.add(w - u)
-        for v in verts:
-            if v != x0:
-                directions.add(v - x0)
+        directions.update(w - u for u, w in zip(verts, verts[1:] + verts[:1]) if u != w)
 
     tried = set()
     for dvec in sorted(directions):

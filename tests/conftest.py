@@ -1,11 +1,12 @@
 """Shared builders for the test suite."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from pqpierce.family import Family
-from pqpierce.geometry import ConvexPolygon, Interval, Point, pt
+from pqpierce.geometry import ConvexPolygon, Interval, Point, intersect_bodies, pt
 
 
 def box(x0, y0, x1, y1) -> ConvexPolygon:
@@ -14,6 +15,17 @@ def box(x0, y0, x1, y1) -> ConvexPolygon:
 
 def intervals(*pairs) -> Family:
     return Family.of([Interval(Fraction(a), Fraction(b)) for a, b in pairs])
+
+
+def brute_pair_regions(F: Family) -> dict:
+    """Every meeting pair (i, j), i < j, with its region, each clipped
+    afresh: the oracle for ``Family.pair_regions``."""
+    pairs = {}
+    for i, j in itertools.combinations(range(len(F)), 2):
+        region = intersect_bodies([F.bodies[i], F.bodies[j]])
+        if region is not None:
+            pairs[i, j] = region
+    return pairs
 
 
 def circle_point(t) -> Point:

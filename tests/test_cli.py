@@ -5,12 +5,14 @@ import subprocess
 import sys
 import time
 from decimal import Decimal
+from math import comb
 
 import pytest
 
 from pqpierce import piercing
 from pqpierce.bounds import ms_threshold
 from pqpierce.cli import (
+    EXIT_BUDGET,
     EXIT_INPUT,
     EXIT_INTERNAL,
     EXIT_OK,
@@ -20,7 +22,7 @@ from pqpierce.cli import (
     family_to_document,
     main,
 )
-from pqpierce.family import _intersecting_qtuples
+from pqpierce.family import DEFAULT_WORK_BUDGET, _intersecting_qtuples
 from pqpierce.generators import GeneratorSpec, extremal_dim1, random_family
 
 
@@ -177,6 +179,17 @@ class TestAnalyzeCommand:
         path.write_text(dump_family(extremal_dim1(4, 0)))
         code, _ = run_cli("analyze", str(path), "--p", "9", "--q", "3", capsys=capsys)
         assert code == EXIT_INPUT
+
+    def test_over_work_budget_exit_4(self, tmp_path, capsys):
+        F = random_family(GeneratorSpec("random_intervals", n=24, seed=2))
+        assert comb(24, 12) * comb(12, 6) > DEFAULT_WORK_BUDGET
+        path = tmp_path / "big.json"
+        path.write_text(dump_family(F))
+        code, out = run_cli("analyze", str(path), "--p", "12", "--q", "6", capsys=capsys)
+        assert code == EXIT_BUDGET and out.count("\n") == 1
+        error = json.loads(out)["error"]
+        assert error["type"] == "BudgetExceededError"
+        assert f"budget is {DEFAULT_WORK_BUDGET}" in error["message"]
 
 
 class TestPierceCommand:

@@ -3,12 +3,16 @@
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pqpierce.errors import ArityError, PremiseViolationError
+from pqpierce import family as familymod
+from pqpierce import geometry
+from pqpierce import piercing as piercingmod
+from pqpierce.errors import ArityError, BudgetExceededError, PremiseViolationError
 from pqpierce.family import Family, degeneracy_level, satisfies_pqr
 from pqpierce.generators import GeneratorSpec, extremal_dim1, random_family
 from pqpierce.geometry import (
@@ -22,6 +26,7 @@ from pqpierce.geometry import (
     pt,
 )
 from pqpierce.piercing import (
+    _line_guarantee_holds,
     branch_and_bound_piercing,
     candidate_points,
     exhaustive_candidate_points,
@@ -32,7 +37,38 @@ from pqpierce.piercing import (
     sweep_piercing_1d,
 )
 
-from conftest import box, intervals
+from conftest import box, brute_pair_regions, intervals, ring_caps
+
+
+def clipping_guarantee_holds(F, ai, bi, line):
+    """The guarantee predicate with every pair clipped afresh: the oracle
+    for ``_line_guarantee_holds``, which reads the family's pair table."""
+    A, B = F.bodies[ai], F.bodies[bi]
+    for C in F.bodies:
+        if intersect_bodies([A, C]) is None or intersect_bodies([B, C]) is None:
+            continue
+        if not line_meets_body(line, C):
+            return False
+    return True
+
+
+def assert_witness(F, witness):
+    assert clipping_guarantee_holds(F, witness.A_index, witness.B_index, witness.line)
+
+
+@pytest.fixture
+def clip_calls(monkeypatch):
+    """Every intersect_bodies call made through the names the program
+    imports, counted."""
+    calls = []
+
+    def counting(bodies):
+        calls.append(len(bodies))
+        return intersect_bodies(bodies)
+
+    for module in (geometry, familymod, piercingmod):
+        monkeypatch.setattr(module, "intersect_bodies", counting)
+    return calls
 
 
 class TestCandidatePoints:
@@ -77,6 +113,18 @@ class TestMinPiercing:
             assert result.certified
             for body in F.bodies:
                 assert any(body_contains_point(body, p) for p in result.points)
+
+    def test_node_budget(self):
+        F = ring_caps()  # the search needs 6 nodes
+        with pytest.raises(BudgetExceededError, match="exceeded 5 nodes on 9 bodies"):
+            min_piercing(F, node_budget=5)
+        assert len(min_piercing(F, node_budget=6)) == 2
+
+    def test_each_pair_clipped_once(self, clip_calls):
+        F = random_family(GeneratorSpec("random_polygons", n=7, seed=4, span=5))
+        min_piercing(F)
+        min_piercing(F)
+        assert clip_calls == [2] * comb(7, 2)
 
     def test_greedy_matches_bnb(self):
         for seed in range(50):
@@ -147,35 +195,45 @@ class TestMsLine:
         assert witness.x0 is None
         assert not line_meets_body(witness.line, F.bodies[witness.A_index])
         assert not line_meets_body(witness.line, F.bodies[witness.B_index])
+        assert_witness(F, witness)
 
     def test_copies_branch(self):
         F = Family.of([box(0, 0, 1, 1)] * 3)
         witness = ms_line(F)
         assert witness.x0 == pt(1, 1)
         assert witness.line.side(witness.x0) == 0
+        assert_witness(F, witness)
 
     def test_derived_triple(self):
         F = Family.of([box(0, 0, 2, 2), box(1, -1, 3, 1), box(0, 0, 3, 1)])
-        witness = ms_line(F)
-        A, B = F.bodies[witness.A_index], F.bodies[witness.B_index]
-        for C in F.bodies:
-            if (
-                intersect_bodies([A, C]) is not None
-                and intersect_bodies([B, C]) is not None
-            ):
-                assert line_meets_body(witness.line, C)
+        assert_witness(F, ms_line(F))
 
     def test_guarantee_on_random_suite(self):
         for seed in range(60):
             F = random_family(GeneratorSpec("random_polygons", n=5, seed=seed))
-            witness = ms_line(F)
-            A, B = F.bodies[witness.A_index], F.bodies[witness.B_index]
-            for C in F.bodies:
-                if (
-                    intersect_bodies([A, C]) is not None
-                    and intersect_bodies([B, C]) is not None
-                ):
-                    assert line_meets_body(witness.line, C)
+            assert_witness(F, ms_line(F))
+
+    def test_guarantee_predicate_matches_clipping(self):
+        # on lines that pass and lines that fail, for every ordered pair
+        answers = set()
+        for seed in range(15):
+            F = random_family(GeneratorSpec("random_polygons", n=5, seed=seed, span=5))
+            for line in (Line(0, 1, 2), Line(1, 0, 3), Line(1, -1, 0)):
+                for ai, bi in itertools.permutations(range(len(F)), 2):
+                    want = clipping_guarantee_holds(F, ai, bi, line)
+                    assert _line_guarantee_holds(F, ai, bi, line) == want
+                    answers.add(want)
+        assert answers == {True, False}
+
+    def test_meeting_branch_clips_each_pair_once(self, clip_calls):
+        # five boxes through the origin: every pair meets
+        F = Family.of([box(-1, -2, 1, 1), box(0, -1, 2, 2), box(-3, 0, 0, 1),
+                       box(-1, -1, 0, 0), box(0, 0, 3, 3)])
+        witness = ms_line(F)
+        assert witness.x0 is not None
+        assert clip_calls == [2] * comb(5, 2)
+        min_piercing(F)
+        assert len(clip_calls) == comb(5, 2)
 
     @staticmethod
     def degenerate_corpus():
@@ -213,12 +271,13 @@ class TestMsLine:
         for F in self.degenerate_corpus():
             witness = ms_line(F)
             assert witness.x0 is not None and witness.line.side(witness.x0) == 0
-            A, B = F.bodies[witness.A_index], F.bodies[witness.B_index]
-            for C in F.bodies:
-                if intersect_bodies([A, C]) is not None and intersect_bodies([B, C]) is not None:
-                    assert line_meets_body(witness.line, C)
+            assert_witness(F, witness)
             count += 1
         assert count > 300
+
+    def test_pair_regions_on_degenerate_corpus(self):
+        for F in self.degenerate_corpus():
+            assert list(F.pair_regions.items()) == list(brute_pair_regions(F).items())
 
 
 class TestLinePierce:

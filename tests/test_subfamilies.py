@@ -22,7 +22,7 @@ from pqpierce.generators import GeneratorSpec, random_family
 from pqpierce.geometry import Interval, Line, intersect_bodies, lexmax_body, line_meets_body
 from pqpierce.piercing import candidate_points, min_piercing
 
-from conftest import box, intervals
+from conftest import box, brute_pair_regions, intervals
 
 LINES = (Line(0, 1, 0), Line(1, 1, 4), Line(1, -2, 1))
 
@@ -76,6 +76,35 @@ class TestWalk:
         assert list(intersecting_subfamilies(F, range(4, 6))) == []
         assert list(intersecting_subfamilies(F, range(0, 1))) == []
         assert [idx for idx, _ in intersecting_subfamilies(F, range(0, 2))] == [(0,), (1,), (2,)]
+
+
+class TestPairRegions:
+    def test_matches_fresh_clips(self):
+        for F in list(families_1d()) + list(families_2d()):
+            assert list(F.pair_regions.items()) == list(brute_pair_regions(F).items())
+
+    def test_cached_per_family_object(self):
+        F = random_family(GeneratorSpec("random_polygons", n=5, seed=1, span=5))
+        assert F.pair_regions is F.pair_regions
+        # outside the fields: equality and hashing ignore the table
+        G = Family(F.dimension, F.bodies)
+        assert G == F and hash(G) == hash(F) and "pair_regions" not in vars(G)
+
+    def test_1d_sweep_paths_build_no_table(self):
+        for F in families_1d():
+            f_vector(F)
+            max_r(F, 5, 3)
+            count_intersecting_qtuples(F, 3)
+            degeneracy_level(F)
+            min_piercing(F)
+            assert "pair_regions" not in vars(F)
+
+    def test_1d_count_in_closed_form(self):
+        # 20 nested intervals: every 10-subset meets, C(20, 10) of them
+        F = Family.of([Interval(i, 40 - i) for i in range(20)])
+        misses = _intersecting_qtuples.cache_info().misses
+        assert count_intersecting_qtuples(F, 10) == 184756
+        assert _intersecting_qtuples.cache_info().misses == misses
 
 
 class TestConsumersMatchBruteForce:
