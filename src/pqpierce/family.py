@@ -9,13 +9,20 @@ intersecting subfamilies come from one depth-first walk
 one sweep over the intervals sorted by left endpoint gives them in closed
 form, because by Helly a set of intervals meets exactly when its pairs
 do.  The q-tuple flags are memoized for the last eight (family, q)
-queries and aggregated by a pruned depth-first search over p-subsets,
-with a configurable hard work cap instead of silent truncation.
+queries and aggregated by a depth-first search over p-subsets, with a
+configurable hard work cap instead of silent truncation.  The search
+carries, for every later index, the count a pick of it would add, and
+skips a branch whose lower bound (the counts so far plus the smallest
+additions still to come, which only grow) reaches the fewest found so
+far: no subset under it can be strictly better, so the answer is the one
+a full scan gives.
+The 1D degeneracy level is one sweep over the sorted endpoints.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb
@@ -179,44 +186,87 @@ def _fewest_flagged(F: Family, p: int, q: int, flagged, floor: int,
     passed.
 
     Depth-first over p-subsets in lexicographic order, with an explicit
-    stack because p may exceed the recursion limit.  Each flagged q-tuple
-    is kept as the bitmask of its first q-1 indices under its last index,
-    so adding index i to a prefix adds the tuples under i whose mask lies
-    inside the prefix.  Counts only grow along a branch, so a prefix whose
-    count already reaches the best so far is not extended (its later
-    siblings still are), and only a strictly smaller count replaces the
-    best.
+    stack because p may exceed the recursion limit.  A flagged q-tuple is
+    counted at its last index.  Each prefix P keeps, for every later index
+    j, inc(j, P): the flagged q-tuples whose last index is j and whose
+    other members lie in P.  Adding j to P then adds inc(j, P), and the
+    child's increments are the parent's plus the tuples whose last two
+    members are j and j' and whose rest lies in P: always 1 for q = 2, a
+    bit count of the link mask of (j, j') against P for q = 3, a test of
+    each member mask for q >= 4, and none for q = 1.
+
+    Increments only grow as the prefix grows, so a leaf under child j
+    holds at least count(P) + inc(j, P) plus the sum of the ``need - 1``
+    smallest inc(j', P) over j' > j, where ``need`` picks remain.  A child
+    whose bound reaches the best count so far is skipped: every subset
+    under it counts at least as many, and the only subsets that replace
+    the best are strictly smaller ones (a later subset of equal count is
+    not the lexicographically first; one below ``floor`` is below the
+    best too, since the scan is still running).  So the answer is the
+    one a full scan in lexicographic order would give.
     """
     _check_arity(F, p, q)
     n = len(F)
     work = comb(n, p) * comb(p, q) + comb(n, q)
     if work > work_budget:
         raise BudgetExceededError(f"{what} enumeration needs {work} steps, budget is {work_budget}")
-    closed_by: list[list[int]] = [[] for _ in range(n)]
-    for tup in flagged():
-        mask = 0
-        for j in tup[:-1]:
-            mask |= 1 << j
-        closed_by[tup[-1]].append(mask)
+    root = [0] * n
+    # later[j] maps j' > j to the link of the flagged tuples whose last two
+    # members are j and j': the mask of their first members (q = 3), the
+    # list of those masks (q >= 4), or 1 (q = 2)
+    later: list[dict] = [{} for _ in range(n)]
+    if q == 1:
+        for (j,) in flagged():
+            root[j] = 1
+    elif q == 2:
+        for j, last in flagged():
+            later[j][last] = 1
+    elif q == 3:
+        for i, j, last in flagged():
+            later[j][last] = later[j].get(last, 0) | 1 << i
+    else:
+        for *rest, j, last in flagged():
+            later[j].setdefault(last, []).append(sum(1 << i for i in rest))
     best = comb(p, q) + 1  # above every count, so the first subset replaces it
     best_mask = 0
-    # (prefix size once i is added, prefix mask before i, its count, i);
-    # children are pushed last index first, so the smallest pops next
-    stack = [(1, 0, 0, i) for i in range(n - p, -1, -1)]
+    # (lower bound, prefix size, prefix mask, its count, last index, the
+    # parent's increments); the prefix's own increments are made on pop
+    stack = [(0, 0, 0, 0, -1, root)]
     while stack:
-        size, mask, count, i = stack.pop()
-        for m in closed_by[i]:
-            if m & mask == m:
-                count += 1
-        if count >= best:
+        bound, size, mask, count, last, inc = stack.pop()
+        if bound >= best:
             continue
-        mask |= 1 << i
-        if size < p:
-            stack.extend([(size + 1, mask, count, j) for j in range(n - p + size, i, -1)])
+        if last >= 0 and later[last]:
+            inc = inc.copy()
+            if q == 2:
+                for j in later[last]:
+                    inc[j] += 1
+            elif q == 3:
+                for j, link in later[last].items():
+                    inc[j] += (link & mask).bit_count()
+            else:
+                for j, links in later[last].items():
+                    inc[j] += sum(1 for m in links if m & mask == m)
+        need = p - size
+        if need == 1:  # the children are leaves: take them in place
+            for j in range(last + 1, n):
+                if count + inc[j] < best:
+                    best, best_mask = count + inc[j], mask | 1 << j
+                    if best < floor:
+                        stack.clear()
+                        break
             continue
-        best, best_mask = count, mask
-        if best < floor:
-            break
+        # children last index first, so the smallest pops next; pool holds
+        # the need - 1 smallest increments after the child, and rest their sum
+        pool = sorted(inc[n - need + 1:])
+        rest = sum(pool)
+        for j in range(n - need, last, -1):
+            child = count + inc[j]
+            if child + rest < best:
+                stack.append((child + rest, size + 1, mask | 1 << j, child, j, inc))
+            if inc[j] < pool[-1]:
+                rest += inc[j] - pool.pop()
+                insort(pool, inc[j])
     return best, tuple(j for j in range(n) if best_mask >> j & 1)
 
 
@@ -258,7 +308,21 @@ def satisfies_pqr_through_line(F: Family, line: Line, p: int, q: int, r: int,
 def degeneracy_level(F: Family):
     """Smallest t such that one point pierces all but t members, with a
     point attaining it.  Decided over the finite candidate-point set,
-    which is sufficient for optimal piercing."""
+    which is sufficient for optimal piercing; the point is the first
+    candidate of greatest depth.
+
+    In 1D the candidates are the right endpoints, and the depth of x is
+    the number of left endpoints at most x less the number of right
+    endpoints below it, read off the two sorted endpoint lists."""
+    if F.dimension == 1:
+        los = sorted(body.lo for body in F.bodies)
+        his = sorted(body.hi for body in F.bodies)
+
+        def depth(x):
+            return bisect_right(los, x) - bisect_left(his, x)
+
+        point = max(his, key=depth)  # max keeps the first of equal depths
+        return len(F) - depth(point), point
     from .piercing import candidate_points
 
     best_count = -1

@@ -1,6 +1,7 @@
 """Property verification over families: counting, (p,q)_r, degeneracy."""
 
 import itertools
+import random
 from fractions import Fraction
 from math import comb
 
@@ -14,6 +15,7 @@ from pqpierce.family import (
     _fewest_flagged,
     _intersecting_qtuples,
     count_intersecting_qtuples,
+    degeneracy_level,
     f_vector,
     is_t_degenerate,
     max_r,
@@ -21,7 +23,8 @@ from pqpierce.family import (
     satisfies_pqr_through_line,
 )
 from pqpierce.generators import GeneratorSpec, extremal_dim1, random_family
-from pqpierce.geometry import Interval, Line, intersect_bodies, line_meets_body
+from pqpierce.geometry import Interval, Line, body_contains_point, intersect_bodies, line_meets_body
+from pqpierce.piercing import candidate_points
 
 from conftest import box, intervals
 
@@ -80,9 +83,45 @@ def scan_fewest(flags, n, p, q, floor):
     return best, witness
 
 
+def stack_fewest(flags, n, p, q, floor):
+    """Oracle: the previous p-subset search, which counts one q-tuple at a
+    time.  Each flagged q-tuple is the mask of its first q-1 indices under
+    its last index; a prefix whose count reaches the best is not
+    extended, and only a strictly smaller count replaces the best."""
+    closed_by = [[] for _ in range(n)]
+    for tup in flags:
+        mask = 0
+        for j in tup[:-1]:
+            mask |= 1 << j
+        closed_by[tup[-1]].append(mask)
+    best = comb(p, q) + 1
+    best_mask = 0
+    stack = [(1, 0, 0, i) for i in range(n - p, -1, -1)]
+    while stack:
+        size, mask, count, i = stack.pop()
+        for m in closed_by[i]:
+            if m & mask == m:
+                count += 1
+        if count >= best:
+            continue
+        mask |= 1 << i
+        if size < p:
+            stack.extend([(size + 1, mask, count, j) for j in range(n - p + size, i, -1)])
+            continue
+        best, best_mask = count, mask
+        if best < floor:
+            break
+    return best, tuple(j for j in range(n) if best_mask >> j & 1)
+
+
+def fewest(F, flags, p, q, floor, work_budget=DEFAULT_WORK_BUDGET):
+    return _fewest_flagged(F, p, q, lambda: flags, floor, work_budget, "test")
+
+
 def assert_floor_matches_scan(F, flags, p, q, floor):
-    got = _fewest_flagged(F, p, q, lambda: flags, floor, DEFAULT_WORK_BUDGET, "test")
+    got = fewest(F, flags, p, q, floor)
     assert got == scan_fewest(flags, len(F), p, q, floor)
+    assert got == stack_fewest(flags, len(F), p, q, floor)
 
 
 def seeded_families():
@@ -134,6 +173,39 @@ class TestPrunedScanAgainstOracle:
                 r_max = max_r(F, p, q).max_r
                 for r in range(1, comb(p, q) + 2):
                     assert satisfies_pqr(F, p, q, r) == (r_max >= r)
+
+    def test_larger_1d_families_against_both_oracles(self):
+        # the full scan only where it stays small; with q = 1 every member
+        # is flagged, so the first p-subset is the answer and the previous
+        # search visits all C(n, p) subsets to confirm it
+        for n in range(10, 19, 2):
+            F = random_family(GeneratorSpec("random_intervals", n=n, seed=n, span=18, extent=6))
+            for q in range(1, 6):
+                flags = _intersecting_qtuples(F, q)
+                for p in range(q, n + 1):
+                    for floor in (1, 2, 3, comb(p, q), comb(p, q) + 1):
+                        got = fewest(F, flags, p, q, floor, work_budget=10**9)
+                        if q == 1:
+                            assert got == (p, tuple(range(p)))
+                        if q > 1 or n <= 14:
+                            assert got == stack_fewest(flags, n, p, q, floor)
+                        if comb(n, p) * comb(p, q) <= 20_000:
+                            assert got == scan_fewest(flags, n, p, q, floor)
+
+    def test_ties_keep_the_first_witness(self):
+        # two cliques of four: a 4-subset with two members in each holds
+        # the fewest pairs (2) and no triple, 36 times over; children whose
+        # bound equals the best are skipped, and the first subset stays
+        F = intervals(*[(i, i + 1) for i in range(8)])  # fixes n only
+        for q, low in ((2, 2), (3, 0)):
+            flags = {tup for tup in itertools.combinations(range(8), q)
+                     if len({i // 4 for i in tup}) == 1}
+            for floor in (1, 2, 3, 4, 7):
+                got = fewest(F, flags, 4, q, floor)
+                if floor <= low + 1:  # only a subset of the fewest stops it
+                    assert got == (low, (0, 1, 4, 5))
+                assert got == scan_fewest(flags, 8, 4, q, floor)
+                assert got == stack_fewest(flags, 8, 4, q, floor)
 
     def test_deeper_than_the_recursion_limit(self):
         F = intervals(*[(i, i + 1) for i in range(1200)])
@@ -222,7 +294,29 @@ class TestThroughLine:
                     assert satisfies_pqr(F, 4, 2, r)
 
 
+def scan_degeneracy(F):
+    """Oracle: every body tested against every candidate point, keeping
+    the first point of greatest depth."""
+    best_count, best_point = -1, None
+    for point in candidate_points(F):
+        count = sum(1 for body in F.bodies if body_contains_point(body, point))
+        if count > best_count:
+            best_count, best_point = count, point
+    return len(F) - best_count, best_point
+
+
 class TestDegeneracy:
+    def test_1d_sweep_matches_scan_on_ties(self):
+        # small integer ends: point intervals, duplicates, touching ends
+        rng = random.Random(7)
+        for _ in range(600):
+            pairs = []
+            for _ in range(rng.randint(1, 10)):
+                lo = rng.randint(0, 6)
+                pairs.append((lo, lo + rng.randint(0, 3)))
+            F = intervals(*pairs)
+            assert degeneracy_level(F) == scan_degeneracy(F)
+
     def test_copies_zero_degenerate(self):
         F = Family.of([Interval(0, 1)] * 5)
         ok, witness = is_t_degenerate(F, 0)

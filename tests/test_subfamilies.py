@@ -183,15 +183,18 @@ def test_mirroring_intervals_keeps_counts_and_piercing(pairs):
 
 
 @settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 10**6), dimension=st.sampled_from((1, 2)), data=st.data())
-def test_permuting_bodies_keeps_f_vector_and_max_r(seed, dimension, data):
-    kind, n = ("random_intervals", 7) if dimension == 1 else ("random_polygons", 5)
+@given(seed=st.integers(0, 10**6), dimension=st.sampled_from((1, 2)), n=st.integers(1, 10),
+       data=st.data())
+def test_permuting_bodies_keeps_f_vector_max_r_and_degeneracy(seed, dimension, n, data):
+    kind = "random_intervals" if dimension == 1 else "random_polygons"
     F = random_family(GeneratorSpec(kind, n=n, seed=seed, span=5))
     order = data.draw(st.permutations(range(n)))
     G = Family(dimension, tuple(F.bodies[i] for i in order))
     assert f_vector(G) == f_vector(F)
-    for p, q in ((4, 2), (5, 3)):
-        assert max_r(G, p, q).max_r == max_r(F, p, q).max_r
+    for q in (2, 3):
+        for p in range(q, n + 1):
+            assert max_r(G, p, q).max_r == max_r(F, p, q).max_r
+    assert degeneracy_level(G)[0] == degeneracy_level(F)[0]
 
 
 def test_certification_raises_under_optimize():
