@@ -2,21 +2,27 @@
 
 A family is an ordered multiset of same-dimension bodies; duplicates are
 distinct members (index identity), which the extremal constructions rely
-on.  Each pair is clipped once per family, into the table
-:attr:`Family.pair_regions` that every 2D routine reads.  In 2D the
-intersecting subfamilies come from one depth-first walk
-(:func:`intersecting_subfamilies`) that starts from that table; in 1D
-one sweep over the intervals sorted by left endpoint gives them in closed
-form, because by Helly a set of intervals meets exactly when its pairs
-do.  The q-tuple flags are memoized for the last eight (family, q)
-queries and aggregated by a depth-first search over p-subsets, with a
-configurable hard work cap instead of silent truncation.  The search
-carries, for every later index, the count a pick of it would add, and
-skips a branch whose lower bound (the counts so far plus the smallest
-additions still to come, which only grow) reaches the fewest found so
-far: no subset under it can be strictly better, so the answer is the one
-a full scan gives.
-The 1D degeneracy level is one sweep over the sorted endpoints.
+on.  Each family holds one lazy nerve: pair and triple flags, Helly
+cliques.  A pair is clipped the first time it is asked for and its region
+kept (:attr:`Family.pair_regions` is the all-pairs view); a triple's flag
+is one clip of a kept pair region with the third body.  By Helly's
+theorem a subfamily of three or more planar bodies meets exactly when
+each of its triples does, so every larger subfamily is a clique test on
+bitmasks of triple links, with no geometry.  In 1D one sweep over the
+intervals sorted by left endpoint gives the intersecting subfamilies in
+closed form, because by Helly a set of intervals meets exactly when its
+pairs do; the through-line property is that sweep over the bodies'
+traces on the line.  The q-tuple flags are memoized for the last eight
+(family, q) queries and aggregated by a depth-first search over
+p-subsets, with a configurable hard work cap instead of silent
+truncation.  The search carries, for every later index, the count a pick
+of it would add, and skips a branch whose lower bound (the counts so far
+plus the smallest additions still to come, which only grow) reaches the
+fewest found so far: no subset under it can be strictly better, so the
+answer is the one a full scan gives.
+The 1D degeneracy level is one sweep over the sorted endpoints; the 2D
+one stops at the first candidate point as deep as the nerve's largest
+clique.
 """
 
 from __future__ import annotations
@@ -24,19 +30,115 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import comb
 
 from .errors import ArityError, BudgetExceededError, DimensionMismatchError
-from .geometry import ConvexBody, Line, body_contains_point, intersect_bodies, line_meets_body
+from .geometry import ConvexBody, Line, body_contains_point, intersect_bodies, line_trace
 
 #: Hard cap on C(n,p) * C(p,q) aggregation work per query.
 DEFAULT_WORK_BUDGET = 5_000_000
 
 
+class _Nerve:
+    """The pair and triple flags of one family, each clipped once, when
+    first asked for.  ``flags[chosen]``, for an index (i,) or a meeting
+    pair (i, j), holds two masks over the later indices k: those whose
+    flag is known, and those for which chosen + (k,) meets.  A pair's
+    region is kept in ``regions``; a triple's flag clips it with the
+    third body."""
+
+    def __init__(self, bodies):
+        self.bodies = bodies
+        self.flags: dict[tuple[int, ...], tuple[int, int]] = {}
+        self.regions: dict[tuple[int, int], ConvexBody] = {}
+        self.pair_view = None
+
+    def meets(self, chosen: tuple[int, ...], within: int) -> int:
+        """The mask of the k in ``within`` (all past chosen's last index)
+        for which chosen + (k,) meets."""
+        known, meet = self.flags.get(chosen, (0, 0))
+        todo = within & ~known
+        if todo:
+            base = self.bodies[chosen[0]] if len(chosen) == 1 else self.pair(*chosen)
+            for k in range(chosen[-1] + 1, len(self.bodies)):
+                if todo >> k & 1 and (region := intersect_bodies([base, self.bodies[k]])) is not None:
+                    meet |= 1 << k
+                    if len(chosen) == 1:
+                        self.regions[chosen[0], k] = region
+            self.flags[chosen] = (known | todo, meet)
+        return meet & within
+
+    def pair(self, i: int, j: int):
+        """The region of bodies i < j, or None when they miss."""
+        self.meets((i,), 1 << j)
+        return self.regions.get((i, j))
+
+    def all_pairs(self) -> dict[tuple[int, int], ConvexBody]:
+        if self.pair_view is None:
+            n = len(self.bodies)
+            for i in range(n):
+                self.meets((i,), (1 << n) - (2 << i))
+            self.pair_view = dict(sorted(self.regions.items()))
+        return self.pair_view
+
+    def extensions(self, chosen: tuple[int, ...], within: int) -> int:
+        """The mask of the k in ``within`` (all past chosen's last index)
+        for which chosen + (k,) meets, given that chosen meets: by Helly,
+        its pair flag for one member, else its triple flags with every
+        pair of chosen, filtered first by the pairs of chosen's first
+        member.  Only the flags of those k are asked for."""
+        if len(chosen) < 2:
+            return self.meets(chosen, within) if chosen else within
+        within = self.meets(chosen[:1], within)
+        for pair in itertools.combinations(chosen, 2):
+            if not within:
+                break
+            within = self.meets(pair, within)
+        return within
+
+    def walk(self, lo: int, hi: int):
+        """Yield, in lexicographic order, the index tuples of the
+        intersecting subfamilies with lo <= size <= hi, for 1 <= lo <= n.
+        A prefix is extended only by indices from which size lo can still
+        be reached, so a query asks only for the flags it needs."""
+        n = len(self.bodies)
+        stack = [()]
+        while stack:
+            chosen = stack.pop()
+            if len(chosen) >= lo:
+                yield chosen
+            if len(chosen) < hi:
+                after = chosen[-1] + 1 if chosen else 0
+                # the indices in [after, n - max(lo - size - 1, 0))
+                within = (1 << n - max(lo - len(chosen) - 1, 0)) - (1 << after)
+                cand = self.extensions(chosen, within)
+                # children last index first, so the smallest pops next
+                stack.extend(chosen + (j,) for j in range(n - 1, after - 1, -1) if cand >> j & 1)
+
+    def largest(self) -> int:
+        """The size of the largest intersecting subfamily, depth-first; a
+        prefix is not extended once its size plus its count of possible
+        extensions cannot pass the largest found."""
+        n = len(self.bodies)
+        best, stack = 0, [((), (1 << n) - 1)]
+        while stack:
+            chosen, within = stack.pop()
+            best = max(best, len(chosen))
+            if len(chosen) + within.bit_count() > best:
+                cand = self.extensions(chosen, within)
+                stack.extend((chosen + (j,), cand >> j + 1 << j + 1)
+                             for j in range(n - 1, -1, -1) if cand >> j & 1)
+        return best
+
+
 @dataclass(frozen=True)
 class Family:
     """An ordered family of compact convex bodies sharing one dimension."""
+
+    # the nerve sits in a slot: outside the fields, so equality and hashing
+    # ignore it, and outside vars(), which keeps the fields alone
+    __slots__ = ("__dict__", "__weakref__", "_memo")
 
     dimension: int
     bodies: tuple[ConvexBody, ...]
@@ -54,6 +156,9 @@ class Family:
                     f"{self.dimension}-dimensional family"
                 )
 
+    def __getstate__(self):
+        return vars(self)  # the fields alone: a copy builds its own nerve
+
     @classmethod
     def of(cls, bodies) -> "Family":
         bodies = tuple(bodies)
@@ -64,13 +169,23 @@ class Family:
     def __len__(self) -> int:
         return len(self.bodies)
 
-    @cached_property
+    @property
+    def _nerve(self) -> _Nerve:
+        if not hasattr(self, "_memo"):
+            object.__setattr__(self, "_memo", _Nerve(self.bodies))
+        return self._memo
+
+    def pair_region(self, i: int, j: int):
+        """The region of bodies i < j, or None when they miss; clipped once
+        per family."""
+        return self._nerve.pair(i, j)
+
+    @property
     def pair_regions(self) -> dict[tuple[int, int], ConvexBody]:
         """The region of every meeting pair (i, j), i < j, in lexicographic
-        order; cached outside the fields, so each pair is clipped once."""
-        bodies = self.bodies
-        return {(i, j): region for i, j in itertools.combinations(range(len(bodies)), 2)
-                if (region := intersect_bodies([bodies[i], bodies[j]])) is not None}
+        order; the all-pairs view of the nerve, so each pair is clipped
+        once."""
+        return self._nerve.all_pairs()
 
 
 @dataclass(frozen=True)
@@ -93,36 +208,8 @@ def _check_arity(F: Family, p: int, q: int) -> None:
         raise ArityError(f"p={p} exceeds family size {len(F)}")
 
 
-def intersecting_subfamilies(F: Family, sizes: range):
-    """Yield (indices, region) for every intersecting subfamily of F whose
-    size lies in ``sizes`` (a step-1 range), in lexicographic order of the
-    index tuples; region is the common intersection of those members.
-
-    Depth-first with an explicit stack.  A prefix is not extended once its
-    running intersection is empty (extensions stay empty), once it reaches
-    the largest size, or past the last index from which ``sizes.start``
-    can still be reached.  Pairs are read from :attr:`Family.pair_regions`.
-    """
-    bodies = F.bodies
-    n = len(bodies)
-    lo, hi = sizes.start, sizes.stop - 1
-    stack = [((i,), bodies[i]) for i in range(n - max(lo, 1), -1, -1)] if hi >= 1 else []
-    while stack:
-        chosen, region = stack.pop()
-        k = len(chosen)
-        if k >= lo:
-            yield chosen, region
-        if k < hi:
-            # children are pushed last index first, so the smallest pops next
-            for i in range(n - 1 - max(lo - k - 1, 0), chosen[-1], -1):
-                sub = (F.pair_regions.get((chosen[0], i)) if k == 1
-                       else intersect_bodies([region, bodies[i]]))
-                if sub is not None:
-                    stack.append((chosen + (i,), sub))
-
-
-def _interval_sweep(F: Family):
-    """Yield (i, earlier) for every interval of a 1D family in (lo, index)
+def _interval_sweep(bodies):
+    """Yield (i, earlier) for every interval of a sequence in (lo, index)
     order, where ``earlier`` lists the intervals before i in that order
     whose ``hi`` reaches ``lo_i``.
 
@@ -131,7 +218,6 @@ def _interval_sweep(F: Family):
     every intersecting subfamily arises once this way: its members all
     contain the largest left endpoint among them.
     """
-    bodies = F.bodies
     active: list[int] = []
     for i in sorted(range(len(bodies)), key=lambda j: (bodies[j].lo, j)):
         lo = bodies[i].lo
@@ -142,14 +228,19 @@ def _interval_sweep(F: Family):
         active = active + [i]
 
 
+def _swept_qtuples(intervals, q: int) -> frozenset[tuple[int, ...]]:
+    """Index tuples of the q-subsets of the intervals that meet."""
+    return frozenset(tuple(sorted(others + (i,)))
+                     for i, earlier in _interval_sweep(intervals)
+                     for others in itertools.combinations(earlier, q - 1))
+
+
 @lru_cache(maxsize=8)
 def _intersecting_qtuples(F: Family, q: int) -> frozenset[tuple[int, ...]]:
     """Index tuples of the q-subsets with nonempty common intersection."""
     if F.dimension == 1:
-        return frozenset(tuple(sorted(others + (i,)))
-                         for i, earlier in _interval_sweep(F)
-                         for others in itertools.combinations(earlier, q - 1))
-    return frozenset(indices for indices, _ in intersecting_subfamilies(F, range(q, q + 1)))
+        return _swept_qtuples(F.bodies, q)
+    return frozenset(F._nerve.walk(q, q))
 
 
 def count_intersecting_qtuples(F: Family, q: int) -> int:
@@ -159,7 +250,7 @@ def count_intersecting_qtuples(F: Family, q: int) -> int:
     if q > len(F):
         raise ArityError(f"q={q} exceeds family size {len(F)}")
     if F.dimension == 1:  # i closes C(d_i, q-1) of them, as in f_vector
-        return sum(comb(len(earlier), q - 1) for _, earlier in _interval_sweep(F))
+        return sum(comb(len(earlier), q - 1) for _, earlier in _interval_sweep(F.bodies))
     return len(_intersecting_qtuples(F, q))
 
 
@@ -169,10 +260,10 @@ def f_vector(F: Family) -> tuple[int, ...]:
     In 1D an interval with d earlier intervals in :func:`_interval_sweep`
     closes C(d, j) intersecting (j+1)-subsets."""
     if F.dimension == 1:
-        degrees = [len(earlier) for _, earlier in _interval_sweep(F)]
+        degrees = [len(earlier) for _, earlier in _interval_sweep(F.bodies)]
         return tuple(sum(comb(d, j) for d in degrees) for j in range(len(F)))
     counts = [0] * len(F)
-    for indices, _ in intersecting_subfamilies(F, range(1, len(F) + 1)):
+    for indices in F._nerve.walk(1, len(F)):
         counts[len(indices) - 1] += 1
     return tuple(counts)
 
@@ -298,8 +389,13 @@ def satisfies_pqr_through_line(F: Family, line: Line, p: int, q: int, r: int,
         raise ArityError(f"r must be >= 1, got {r}")
 
     def on_line():
-        return {indices for indices, region in intersecting_subfamilies(F, range(q, q + 1))
-                if line_meets_body(line, region)}
+        # the common part of some members meets the line exactly when their
+        # traces on it meet: a 1D sweep over the bodies that meet the line
+        traces = {i: trace for i, body in enumerate(F.bodies)
+                  if (trace := line_trace(body, line)) is not None}
+        ids = list(traces)
+        return {tuple(ids[k] for k in indices)
+                for indices in _swept_qtuples(list(traces.values()), q)}
 
     best, _ = _fewest_flagged(F, p, q, on_line, r, work_budget, "through-line")
     return best >= r
@@ -313,7 +409,12 @@ def degeneracy_level(F: Family):
 
     In 1D the candidates are the right endpoints, and the depth of x is
     the number of left endpoints at most x less the number of right
-    endpoints below it, read off the two sorted endpoint lists."""
+    endpoints below it, read off the two sorted endpoint lists.  In 2D
+    the bodies holding a point form an intersecting subfamily, and the
+    largest one holds the lexmax of its region, which by Helly is a body's
+    or a pair's lexmax: so the greatest depth is the size of the largest
+    intersecting subfamily, read off the nerve, and the scan stops at the
+    first candidate that reaches it."""
     if F.dimension == 1:
         los = sorted(body.lo for body in F.bodies)
         his = sorted(body.hi for body in F.bodies)
@@ -325,13 +426,11 @@ def degeneracy_level(F: Family):
         return len(F) - depth(point), point
     from .piercing import candidate_points
 
-    best_count = -1
-    best_point = None
+    deepest = F._nerve.largest()
     for point in candidate_points(F):
-        count = sum(1 for body in F.bodies if body_contains_point(body, point))
-        if count > best_count:
-            best_count, best_point = count, point
-    return len(F) - best_count, best_point
+        if sum(1 for body in F.bodies if body_contains_point(body, point)) == deepest:
+            return len(F) - deepest, point
+    raise AssertionError(f"no candidate point lies in {deepest} bodies")
 
 
 def is_t_degenerate(F: Family, t: int):

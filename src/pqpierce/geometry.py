@@ -329,6 +329,18 @@ def line_meets_body(line: Line, body: ConvexBody) -> bool:
     return min(sides) <= 0 <= max(sides)
 
 
+def line_trace(body: ConvexPolygon, line: Line) -> Optional[Interval]:
+    """The t for which ``line.some_point() + t * line.direction()`` lies in
+    the body, as an interval, or None when the body misses the line."""
+    if not line_meets_body(line, body):
+        return None
+    trace = clip_polygon(clip_polygon(body, line.a, line.b, line.c), -line.a, -line.b, -line.c)
+    base, direction = line.some_point(), line.direction()
+    scale = dot(direction, direction)
+    ts = [dot(v - base, direction) / scale for v in trace.vertices]
+    return Interval(min(ts), max(ts))
+
+
 def _edges(poly: ConvexPolygon) -> list[tuple[Point, Point]]:
     """The closed boundary's edges; a point is one edge of length zero."""
     v = poly.vertices

@@ -36,15 +36,14 @@ from .errors import ArityError, BudgetExceededError, DimensionMismatchError, Pre
 from .family import Family
 from .geometry import (
     ConvexPolygon,
-    Interval,
     Line,
     Point,
     body_contains_point,
     clip_polygon,
-    dot,
     intersect_bodies,
     lexmax_body,
     line_meets_body,
+    line_trace,
     separating_line,
 )
 
@@ -94,13 +93,6 @@ def candidate_points(F: Family) -> list:
     if F.dimension == 1:
         return sorted({body.hi for body in F.bodies})
     return sorted({lexmax_body(region) for region in (*F.bodies, *F.pair_regions.values())})
-
-
-def exhaustive_candidate_points(F: Family) -> list:
-    """Lexmax of the intersection of every intersecting subfamily; the
-    unreduced candidate set used to validate the pair reduction."""
-    walk = familymod.intersecting_subfamilies(F, range(1, len(F) + 1))
-    return sorted({lexmax_body(region) for _, region in walk})
 
 
 def sweep_piercing_1d(F: Family) -> PiercingSet:
@@ -229,7 +221,7 @@ def hd_pierce(F: Family, p: int, q: int) -> PiercingSet:
     active = list(range(len(F)))
     cp, cq = p, q
     while True:
-        sub = Family(F.dimension, tuple(F.bodies[i] for i in active))
+        sub = F if len(active) == len(F) else Family(F.dimension, tuple(F.bodies[i] for i in active))
         report = familymod.max_r(sub, cp, cq)
         if report.max_r < 1:
             witness = tuple(active[i] for i in report.witness_subset)
@@ -246,16 +238,14 @@ def hd_pierce(F: Family, p: int, q: int) -> PiercingSet:
             points.append(lexmax_body(region))
             break
         # active is increasing, so sub's index tuples order as F's do
-        tuples = [
-            (lexmax_body(region), indices, region)
-            for indices, region in familymod.intersecting_subfamilies(sub, range(d, d + 1))
-        ]
-        if not tuples:
+        regions = sub.pair_regions if d == 2 else {(i,): body for i, body in enumerate(sub.bodies)}
+        if not regions:
             raise PremiseViolationError(
                 f"no intersecting {d}-tuple among {tuple(active)}",
                 witness=tuple(active),
             )
-        x0, _, a_region = min(tuples, key=lambda t: (t[0], t[1]))
+        x0, _, a_region = min(((lexmax_body(region), indices, region)
+                               for indices, region in regions.items()), key=lambda t: t[:2])
         points.append(x0)
         survivors = [i for i in active if not body_contains_point(F.bodies[i], x0)]
         for i in survivors:
@@ -304,10 +294,9 @@ def _clip_to_halfplane(body: ConvexPolygon, a, b, c) -> ConvexPolygon:
 
 def _line_guarantee_holds(F: Family, ai: int, bi: int, line: Line) -> bool:
     """Whether every body meeting both A and B meets the line; which bodies
-    meet is read off the pair table, and a body meets itself."""
-    pairs = F.pair_regions
+    meet is read off the family's pair memo, and a body meets itself."""
     return all(line_meets_body(line, C) for c, C in enumerate(F.bodies)
-               if all(c == k or (min(c, k), max(c, k)) in pairs for k in (ai, bi)))
+               if all(c == k or F.pair_region(min(c, k), max(c, k)) is not None for k in (ai, bi)))
 
 
 def ms_line(F: Family) -> LineLemmaWitness:
@@ -339,15 +328,14 @@ def ms_line(F: Family) -> LineLemmaWitness:
     if len(F) < 2:
         raise ArityError("need at least two bodies")
 
-    pairs = F.pair_regions
     for i, j in itertools.combinations(range(len(F)), 2):
-        if (i, j) not in pairs:
+        if F.pair_region(i, j) is None:
             line = separating_line(F.bodies[i], F.bodies[j])
             if not _line_guarantee_holds(F, i, j, line):
                 raise AssertionError("separating line failed the guarantee predicate")
             return LineLemmaWitness(A_index=i, B_index=j, line=line, x0=None)
 
-    x0, (ai, bi) = min((lexmax_body(region), ij) for ij, region in pairs.items())
+    x0, (ai, bi) = min((lexmax_body(region), ij) for ij, region in F.pair_regions.items())
     wa = _effective_witness_polygon(F.bodies[ai], x0)
     wb = _effective_witness_polygon(F.bodies[bi], x0)
 
@@ -396,26 +384,11 @@ def line_pierce(F: Family, line: Line, p: int, k: int) -> PiercingSet:
         )
     points: list[Point] = [lexmax_body(F.bodies[i]) for i in sorted(missing)]
 
-    base = line.some_point()
-    direction = line.direction()
-    scale = dot(direction, direction)
-    segments = []
-    for i in range(len(F)):
-        if i in missing:
-            continue
-        trace = _trace_on_line(F.bodies[i], line)
-        ts = [dot(v - base, direction) / scale for v in trace.vertices]
-        segments.append((min(ts), max(ts)))
-    if segments:
-        shadows = Family(1, tuple(Interval(lo, hi) for lo, hi in segments))
-        solved = sweep_piercing_1d(shadows)
+    traces = [line_trace(body, line) for i, body in enumerate(F.bodies) if i not in missing]
+    if traces:
+        solved = sweep_piercing_1d(Family(1, tuple(traces)))
+        base, direction = line.some_point(), line.direction()
         points.extend(base + direction.scaled(t) for t in solved.points)
     if len(points) > k + 1:
         raise AssertionError(f"construction produced {len(points)} > k+1 points")
     return _certified(F, points)
-
-
-def _trace_on_line(body: ConvexPolygon, line: Line) -> ConvexPolygon:
-    """The (degenerate) polygon body-on-line, for a body meeting the line."""
-    trace = _clip_to_halfplane(body, line.a, line.b, line.c)
-    return _clip_to_halfplane(trace, -line.a, -line.b, -line.c)

@@ -4,9 +4,13 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
+from pqpierce import family as familymod
+from pqpierce import geometry
+from pqpierce import piercing as piercingmod
 from pqpierce.family import Family
-from pqpierce.geometry import ConvexPolygon, Interval, Point, intersect_bodies, pt
+from pqpierce.geometry import ConvexPolygon, Interval, Point, intersect_bodies, lexmax_body, pt
 
 
 def box(x0, y0, x1, y1) -> ConvexPolygon:
@@ -26,6 +30,74 @@ def brute_pair_regions(F: Family) -> dict:
         if region is not None:
             pairs[i, j] = region
     return pairs
+
+
+def intersecting_subfamilies(F: Family, sizes: range):
+    """Yield (indices, region) for every intersecting subfamily of F whose
+    size lies in ``sizes`` (a step-1 range), in lexicographic order of the
+    index tuples; region is the common intersection of those members.
+
+    Depth-first with an explicit stack.  A prefix is not extended once its
+    running intersection is empty (extensions stay empty), once it reaches
+    the largest size, or past the last index from which ``sizes.start``
+    can still be reached.  Pairs are read from :attr:`Family.pair_regions`.
+    The oracle for the nerve, which finds the same subfamilies from pair
+    and triple flags.
+    """
+    bodies = F.bodies
+    n = len(bodies)
+    lo, hi = sizes.start, sizes.stop - 1
+    stack = [((i,), bodies[i]) for i in range(n - max(lo, 1), -1, -1)] if hi >= 1 else []
+    while stack:
+        chosen, region = stack.pop()
+        k = len(chosen)
+        if k >= lo:
+            yield chosen, region
+        if k < hi:
+            # children are pushed last index first, so the smallest pops next
+            for i in range(n - 1 - max(lo - k - 1, 0), chosen[-1], -1):
+                sub = (F.pair_regions.get((chosen[0], i)) if k == 1
+                       else intersect_bodies([region, bodies[i]]))
+                if sub is not None:
+                    stack.append((chosen + (i,), sub))
+
+
+def exhaustive_candidate_points(F: Family) -> list:
+    """Lexmax of the intersection of every intersecting subfamily; the
+    unreduced candidate set used to validate the pair reduction."""
+    walk = intersecting_subfamilies(F, range(1, len(F) + 1))
+    return sorted({lexmax_body(region) for _, region in walk})
+
+
+#: hulls of one to four small integer points: points, segments and
+#: polygons that often touch or share a vertex
+POLYGONS = st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=4).map(
+    lambda points: ConvexPolygon.from_points([pt(x, y) for x, y in points]))
+
+
+@st.composite
+def polygon_families(draw, max_size=8):
+    """2D families of one to max_size such bodies, some duplicated."""
+    bodies = draw(st.lists(POLYGONS, min_size=1, max_size=max_size))
+    copies = draw(st.lists(st.sampled_from(range(len(bodies))), max_size=2))
+    bodies = (bodies + [bodies[i] for i in copies])[:max_size]
+    order = draw(st.permutations(range(len(bodies))))
+    return Family.of([bodies[i] for i in order])
+
+
+@pytest.fixture
+def clip_calls(monkeypatch):
+    """Every intersect_bodies call made through the names the program
+    imports, counted."""
+    calls = []
+
+    def counting(bodies):
+        calls.append(len(bodies))
+        return intersect_bodies(bodies)
+
+    for module in (geometry, familymod, piercingmod):
+        monkeypatch.setattr(module, "intersect_bodies", counting)
+    return calls
 
 
 def circle_point(t) -> Point:

@@ -18,7 +18,6 @@ from pqpierce.bounds import (
 from pqpierce.family import (
     degeneracy_level,
     f_vector,
-    intersecting_subfamilies,
     max_r,
     satisfies_pqr,
 )
@@ -32,14 +31,13 @@ from pqpierce.generators import (
 from pqpierce.geometry import body_contains_point, intersect_bodies, lexmax_body, line_meets_body
 from pqpierce.piercing import (
     branch_and_bound_piercing,
-    exhaustive_candidate_points,
     hd_pierce,
     min_piercing,
     ms_line,
     sweep_piercing_1d,
 )
 
-from conftest import ring_caps
+from conftest import exhaustive_candidate_points, intersecting_subfamilies, ring_caps
 
 
 def report(criterion: str, detail: str, started: float) -> None:

@@ -6,9 +6,11 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
 
 from pqpierce.bounds import kalai_bound
 from pqpierce.errors import ArityError, BudgetExceededError
+from pqpierce import family as familymod
 from pqpierce.family import (
     DEFAULT_WORK_BUDGET,
     Family,
@@ -23,10 +25,18 @@ from pqpierce.family import (
     satisfies_pqr_through_line,
 )
 from pqpierce.generators import GeneratorSpec, extremal_dim1, random_family
-from pqpierce.geometry import Interval, Line, body_contains_point, intersect_bodies, line_meets_body
+from pqpierce.geometry import (
+    ConvexPolygon,
+    Interval,
+    Line,
+    body_contains_point,
+    intersect_bodies,
+    line_meets_body,
+    pt,
+)
 from pqpierce.piercing import candidate_points
 
-from conftest import box, intervals
+from conftest import box, intervals, polygon_families
 
 
 def brute_count(F, q):
@@ -316,6 +326,27 @@ class TestDegeneracy:
                 pairs.append((lo, lo + rng.randint(0, 3)))
             F = intervals(*pairs)
             assert degeneracy_level(F) == scan_degeneracy(F)
+
+    @settings(max_examples=80, deadline=None)
+    @given(polygon_families())
+    def test_2d_early_stop_matches_scan(self, F):
+        assert degeneracy_level(F) == scan_degeneracy(F)
+
+    def test_2d_degenerate_families(self):
+        hull = ConvexPolygon.from_points
+        point, cross = hull([pt(1, 1)]), hull([pt(0, 2), pt(2, 0)])
+        for bodies in ([point], [box(0, 0, 1, 1)], [point] * 3, [cross, hull([pt(0, 0), pt(2, 2)]), point],
+                       [cross, cross, box(3, 3, 4, 4), box(3, 3, 4, 4)],
+                       [hull([pt(0, 0), pt(1, 0)]), hull([pt(1, 0), pt(2, 0)]), hull([pt(2, 0), pt(3, 0)])]):
+            F = Family.of(bodies)
+            assert degeneracy_level(F) == scan_degeneracy(F)
+
+    def test_2d_raises_when_no_candidate_is_deep_enough(self, monkeypatch):
+        F = Family.of([box(0, 0, 2, 2), box(1, 1, 3, 3), box(5, 5, 6, 6)])
+        assert degeneracy_level(Family(2, F.bodies)) == (1, pt(2, 2))
+        monkeypatch.setattr(familymod._Nerve, "largest", lambda nerve: 3)
+        with pytest.raises(AssertionError, match="no candidate point lies in 3 bodies"):
+            degeneracy_level(F)
 
     def test_copies_zero_degenerate(self):
         F = Family.of([Interval(0, 1)] * 5)

@@ -9,9 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pqpierce import family as familymod
-from pqpierce import geometry
-from pqpierce import piercing as piercingmod
 from pqpierce.errors import ArityError, BudgetExceededError, PremiseViolationError
 from pqpierce.family import Family, degeneracy_level, satisfies_pqr
 from pqpierce.generators import GeneratorSpec, extremal_dim1, random_family
@@ -29,7 +26,6 @@ from pqpierce.piercing import (
     _line_guarantee_holds,
     branch_and_bound_piercing,
     candidate_points,
-    exhaustive_candidate_points,
     hd_pierce,
     line_pierce,
     min_piercing,
@@ -37,7 +33,7 @@ from pqpierce.piercing import (
     sweep_piercing_1d,
 )
 
-from conftest import box, brute_pair_regions, intervals, ring_caps
+from conftest import box, brute_pair_regions, exhaustive_candidate_points, intervals, ring_caps
 
 
 def clipping_guarantee_holds(F, ai, bi, line):
@@ -54,21 +50,6 @@ def clipping_guarantee_holds(F, ai, bi, line):
 
 def assert_witness(F, witness):
     assert clipping_guarantee_holds(F, witness.A_index, witness.B_index, witness.line)
-
-
-@pytest.fixture
-def clip_calls(monkeypatch):
-    """Every intersect_bodies call made through the names the program
-    imports, counted."""
-    calls = []
-
-    def counting(bodies):
-        calls.append(len(bodies))
-        return intersect_bodies(bodies)
-
-    for module in (geometry, familymod, piercingmod):
-        monkeypatch.setattr(module, "intersect_bodies", counting)
-    return calls
 
 
 class TestCandidatePoints:

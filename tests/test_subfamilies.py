@@ -14,7 +14,6 @@ from pqpierce.family import (
     count_intersecting_qtuples,
     degeneracy_level,
     f_vector,
-    intersecting_subfamilies,
     max_r,
     satisfies_pqr_through_line,
 )
@@ -22,7 +21,7 @@ from pqpierce.generators import GeneratorSpec, random_family
 from pqpierce.geometry import Interval, Line, intersect_bodies, lexmax_body, line_meets_body
 from pqpierce.piercing import candidate_points, min_piercing
 
-from conftest import box, brute_pair_regions, intervals
+from conftest import box, brute_pair_regions, intersecting_subfamilies, intervals
 
 LINES = (Line(0, 1, 0), Line(1, 1, 4), Line(1, -2, 1))
 
