@@ -21,14 +21,15 @@ plus the smallest additions still to come, which only grow) reaches the
 fewest found so far: no subset under it can be strictly better, so the
 answer is the one a full scan gives.
 The 1D degeneracy level is one sweep over the sorted endpoints; the 2D
-one stops at the first candidate point as deep as the nerve's largest
-clique.
+scan stops at the first candidate point as deep as the largest pair
+degree allows.
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right, insort
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -52,7 +53,7 @@ class _Nerve:
         self.bodies = bodies
         self.flags: dict[tuple[int, ...], tuple[int, int]] = {}
         self.regions: dict[tuple[int, int], ConvexBody] = {}
-        self.pair_view = None
+        self.complete = False  # every pair asked for, regions in order
 
     def meets(self, chosen: tuple[int, ...], within: int) -> int:
         """The mask of the k in ``within`` (all past chosen's last index)
@@ -75,33 +76,23 @@ class _Nerve:
         return self.regions.get((i, j))
 
     def all_pairs(self) -> dict[tuple[int, int], ConvexBody]:
-        if self.pair_view is None:
+        if not self.complete:
             n = len(self.bodies)
             for i in range(n):
                 self.meets((i,), (1 << n) - (2 << i))
-            self.pair_view = dict(sorted(self.regions.items()))
-        return self.pair_view
-
-    def extensions(self, chosen: tuple[int, ...], within: int) -> int:
-        """The mask of the k in ``within`` (all past chosen's last index)
-        for which chosen + (k,) meets, given that chosen meets: by Helly,
-        its pair flag for one member, else its triple flags with every
-        pair of chosen, filtered first by the pairs of chosen's first
-        member.  Only the flags of those k are asked for."""
-        if len(chosen) < 2:
-            return self.meets(chosen, within) if chosen else within
-        within = self.meets(chosen[:1], within)
-        for pair in itertools.combinations(chosen, 2):
-            if not within:
-                break
-            within = self.meets(pair, within)
-        return within
+            # no pair is added after this, so the order holds
+            self.regions = dict(sorted(self.regions.items()))
+            self.complete = True
+        return self.regions
 
     def walk(self, lo: int, hi: int):
         """Yield, in lexicographic order, the index tuples of the
         intersecting subfamilies with lo <= size <= hi, for 1 <= lo <= n.
-        A prefix is extended only by indices from which size lo can still
-        be reached, so a query asks only for the flags it needs."""
+        A prefix is extended only by indices k from which size lo can
+        still be reached and, by Helly, whose pair flag with its first
+        member and triple flags with each pair of its members hold, asked
+        for in that order and only while some k is left, so a query asks
+        only for the flags it needs."""
         n = len(self.bodies)
         stack = [()]
         while stack:
@@ -111,25 +102,12 @@ class _Nerve:
             if len(chosen) < hi:
                 after = chosen[-1] + 1 if chosen else 0
                 # the indices in [after, n - max(lo - size - 1, 0))
-                within = (1 << n - max(lo - len(chosen) - 1, 0)) - (1 << after)
-                cand = self.extensions(chosen, within)
+                cand = (1 << n - max(lo - len(chosen) - 1, 0)) - (1 << after)
+                for link in (chosen[:1], *itertools.combinations(chosen, 2)):
+                    if link and cand:
+                        cand = self.meets(link, cand)
                 # children last index first, so the smallest pops next
                 stack.extend(chosen + (j,) for j in range(n - 1, after - 1, -1) if cand >> j & 1)
-
-    def largest(self) -> int:
-        """The size of the largest intersecting subfamily, depth-first; a
-        prefix is not extended once its size plus its count of possible
-        extensions cannot pass the largest found."""
-        n = len(self.bodies)
-        best, stack = 0, [((), (1 << n) - 1)]
-        while stack:
-            chosen, within = stack.pop()
-            best = max(best, len(chosen))
-            if len(chosen) + within.bit_count() > best:
-                cand = self.extensions(chosen, within)
-                stack.extend((chosen + (j,), cand >> j + 1 << j + 1)
-                             for j in range(n - 1, -1, -1) if cand >> j & 1)
-        return best
 
 
 @dataclass(frozen=True)
@@ -410,11 +388,8 @@ def degeneracy_level(F: Family):
     In 1D the candidates are the right endpoints, and the depth of x is
     the number of left endpoints at most x less the number of right
     endpoints below it, read off the two sorted endpoint lists.  In 2D
-    the bodies holding a point form an intersecting subfamily, and the
-    largest one holds the lexmax of its region, which by Helly is a body's
-    or a pair's lexmax: so the greatest depth is the size of the largest
-    intersecting subfamily, read off the nerve, and the scan stops at the
-    first candidate that reaches it."""
+    no point lies in more bodies than one body meets, itself included, so
+    the scan stops at the first candidate that reaches that count."""
     if F.dimension == 1:
         los = sorted(body.lo for body in F.bodies)
         his = sorted(body.hi for body in F.bodies)
@@ -426,11 +401,16 @@ def degeneracy_level(F: Family):
         return len(F) - depth(point), point
     from .piercing import candidate_points
 
-    deepest = F._nerve.largest()
+    # a point lies in no more bodies than one of them meets, itself included
+    bound = 1 + max(Counter(itertools.chain.from_iterable(F.pair_regions)).values(), default=0)
+    best_count, best_point = -1, None
     for point in candidate_points(F):
-        if sum(1 for body in F.bodies if body_contains_point(body, point)) == deepest:
-            return len(F) - deepest, point
-    raise AssertionError(f"no candidate point lies in {deepest} bodies")
+        count = sum(1 for body in F.bodies if body_contains_point(body, point))
+        if count > best_count:
+            best_count, best_point = count, point
+            if count == bound:  # no later candidate can be deeper
+                break
+    return len(F) - best_count, best_point
 
 
 def is_t_degenerate(F: Family, t: int):

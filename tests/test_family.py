@@ -341,12 +341,15 @@ class TestDegeneracy:
             F = Family.of(bodies)
             assert degeneracy_level(F) == scan_degeneracy(F)
 
-    def test_2d_raises_when_no_candidate_is_deep_enough(self, monkeypatch):
-        F = Family.of([box(0, 0, 2, 2), box(1, 1, 3, 3), box(5, 5, 6, 6)])
-        assert degeneracy_level(Family(2, F.bodies)) == (1, pt(2, 2))
-        monkeypatch.setattr(familymod._Nerve, "largest", lambda nerve: 3)
-        with pytest.raises(AssertionError, match="no candidate point lies in 3 bodies"):
-            degeneracy_level(F)
+    def test_2d_scan_stops_at_the_pair_degree_bound(self, monkeypatch):
+        # every pair of nested boxes meets, and the first candidate (1, 1)
+        # lies in all of them, so no other candidate is tested
+        F = Family.of([box(-i - 1, -i - 1, i + 1, i + 1) for i in range(8)])
+        calls = []
+        monkeypatch.setattr(familymod, "body_contains_point",
+                            lambda body, point: calls.append(point) or body_contains_point(body, point))
+        assert degeneracy_level(F) == (0, pt(1, 1))
+        assert calls == [pt(1, 1)] * 8
 
     def test_copies_zero_degenerate(self):
         F = Family.of([Interval(0, 1)] * 5)

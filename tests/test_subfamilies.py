@@ -85,9 +85,10 @@ class TestPairRegions:
     def test_cached_per_family_object(self):
         F = random_family(GeneratorSpec("random_polygons", n=5, seed=1, span=5))
         assert F.pair_regions is F.pair_regions
-        # outside the fields: equality and hashing ignore the table
+        # outside the fields: equality and hashing ignore the table, and a
+        # new object holds none until asked
         G = Family(F.dimension, F.bodies)
-        assert G == F and hash(G) == hash(F) and "pair_regions" not in vars(G)
+        assert G == F and hash(G) == hash(F) and not hasattr(G, "_memo")
 
     def test_1d_sweep_paths_build_no_table(self):
         for F in families_1d():
@@ -96,7 +97,7 @@ class TestPairRegions:
             count_intersecting_qtuples(F, 3)
             degeneracy_level(F)
             min_piercing(F)
-            assert "pair_regions" not in vars(F)
+            assert not hasattr(F, "_memo")
 
     def test_1d_count_in_closed_form(self):
         # 20 nested intervals: every 10-subset meets, C(20, 10) of them
