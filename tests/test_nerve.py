@@ -3,6 +3,9 @@ cliques for larger subfamilies), checked against the region walk it
 replaced, which stays here as the oracle."""
 
 import pickle
+import random
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +24,7 @@ from pqpierce.family import (
 )
 from pqpierce.generators import GeneratorSpec, random_family
 from pqpierce.geometry import Line, line_meets_body
-from pqpierce.piercing import candidate_points, ms_line
+from pqpierce.piercing import candidate_points, min_piercing, ms_line
 
 from conftest import box, intersecting_subfamilies, polygon_families
 
@@ -123,3 +126,47 @@ def test_pairs_and_triples_are_clipped_once(clip_calls):
     clipped = len(clip_calls)
     f_vector(Family(F.dimension, F.bodies))  # a new object builds its own nerve
     assert len(clip_calls) > clipped
+
+
+def dense(seed):
+    return random_family(GeneratorSpec("random_polygons", n=7, seed=seed, span=4))
+
+
+def sparse(seed):
+    return random_family(GeneratorSpec("random_polygons", n=7, seed=seed))
+
+
+def meeting(seed):
+    """Seven boxes around the origin: every pair meets."""
+    rng = random.Random(seed)
+    return Family.of([box(-rng.randint(1, 3), -rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3))
+                      for _ in range(7)])
+
+
+#: query -> (family maker, query, its clips on the families of seeds 0-5)
+CLIP_PINS = {
+    "max_r": (dense, lambda F: max_r(F, 5, 3), [39, 43, 31, 41, 39, 51]),
+    "count": (dense, lambda F: count_intersecting_qtuples(F, 4), [33, 42, 27, 37, 34, 50]),
+    "f_vector": (dense, f_vector, [40, 44, 33, 42, 41, 52]),
+    "degeneracy": (dense, degeneracy_level, [21] * 6),
+    "min_piercing": (dense, min_piercing, [21] * 6),
+    "ms_line_sparse": (sparse, ms_line, [10, 8, 7, 8, 9, 9]),
+    "ms_line_meeting": (meeting, ms_line, [21] * 6),
+    "satisfies_pqr": (dense, lambda F: satisfies_pqr(F, len(F), len(F) - 1, 1), [12, 5, 5, 33, 10, 43]),
+}
+
+
+@pytest.mark.parametrize("name", CLIP_PINS)
+def test_clips_per_query_are_pinned(name, clip_calls):
+    """Each query alone on fresh families clips exactly as often as it
+    did when these counts were recorded: a change to the nerve or the
+    solvers may not ask for more geometry, nor silently for less."""
+    make, query, want = CLIP_PINS[name]
+    counts = []
+    for seed in range(len(want)):
+        F = make(seed)
+        _intersecting_qtuples.cache_clear()  # keyed on equality, not on the object
+        clip_calls.clear()
+        query(F)
+        counts.append(len(clip_calls))
+    assert counts == want
