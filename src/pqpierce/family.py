@@ -2,13 +2,13 @@
 
 A family is an ordered multiset of same-dimension bodies; duplicates are
 distinct members (index identity), which the extremal constructions rely
-on.  Each family holds one lazy nerve: pair and triple flags, Helly
-cliques.  A pair is clipped the first time it is asked for and its region
+on.  Each family holds one lazy nerve, one memo of pair and triple flags,
+Helly cliques.  A pair is clipped when first asked for and its region
 kept (:attr:`Family.pair_regions` is the all-pairs view); a triple's flag
 is one clip of a kept pair region with the third body.  By Helly's
 theorem a subfamily of three or more planar bodies meets exactly when
-each of its triples does, so every larger subfamily is a clique test on
-bitmasks of triple links, with no geometry.  In 1D one sweep over the
+each of its triples does, so every larger subfamily is read off the
+memoised flags, with no geometry.  In 1D one sweep over the
 intervals sorted by left endpoint gives the intersecting subfamilies in
 closed form, because by Helly a set of intervals meets exactly when its
 pairs do; the through-line property is that sweep over the bodies'
@@ -31,7 +31,7 @@ import itertools
 from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 
 from .errors import ArityError, BudgetExceededError, DimensionMismatchError
@@ -43,56 +43,46 @@ DEFAULT_WORK_BUDGET = 5_000_000
 
 class _Nerve:
     """The pair and triple flags of one family, each clipped once, when
-    first asked for.  ``flags[chosen]``, for an index (i,) or a meeting
-    pair (i, j), holds two masks over the later indices k: those whose
-    flag is known, and those for which chosen + (k,) meets.  A pair's
-    region is kept in ``regions``; a triple's flag clips it with the
-    third body."""
+    first asked for, in one memo: ``memo[i, j]`` holds the region of the
+    pair i < j, or None when it misses, and ``memo[i, j, k]`` the flag of
+    the triple i < j < k, which clips that pair's region with body k."""
 
     def __init__(self, bodies):
         self.bodies = bodies
-        self.flags: dict[tuple[int, ...], tuple[int, int]] = {}
-        self.regions: dict[tuple[int, int], ConvexBody] = {}
-        self.complete = False  # every pair asked for, regions in order
-
-    def meets(self, chosen: tuple[int, ...], within: int) -> int:
-        """The mask of the k in ``within`` (all past chosen's last index)
-        for which chosen + (k,) meets."""
-        known, meet = self.flags.get(chosen, (0, 0))
-        todo = within & ~known
-        if todo:
-            base = self.bodies[chosen[0]] if len(chosen) == 1 else self.pair(*chosen)
-            for k in range(chosen[-1] + 1, len(self.bodies)):
-                if todo >> k & 1 and (region := intersect_bodies([base, self.bodies[k]])) is not None:
-                    meet |= 1 << k
-                    if len(chosen) == 1:
-                        self.regions[chosen[0], k] = region
-            self.flags[chosen] = (known | todo, meet)
-        return meet & within
+        self.memo: dict[tuple[int, ...], object] = {}
 
     def pair(self, i: int, j: int):
         """The region of bodies i < j, or None when they miss."""
-        self.meets((i,), 1 << j)
-        return self.regions.get((i, j))
+        if (i, j) not in self.memo:
+            self.memo[i, j] = intersect_bodies([self.bodies[i], self.bodies[j]])
+        return self.memo[i, j]
 
+    def fits(self, chosen: tuple[int, ...], k: int) -> bool:
+        """Whether the intersecting subfamily ``chosen`` plus k, past all
+        its members, meets.  By Helly it does when k meets chosen's first
+        member and each pair of chosen's members meets k, asked for in
+        that order up to the first miss."""
+        if chosen and self.pair(chosen[0], k) is None:
+            return False
+        for i, j in itertools.combinations(chosen, 2):
+            if (i, j, k) not in self.memo:
+                region = intersect_bodies([self.pair(i, j), self.bodies[k]])
+                self.memo[i, j, k] = region is not None
+            if not self.memo[i, j, k]:
+                return False
+        return True
+
+    @cached_property
     def all_pairs(self) -> dict[tuple[int, int], ConvexBody]:
-        if not self.complete:
-            n = len(self.bodies)
-            for i in range(n):
-                self.meets((i,), (1 << n) - (2 << i))
-            # no pair is added after this, so the order holds
-            self.regions = dict(sorted(self.regions.items()))
-            self.complete = True
-        return self.regions
+        return {ij: region for ij in itertools.combinations(range(len(self.bodies)), 2)
+                if (region := self.pair(*ij)) is not None}
 
     def walk(self, lo: int, hi: int):
         """Yield, in lexicographic order, the index tuples of the
         intersecting subfamilies with lo <= size <= hi, for 1 <= lo <= n.
-        A prefix is extended only by indices k from which size lo can
-        still be reached and, by Helly, whose pair flag with its first
-        member and triple flags with each pair of its members hold, asked
-        for in that order and only while some k is left, so a query asks
-        only for the flags it needs."""
+        A prefix is extended only by the indices k from which size lo can
+        still be reached and that it fits, so a query asks only for the
+        flags it needs."""
         n = len(self.bodies)
         stack = [()]
         while stack:
@@ -101,13 +91,10 @@ class _Nerve:
                 yield chosen
             if len(chosen) < hi:
                 after = chosen[-1] + 1 if chosen else 0
-                # the indices in [after, n - max(lo - size - 1, 0))
-                cand = (1 << n - max(lo - len(chosen) - 1, 0)) - (1 << after)
-                for link in (chosen[:1], *itertools.combinations(chosen, 2)):
-                    if link and cand:
-                        cand = self.meets(link, cand)
+                stop = n - max(lo - len(chosen) - 1, 0)
                 # children last index first, so the smallest pops next
-                stack.extend(chosen + (j,) for j in range(n - 1, after - 1, -1) if cand >> j & 1)
+                stack.extend(chosen + (k,) for k in range(stop - 1, after - 1, -1)
+                             if self.fits(chosen, k))
 
 
 @dataclass(frozen=True)
@@ -163,7 +150,7 @@ class Family:
         """The region of every meeting pair (i, j), i < j, in lexicographic
         order; the all-pairs view of the nerve, so each pair is clipped
         once."""
-        return self._nerve.all_pairs()
+        return self._nerve.all_pairs
 
 
 @dataclass(frozen=True)

@@ -109,66 +109,53 @@ def sweep_piercing_1d(F: Family) -> PiercingSet:
     return _certified(F, points)
 
 
-def _pairwise_disjoint_lower_bound(
-    uncovered: list[int], disjoint: list[list[bool]]
-) -> int:
-    """Greedy pairwise-disjoint packing: each chosen body needs its own
-    piercing point, so the packing size lower-bounds the cover size."""
-    packed: list[int] = []
-    for i in uncovered:
-        if all(disjoint[i][j] for j in packed):
-            packed.append(i)
-    return len(packed)
-
-
 def branch_and_bound_piercing(
     F: Family,
     candidates: Optional[list] = None,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> PiercingSet:
     """Exact minimum piercing via branch-and-bound set cover over a
-    sufficient candidate-point set (works in 1D and 2D)."""
+    sufficient candidate-point set (works in 1D and 2D).
+
+    Sets of bodies are int bitmasks: each candidate's cover, the bodies
+    left uncovered, and each body's meet mask from
+    :attr:`Family.pair_regions`.  A node is pruned when its points plus a
+    greedy packing of pairwise-disjoint uncovered bodies, each needing its
+    own point, reach the best cover so far; otherwise it branches on the
+    covers of the uncovered body that the fewest covers hold."""
     n = len(F)
     if candidates is None:
         candidates = candidate_points(F)
     covers = []
     for point in candidates:
-        mask = frozenset(
-            i for i, body in enumerate(F.bodies) if body_contains_point(body, point)
-        )
+        mask = sum(1 << i for i, body in enumerate(F.bodies) if body_contains_point(body, point))
         if mask:
             covers.append((point, mask))
     # drop candidates whose coverage is dominated by an earlier one
-    covers.sort(key=lambda pm: (-len(pm[1]), pm[0]))
+    covers.sort(key=lambda pm: (-pm[1].bit_count(), pm[0]))
     kept: list[tuple] = []
     for point, mask in covers:
-        if not any(mask <= other for _, other in kept):
+        if not any(mask | other == other for _, other in kept):
             kept.append((point, mask))
-    covers = kept
-    if not all(any(i in mask for _, mask in covers) for i in range(n)):
+    masks = [mask for _, mask in kept]
+    holders = [sum(mask >> i & 1 for mask in masks) for i in range(n)]
+    if 0 in holders:
         raise AssertionError("candidate points fail to cover some body")
-
-    disjoint = [[i != j for j in range(n)] for i in range(n)]
+    meets = [1 << i for i in range(n)]
     for i, j in F.pair_regions:
-        disjoint[i][j] = disjoint[j][i] = False
-    point_choices: dict[int, list[int]] = {
-        i: [ci for ci, (_, mask) in enumerate(covers) if i in mask] for i in range(n)
-    }
+        meets[i] |= 1 << j
+        meets[j] |= 1 << i
 
     # greedy cover for an initial upper bound
-    greedy: list[int] = []
-    uncovered = set(range(n))
+    best: list[int] = []
+    uncovered = (1 << n) - 1
     while uncovered:
-        ci = max(
-            range(len(covers)),
-            key=lambda ci: (len(covers[ci][1] & uncovered), -ci),
-        )
-        greedy.append(ci)
-        uncovered -= covers[ci][1]
-    best: list[int] = greedy
+        ci = max(range(len(masks)), key=lambda ci: ((masks[ci] & uncovered).bit_count(), -ci))
+        best.append(ci)
+        uncovered &= ~masks[ci]
     nodes = 0
 
-    def search(chosen: list[int], uncovered: frozenset[int]) -> None:
+    def search(chosen: list[int], uncovered: int) -> None:
         nonlocal best, nodes
         nodes += 1
         if nodes > node_budget:
@@ -179,15 +166,20 @@ def branch_and_bound_piercing(
             if len(chosen) < len(best):
                 best = list(chosen)
             return
-        lb = _pairwise_disjoint_lower_bound(sorted(uncovered), disjoint)
-        if len(chosen) + max(lb, 1) >= len(best):
+        left = [i for i in range(n) if uncovered >> i & 1]
+        packed = 0
+        for i in left:
+            if not meets[i] & packed:
+                packed |= 1 << i
+        if len(chosen) + packed.bit_count() >= len(best):
             return
-        pivot = min(uncovered, key=lambda i: (len(point_choices[i]), i))
-        for ci in point_choices[pivot]:
-            search(chosen + [ci], uncovered - covers[ci][1])
+        pivot = min(left, key=lambda i: (holders[i], i))
+        for ci, mask in enumerate(masks):
+            if mask >> pivot & 1:
+                search(chosen + [ci], uncovered & ~mask)
 
-    search([], frozenset(range(n)))
-    return _certified(F, [covers[ci][0] for ci in best])
+    search([], (1 << n) - 1)
+    return _certified(F, [kept[ci][0] for ci in best])
 
 
 def min_piercing(F: Family, node_budget: int = DEFAULT_NODE_BUDGET) -> PiercingSet:
@@ -344,12 +336,8 @@ def ms_line(F: Family) -> LineLemmaWitness:
         verts = poly.vertices
         directions.update(w - u for u, w in zip(verts, verts[1:] + verts[:1]) if u != w)
 
-    tried = set()
-    for dvec in sorted(directions):
-        line = Line.from_point_direction(x0, dvec)
-        if line in tried:
-            continue
-        tried.add(line)
+    # each line once, first met in the order of its directions
+    for line in dict.fromkeys(Line.from_point_direction(x0, dvec) for dvec in sorted(directions)):
         sa = [line.side(v) for v in wa.vertices]
         sb = [line.side(v) for v in wb.vertices]
         separates = (min(sa) >= 0 and max(sb) <= 0) or (max(sa) <= 0 and min(sb) >= 0)
@@ -376,15 +364,16 @@ def line_pierce(F: Family, line: Line, p: int, k: int) -> PiercingSet:
         raise PremiseViolationError(
             f"family does not satisfy the (p,2)_{r0} property through the line"
         )
-    missing = {i for i in range(len(F)) if not line_meets_body(line, F.bodies[i])}
+    traces = [line_trace(body, line) for body in F.bodies]
+    missing = [i for i, trace in enumerate(traces) if trace is None]
     if len(missing) > k:
         raise PremiseViolationError(
             f"{len(missing)} bodies miss the line, more than k={k}",
-            witness=tuple(sorted(missing)),
+            witness=tuple(missing),
         )
-    points: list[Point] = [lexmax_body(F.bodies[i]) for i in sorted(missing)]
+    points: list[Point] = [lexmax_body(F.bodies[i]) for i in missing]
 
-    traces = [line_trace(body, line) for i, body in enumerate(F.bodies) if i not in missing]
+    traces = [trace for trace in traces if trace is not None]
     if traces:
         solved = sweep_piercing_1d(Family(1, tuple(traces)))
         base, direction = line.some_point(), line.direction()

@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 from hypothesis import strategies as st
@@ -9,8 +10,18 @@ from hypothesis import strategies as st
 from pqpierce import family as familymod
 from pqpierce import geometry
 from pqpierce import piercing as piercingmod
+from pqpierce.errors import BudgetExceededError
 from pqpierce.family import Family
-from pqpierce.geometry import ConvexPolygon, Interval, Point, intersect_bodies, lexmax_body, pt
+from pqpierce.geometry import (
+    ConvexPolygon,
+    Interval,
+    Point,
+    body_contains_point,
+    intersect_bodies,
+    lexmax_body,
+    pt,
+)
+from pqpierce.piercing import DEFAULT_NODE_BUDGET, PiercingSet, _certified, candidate_points
 
 
 def box(x0, y0, x1, y1) -> ConvexPolygon:
@@ -67,6 +78,91 @@ def exhaustive_candidate_points(F: Family) -> list:
     unreduced candidate set used to validate the pair reduction."""
     walk = intersecting_subfamilies(F, range(1, len(F) + 1))
     return sorted({lexmax_body(region) for _, region in walk})
+
+
+def _pairwise_disjoint_lower_bound(
+    uncovered: list[int], disjoint: list[list[bool]]
+) -> int:
+    """Greedy pairwise-disjoint packing: each chosen body needs its own
+    piercing point, so the packing size lower-bounds the cover size."""
+    packed: list[int] = []
+    for i in uncovered:
+        if all(disjoint[i][j] for j in packed):
+            packed.append(i)
+    return len(packed)
+
+
+def frozenset_branch_and_bound(
+    F: Family,
+    candidates: Optional[list] = None,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+) -> PiercingSet:
+    """Exact minimum piercing via branch-and-bound set cover over a
+    sufficient candidate-point set (works in 1D and 2D).
+
+    The solver as it was before it moved to bitmasks, kept verbatim as
+    the oracle for ``piercing.branch_and_bound_piercing``: both must give
+    the same points and visit the same nodes."""
+    n = len(F)
+    if candidates is None:
+        candidates = candidate_points(F)
+    covers = []
+    for point in candidates:
+        mask = frozenset(
+            i for i, body in enumerate(F.bodies) if body_contains_point(body, point)
+        )
+        if mask:
+            covers.append((point, mask))
+    # drop candidates whose coverage is dominated by an earlier one
+    covers.sort(key=lambda pm: (-len(pm[1]), pm[0]))
+    kept: list[tuple] = []
+    for point, mask in covers:
+        if not any(mask <= other for _, other in kept):
+            kept.append((point, mask))
+    covers = kept
+    if not all(any(i in mask for _, mask in covers) for i in range(n)):
+        raise AssertionError("candidate points fail to cover some body")
+
+    disjoint = [[i != j for j in range(n)] for i in range(n)]
+    for i, j in F.pair_regions:
+        disjoint[i][j] = disjoint[j][i] = False
+    point_choices: dict[int, list[int]] = {
+        i: [ci for ci, (_, mask) in enumerate(covers) if i in mask] for i in range(n)
+    }
+
+    # greedy cover for an initial upper bound
+    greedy: list[int] = []
+    uncovered = set(range(n))
+    while uncovered:
+        ci = max(
+            range(len(covers)),
+            key=lambda ci: (len(covers[ci][1] & uncovered), -ci),
+        )
+        greedy.append(ci)
+        uncovered -= covers[ci][1]
+    best: list[int] = greedy
+    nodes = 0
+
+    def search(chosen: list[int], uncovered: frozenset[int]) -> None:
+        nonlocal best, nodes
+        nodes += 1
+        if nodes > node_budget:
+            raise BudgetExceededError(
+                f"piercing search exceeded {node_budget} nodes on {n} bodies"
+            )
+        if not uncovered:
+            if len(chosen) < len(best):
+                best = list(chosen)
+            return
+        lb = _pairwise_disjoint_lower_bound(sorted(uncovered), disjoint)
+        if len(chosen) + max(lb, 1) >= len(best):
+            return
+        pivot = min(uncovered, key=lambda i: (len(point_choices[i]), i))
+        for ci in point_choices[pivot]:
+            search(chosen + [ci], uncovered - covers[ci][1])
+
+    search([], frozenset(range(n)))
+    return _certified(F, [covers[ci][0] for ci in best])
 
 
 #: hulls of one to four small integer points: points, segments and

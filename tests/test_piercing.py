@@ -33,7 +33,15 @@ from pqpierce.piercing import (
     sweep_piercing_1d,
 )
 
-from conftest import box, brute_pair_regions, exhaustive_candidate_points, intervals, ring_caps
+from conftest import (
+    box,
+    brute_pair_regions,
+    exhaustive_candidate_points,
+    frozenset_branch_and_bound,
+    intervals,
+    polygon_families,
+    ring_caps,
+)
 
 
 def clipping_guarantee_holds(F, ai, bi, line):
@@ -71,6 +79,63 @@ class TestCandidatePoints:
             a = branch_and_bound_piercing(F)
             b = branch_and_bound_piercing(F, candidates=exhaustive_candidate_points(F))
             assert len(a) == len(b)
+
+
+def oracle_families():
+    """Seeded 1D and 2D families, and tie-heavy ones: duplicated bodies,
+    nested boxes and squares that touch at a corner or along an edge."""
+    for seed in range(24):
+        for n, span in ((6, 3), (9, 4), (9, 5), (8, 12)):
+            yield random_family(GeneratorSpec("random_polygons", n=n, seed=seed, span=span))
+        yield random_family(GeneratorSpec("random_intervals", n=7 + seed % 3, seed=seed))
+    for seed in range(4):
+        F = random_family(GeneratorSpec("random_polygons", n=5, seed=seed, span=4))
+        yield Family.of(F.bodies + F.bodies[1:4])
+        G = random_family(GeneratorSpec("random_intervals", n=5, seed=seed))
+        yield Family.of(G.bodies + G.bodies[:2])
+    yield Family.of([box(-i, -i, i + 1, i + 1) for i in range(6)])
+    yield Family.of([box(i, 0, i + 4, 2 + i) for i in range(5)] + [box(1, 1, 2, 2)])
+    yield Family.of([box(i, j, i + 1, j + 1) for i in range(3) for j in range(3)])
+    yield Family.of([box(0, 0, 1, 1), box(1, 1, 2, 2), box(2, 0, 3, 1), box(1, -1, 2, 0),
+                     box(0, 2, 1, 3), box(2, 2, 3, 3)])
+    yield ring_caps()
+
+
+def nodes_needed(solver, F, **kwargs) -> int:
+    """The smallest node budget under which the solver finishes."""
+    budget = 1
+    while True:
+        try:
+            solver(F, node_budget=budget, **kwargs)
+            return budget
+        except BudgetExceededError:
+            budget += 1
+
+
+class TestBranchAndBoundOracle:
+    """The bitmask solver against the frozenset solver it replaced: the
+    same points, and the same number of search nodes."""
+
+    def test_same_points_and_nodes(self):
+        for F in oracle_families():
+            assert branch_and_bound_piercing(F) == frozenset_branch_and_bound(F)
+            assert (nodes_needed(branch_and_bound_piercing, F)
+                    == nodes_needed(frozenset_branch_and_bound, F))
+
+    def test_same_points_on_exhaustive_candidates(self):
+        for F in oracle_families():
+            if len(F) > 8:  # every subfamily's lexmax: keep the walk small
+                continue
+            candidates = exhaustive_candidate_points(F)
+            # in the order given, too: the domination filter sorts them
+            for order in (candidates, candidates[::-1]):
+                assert (branch_and_bound_piercing(F, candidates=order)
+                        == frozenset_branch_and_bound(F, candidates=order))
+
+    @settings(max_examples=60, deadline=None)
+    @given(polygon_families())
+    def test_same_points_on_touching_polygons(self, F):
+        assert branch_and_bound_piercing(F) == frozenset_branch_and_bound(F)
 
 
 class TestMinPiercing:
