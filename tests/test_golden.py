@@ -69,11 +69,12 @@ def calls():
         yield ["experiment", f"{{tmp}}/{name}.config"]
 
 
-def run(argv, tmp) -> tuple[int, str]:
+def write_configs(tmp) -> None:
     for name, config in CONFIGS.items():
-        path = pathlib.Path(tmp, f"{name}.config")
-        if not path.exists():
-            path.write_text(json.dumps(config))
+        pathlib.Path(tmp, f"{name}.config").write_text(json.dumps(config))
+
+
+def run(argv, tmp) -> tuple[int, str]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main([arg.replace("{tmp}", str(tmp)) for arg in argv])
@@ -83,12 +84,14 @@ def run(argv, tmp) -> tuple[int, str]:
 def test_cli_transcript_is_unchanged(tmp_path):
     records = [json.loads(line) for line in TRANSCRIPT.read_text().splitlines()]
     assert [record["argv"] for record in records] == list(calls())
+    write_configs(tmp_path)
     for record in records:
         code, stdout = run(record["argv"], tmp_path)
         assert (code, stdout) == (record["exit"], record["stdout"]), record["argv"]
 
 
 def record(tmp) -> None:
+    write_configs(tmp)
     with TRANSCRIPT.open("w") as handle:
         for argv in calls():
             code, stdout = run(argv, tmp)
