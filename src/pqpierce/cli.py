@@ -355,31 +355,16 @@ def _experiment_rows(config):
                 ]
                 F = genmod.random_family(genmod.GeneratorSpec(kind, n=max(n, p), seed=seed))
                 for q in qs:
-                    row = {
-                        "seed": seed,
-                        "n": len(F),
-                        "p": p,
-                        "q": q,
-                        "r_threshold": 1,
-                        "theorem_tag": tag,
-                        "pierce_bound_claimed": p - q + 1,
-                    }
-                    yield _finish_row(row, F)
+                    yield _finish_row(tag, seed, F, p, q, 1, p - q + 1)
     elif tag == "prop-dim1":
         for p in grid.get("p", [4, 5, 6, 7, 8, 9]):
             for q in grid.get("q") or range(2, p + 1):
                 for k in grid.get("k") or range(0, p - q):
+                    # the family first: for a k out of range of both, its
+                    # error is the one reported
                     F = genmod.extremal_dim1(p, k)
-                    row = {
-                        "seed": 0,
-                        "n": len(F),
-                        "p": p,
-                        "q": q,
-                        "r_threshold": boundsmod.dim1_threshold(p, q, k).threshold_r,
-                        "theorem_tag": tag,
-                        "pierce_bound_claimed": k + 2,
-                    }
-                    yield _finish_row(row, F)
+                    r = boundsmod.dim1_threshold(p, q, k).threshold_r
+                    yield _finish_row(tag, 0, F, p, q, r, k + 2)
     else:  # kalai
         for seed in seeds:
             F = genmod.random_family(genmod.GeneratorSpec(kind, n=n, seed=seed))
@@ -410,20 +395,20 @@ def _experiment_rows(config):
                 break  # smallest s dominates; one row set per seed and q
 
 
-def _finish_row(row: dict, F: Family) -> tuple:
+def _finish_row(tag: str, seed: int, F: Family, p: int, q: int, r, claimed: int) -> tuple:
+    """The row of one (p, q) query on F, with the family and a violation
+    of the claimed piercing bound or None."""
+    row = {"seed": seed, "n": len(F), "p": p, "q": q, "r_threshold": r,
+           "theorem_tag": tag, "pierce_bound_claimed": claimed}
     try:
-        report = familymod.max_r(F, row["p"], row["q"])
+        report = familymod.max_r(F, p, q)
         row["max_r"] = report.max_r
-        holds = report.max_r >= row["r_threshold"]
         actual = len(piercingmod.min_piercing(F))
         row["pierce_actual"] = actual
         row["status"] = "ok"
         violation = None
-        if holds and actual > row["pierce_bound_claimed"]:
-            violation = (
-                f"pierced by {actual} > claimed {row['pierce_bound_claimed']} "
-                f"(seed {row['seed']}, p={row['p']}, q={row['q']})"
-            )
+        if report.max_r >= r and actual > claimed:
+            violation = f"pierced by {actual} > claimed {claimed} (seed {seed}, p={p}, q={q})"
         return row, F, violation
     except BudgetExceededError:  # the CSV writer leaves unset columns empty
         row["status"] = "budget_exceeded"

@@ -176,7 +176,8 @@ def _check_arity(F: Family, p: int, q: int) -> None:
 def _interval_sweep(bodies):
     """Yield (i, earlier) for every interval of a sequence in (lo, index)
     order, where ``earlier`` lists the intervals before i in that order
-    whose ``hi`` reaches ``lo_i``.
+    whose ``hi`` reaches ``lo_i``.  None entries are skipped, and the
+    others keep their indices in the sequence.
 
     Each of them contains ``lo_i``, so i with any subset of ``earlier`` is
     an intersecting subfamily whose last member in this order is i, and
@@ -184,7 +185,8 @@ def _interval_sweep(bodies):
     contain the largest left endpoint among them.
     """
     active: list[int] = []
-    for i in sorted(range(len(bodies)), key=lambda j: (bodies[j].lo, j)):
+    for i in sorted((j for j, body in enumerate(bodies) if body is not None),
+                    key=lambda j: (bodies[j].lo, j)):
         lo = bodies[i].lo
         # left endpoints only grow, so an interval ending before lo_i
         # reaches no later one either
@@ -352,17 +354,11 @@ def satisfies_pqr_through_line(F: Family, line: Line, p: int, q: int, r: int,
         raise DimensionMismatchError("through-line property is 2D only")
     if r < 1:
         raise ArityError(f"r must be >= 1, got {r}")
-
-    def on_line():
-        # the common part of some members meets the line exactly when their
-        # traces on it meet: a 1D sweep over the bodies that meet the line
-        traces = {i: trace for i, body in enumerate(F.bodies)
-                  if (trace := line_trace(body, line)) is not None}
-        ids = list(traces)
-        return {tuple(ids[k] for k in indices)
-                for indices in _swept_qtuples(list(traces.values()), q)}
-
-    best, _ = _fewest_flagged(F, p, q, on_line, r, work_budget, "through-line")
+    # the common part of some members meets the line exactly when their
+    # traces on it meet: a 1D sweep over the traces, a miss being None
+    best, _ = _fewest_flagged(
+        F, p, q, lambda: _swept_qtuples([line_trace(body, line) for body in F.bodies], q),
+        r, work_budget, "through-line")
     return best >= r
 
 

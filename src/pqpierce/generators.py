@@ -48,6 +48,8 @@ class GeneratorSpec:
         # random.Random(None) would seed from the OS, a new family per call
         if type(self.seed) is not int:
             raise ArityError(f"seed must be an int, got {self.seed!r}")
+        if self.grid < 1:  # coordinates are multiples of 1/grid
+            raise ArityError(f"grid must be >= 1, got {self.grid}")
 
 
 def extremal_dim1(p: int, k: int) -> Family:
@@ -74,27 +76,11 @@ def disjoint_plus_container(a: int, b: int, dimension: int) -> Family:
         big = Interval(0, max(2 * a - 1, 1))
         return Family(1, tuple(small + [big] * b))
     if dimension == 2:
-        small = [
-            ConvexPolygon.from_points(
-                [
-                    Point(Fraction(2 * i), Fraction(0)),
-                    Point(Fraction(2 * i + 1), Fraction(0)),
-                    Point(Fraction(2 * i + 1), Fraction(1)),
-                    Point(Fraction(2 * i), Fraction(1)),
-                ]
-            )
-            for i in range(a)
-        ]
-        w = max(2 * a - 1, 1)
-        big = ConvexPolygon.from_points(
-            [
-                Point(Fraction(0), Fraction(0)),
-                Point(Fraction(w), Fraction(0)),
-                Point(Fraction(w), Fraction(1)),
-                Point(Fraction(0), Fraction(1)),
-            ]
-        )
-        return Family(2, tuple(small + [big] * b))
+        def box(x0, x1):  # the rectangle [x0, x1] x [0, 1]
+            return ConvexPolygon.from_points([Point(x, y) for x in (x0, x1) for y in (0, 1)])
+
+        small = [box(2 * i, 2 * i + 1) for i in range(a)]
+        return Family(2, tuple(small + [box(0, max(2 * a - 1, 1))] * b))
     raise ArityError(f"dimension must be 1 or 2, got {dimension}")
 
 

@@ -332,12 +332,13 @@ def line_meets_body(line: Line, body: ConvexBody) -> bool:
 def line_trace(body: ConvexPolygon, line: Line) -> Optional[Interval]:
     """The t for which ``line.some_point() + t * line.direction()`` lies in
     the body, as an interval, or None when the body misses the line."""
-    if not line_meets_body(line, body):
+    below = _clip_halfplane(body.vertices, line.a, line.b, line.c)
+    trace = below and _clip_halfplane(below, -line.a, -line.b, -line.c)
+    if trace is None:
         return None
-    trace = clip_polygon(clip_polygon(body, line.a, line.b, line.c), -line.a, -line.b, -line.c)
     base, direction = line.some_point(), line.direction()
     scale = dot(direction, direction)
-    ts = [dot(v - base, direction) / scale for v in trace.vertices]
+    ts = [dot(v - base, direction) / scale for v in trace]
     return Interval(min(ts), max(ts))
 
 

@@ -229,13 +229,10 @@ def hd_pierce(F: Family, p: int, q: int) -> PiercingSet:
                 raise AssertionError("Helly base case found empty intersection")
             points.append(lexmax_body(region))
             break
-        # active is increasing, so sub's index tuples order as F's do
+        # active is increasing, so sub's index tuples order as F's do.  Some
+        # d-tuple meets: sub has a cp-subset, max_r >= 1 gives it a meeting
+        # cq-tuple, and cq > d (2cq > cp + 2 > cq + 2 in 2D, q >= 2 in 1D).
         regions = sub.pair_regions if d == 2 else {(i,): body for i, body in enumerate(sub.bodies)}
-        if not regions:
-            raise PremiseViolationError(
-                f"no intersecting {d}-tuple among {tuple(active)}",
-                witness=tuple(active),
-            )
         x0, _, a_region = min(((lexmax_body(region), indices, region)
                                for indices, region in regions.items()), key=lambda t: t[:2])
         points.append(x0)
@@ -271,14 +268,9 @@ def _effective_witness_polygon(body: ConvexPolygon, x0: Point) -> ConvexPolygon:
     line, refine to y >= x0.y on it."""
     if not body.contains(x0):
         raise AssertionError("x0 not in body while building witness polygon")
-    clipped = _clip_to_halfplane(body, Fraction(-1), Fraction(0), -x0.x)
-    if all(v.x == x0.x for v in clipped.vertices):
-        clipped = _clip_to_halfplane(clipped, Fraction(0), Fraction(-1), -x0.y)
-    return clipped
-
-
-def _clip_to_halfplane(body: ConvexPolygon, a, b, c) -> ConvexPolygon:
-    clipped = clip_polygon(body, a, b, c)
+    clipped = clip_polygon(body, Fraction(-1), Fraction(0), -x0.x)
+    if clipped is not None and all(v.x == x0.x for v in clipped.vertices):
+        clipped = clip_polygon(clipped, Fraction(0), Fraction(-1), -x0.y)
     if clipped is None:
         raise AssertionError("clip emptied a polygon that must stay nonempty")
     return clipped

@@ -15,6 +15,7 @@ from pqpierce.family import Family
 from pqpierce.geometry import (
     ConvexPolygon,
     Interval,
+    Line,
     Point,
     body_contains_point,
     intersect_bodies,
@@ -169,6 +170,12 @@ def frozenset_branch_and_bound(
 #: polygons that often touch or share a vertex
 POLYGONS = st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=4).map(
     lambda points: ConvexPolygon.from_points([pt(x, y) for x, y in points]))
+
+
+#: lines with small coefficients, which often pass through a vertex of
+#: POLYGONS or along an edge
+LINES = st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-3, 3)).filter(
+    lambda abc: abc[:2] != (0, 0)).map(lambda abc: Line(*abc))
 
 
 @st.composite

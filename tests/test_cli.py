@@ -301,7 +301,14 @@ class TestGenerateCommand:
         # a null seed would draw from the OS, a new family on every run
         (["--spec-json", '{"kind": "random_intervals", "n": 3, "seed": null}'], "ParseError"),
         (["--spec-json", '{"kind": "random_intervals", "n": true}'], "ParseError"),
-    ], ids=["no-p-or-k", "no-k", "no-b", "string-n", "null-seed", "boolean-n"])
+        # coordinates are multiples of 1/grid
+        (["random-intervals", "--n", "3", "--grid", "0"], "ArityError"),
+        (["random-polygons", "--n", "3", "--grid", "0"], "ArityError"),
+        (["random-intervals", "--n", "3", "--grid", "-1"], "ArityError"),
+        (["--spec-json", '{"kind": "random_polygons", "n": 3, "grid": 0}'], "ArityError"),
+        (["--spec-json", '{"kind": "random_intervals", "n": 3, "grid": -2}'], "ArityError"),
+    ], ids=["no-p-or-k", "no-k", "no-b", "string-n", "null-seed", "boolean-n", "intervals-grid-0",
+            "polygons-grid-0", "intervals-grid-minus-1", "spec-grid-0", "spec-grid-minus-2"])
     def test_incomplete_or_mistyped_spec_exit_2(self, argv, error, capsys):
         code, out = run_cli("generate", *argv, capsys=capsys)
         assert code == EXIT_INPUT

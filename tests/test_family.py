@@ -16,6 +16,7 @@ from pqpierce.family import (
     Family,
     _fewest_flagged,
     _intersecting_qtuples,
+    _swept_qtuples,
     count_intersecting_qtuples,
     degeneracy_level,
     f_vector,
@@ -32,11 +33,12 @@ from pqpierce.geometry import (
     body_contains_point,
     intersect_bodies,
     line_meets_body,
+    line_trace,
     pt,
 )
 from pqpierce.piercing import candidate_points
 
-from conftest import box, intervals, polygon_families
+from conftest import LINES, box, intervals, polygon_families
 
 
 def brute_count(F, q):
@@ -283,6 +285,17 @@ class TestSatisfiesPQR:
             satisfies_pqr(intervals((0, 1), (0, 2)), 2, 2, 0)
 
 
+def remapped_trace_flags(F, line, q):
+    """Reference through-line q-tuples: the traces of the bodies that meet
+    the line, swept as a list of their own, each tuple mapped back to the
+    family's indices."""
+    traces = {i: trace for i, body in enumerate(F.bodies)
+              if (trace := line_trace(body, line)) is not None}
+    ids = list(traces)
+    return {tuple(ids[k] for k in indices)
+            for indices in _swept_qtuples(list(traces.values()), q)}
+
+
 class TestThroughLine:
     def test_rectangles_crossing_axis(self):
         axis = Line(0, 1, 0)
@@ -302,6 +315,13 @@ class TestThroughLine:
             for r in range(1, 4):
                 if satisfies_pqr_through_line(F, axis, 4, 2, r):
                     assert satisfies_pqr(F, 4, 2, r)
+
+    @given(polygon_families(), LINES)
+    @settings(max_examples=100, deadline=None)
+    def test_sweep_skips_missing_traces(self, F, line):
+        traces = [line_trace(body, line) for body in F.bodies]
+        for q in range(1, len(F) + 1):
+            assert _swept_qtuples(traces, q) == remapped_trace_flags(F, line, q)
 
 
 def scan_degeneracy(F):

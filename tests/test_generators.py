@@ -1,5 +1,7 @@
 """Generator constructions and their closed-form properties."""
 
+from fractions import Fraction
+
 import pytest
 
 from pqpierce.bounds import binom, dim1_threshold
@@ -12,7 +14,7 @@ from pqpierce.generators import (
     random_family,
     sample_until,
 )
-from pqpierce.geometry import ConvexPolygon, Interval, convex_hull
+from pqpierce.geometry import ConvexPolygon, Interval, Point, convex_hull
 from pqpierce.piercing import min_piercing
 
 
@@ -64,6 +66,20 @@ class TestDisjointPlusContainer:
         F = disjoint_plus_container(3, 0, 2)
         assert max_r(F, 3, 2).max_r == 0
 
+    def test_squares_match_hand_built_vertices(self):
+        def square(x0, x1):
+            return (Point(Fraction(x0), Fraction(0)), Point(Fraction(x1), Fraction(0)),
+                    Point(Fraction(x1), Fraction(1)), Point(Fraction(x0), Fraction(1)))
+
+        for a in range(7):
+            for b in range(5):
+                if a + b == 0:
+                    continue
+                want = [square(2 * i, 2 * i + 1) for i in range(a)]
+                want += [square(0, max(2 * a - 1, 1))] * b
+                F = disjoint_plus_container(a, b, 2)
+                assert [body.vertices for body in F.bodies] == want
+
     def test_validation(self):
         with pytest.raises(ArityError):
             disjoint_plus_container(0, 0, 1)
@@ -102,6 +118,11 @@ class TestRandomFamilies:
     def test_seed_must_be_int(self, seed):
         with pytest.raises(ArityError):
             GeneratorSpec("random_intervals", n=3, seed=seed)
+
+    @pytest.mark.parametrize("grid", [0, -1])
+    def test_grid_must_be_positive(self, grid):
+        with pytest.raises(ArityError, match="grid must be >= 1"):
+            GeneratorSpec("random_intervals", n=3, grid=grid)
 
     def test_unknown_kind(self):
         with pytest.raises(ArityError):

@@ -16,9 +16,11 @@ from pqpierce.geometry import (
     Point,
     clip_polygon,
     convex_hull,
+    dot,
     intersect_bodies,
     lexmax_body,
     line_meets_body,
+    line_trace,
     pt,
     separating_line,
 )
@@ -208,6 +210,57 @@ class TestLineIncidence:
         assert Line(-1, 0, -2) == Line(1, 0, 2)
         with pytest.raises(ValueError):
             Line(0, 0, 1)
+
+
+def polygon_trace(body, line):
+    """Reference trace: the meets check, the body clipped to both closed
+    sides of the line as polygons, then each vertex projected."""
+    if not line_meets_body(line, body):
+        return None
+    trace = clip_polygon(clip_polygon(body, line.a, line.b, line.c), -line.a, -line.b, -line.c)
+    base, direction = line.some_point(), line.direction()
+    scale = dot(direction, direction)
+    ts = [dot(v - base, direction) / scale for v in trace.vertices]
+    return Interval(min(ts), max(ts))
+
+
+directions = st.tuples(coords, coords).filter(lambda d: d != (0, 0)).map(lambda d: pt(*d))
+
+
+class TestLineTrace:
+    def test_square_cases(self):
+        sq = box(0, 0, 2, 2)
+        assert line_trace(sq, Line(0, 1, 1)) == Interval(-2, 0)  # across, direction (-1, 0)
+        assert line_trace(sq, Line(0, 1, 2)) == Interval(-2, 0)  # along the top edge
+        assert line_trace(sq, Line(1, 1, 0)) == Interval(0, 0)  # through a corner only
+        assert line_trace(sq, Line(0, 1, 3)) is None  # above it
+
+    @given(polygons(), st.tuples(coords, coords, coords).filter(lambda abc: abc[:2] != (0, 0)))
+    @settings(max_examples=200, deadline=None)
+    def test_any_line_matches_polygon_trace(self, body, abc):
+        line = Line(*abc)
+        assert line_trace(body, line) == polygon_trace(body, line)
+
+    @given(polygons(max_pts=2), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_points_and_segments(self, body, data):
+        vertex = data.draw(st.sampled_from(body.vertices))
+        line = Line.from_point_direction(vertex, data.draw(directions))
+        assert line_trace(body, line) == polygon_trace(body, line) is not None
+
+    @given(polygons(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_lines_through_a_vertex_along_an_edge_and_missing(self, body, data):
+        i = data.draw(st.integers(0, len(body.vertices) - 1))
+        u, w = body.vertices[i - 1], body.vertices[i]
+        through = Line.from_point_direction(w, data.draw(directions))
+        cases = [through, Line(through.a, through.b, through.c + 1000)]
+        if u != w:
+            cases.append(Line.from_point_direction(u, w - u))
+        for line in cases:
+            assert line_trace(body, line) == polygon_trace(body, line)
+        assert line_trace(body, cases[0]) is not None
+        assert line_trace(body, cases[1]) is None
 
 
 def hull_rebuild_clip(verts, a, b, c):

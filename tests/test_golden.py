@@ -36,6 +36,10 @@ CONFIGS = {
     "kalai2d": {"theorem": "kalai", "dimension": 2, "n": 6, "seeds": [0, 1]},
     "kalai1d": {"theorem": "kalai", "dimension": 1, "n": 7, "seeds": 2},
     "thm5": {"theorem": "thm5", "dimension": 2, "n": 6, "seeds": [0], "grid": {"p": [4, 5]}},
+    "propdim1": {"theorem": "prop-dim1"},
+    # k = 5 is out of range for p = 5 in both extremal_dim1 and
+    # dim1_threshold; the error of the one that runs first is printed
+    "propdim1-range": {"theorem": "prop-dim1", "grid": {"p": [5, 6], "k": [0, 3, 5]}},
 }
 
 ANALYZE = ((2, 1), (3, 2), (4, 3), (5, 3), (6, 2))

@@ -26,10 +26,7 @@ from pqpierce.generators import GeneratorSpec, random_family
 from pqpierce.geometry import Line, line_meets_body
 from pqpierce.piercing import candidate_points, min_piercing, ms_line
 
-from conftest import box, intersecting_subfamilies, polygon_families
-
-LINES = st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-3, 3)).filter(
-    lambda abc: abc[:2] != (0, 0)).map(lambda abc: Line(*abc))
+from conftest import LINES, box, intersecting_subfamilies, polygon_families
 
 
 def walked(F, q):
