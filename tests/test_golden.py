@@ -40,6 +40,9 @@ CONFIGS = {
     # k = 5 is out of range for p = 5 in both extremal_dim1 and
     # dim1_threshold; the error of the one that runs first is printed
     "propdim1-range": {"theorem": "prop-dim1", "grid": {"p": [5, 6], "k": [0, 3, 5]}},
+    # 30 intervals at p = 15 overrun the work budget of max_r
+    "thm5-budget": {"theorem": "thm5", "dimension": 1, "n": 30, "seeds": [0],
+                    "grid": {"p": [15], "q": [7, 15]}},
 }
 
 ANALYZE = ((2, 1), (3, 2), (4, 3), (5, 3), (6, 2))
@@ -69,6 +72,14 @@ def calls():
                            ("hd-region", []), ("implied-q", ["--r", "5000"])):
         for p, q, d in ((40, 18, 2), (120, 55, 3)):
             yield ["bounds", theorem, "--p", str(p), "--q", str(q), "--d", str(d), *extra]
+    for p, q, d in ((40, 18, 2), (120, 55, 3)):
+        for k in (0, p - q - 1):  # the ends of thm3's range
+            yield ["bounds", "thm3", "--p", str(p), "--q", str(q), "--d", str(d), "--k", str(k)]
+    # ceil(40^(1/2 + 1)) = 253 > p + 1: no f is admissible
+    yield ["bounds", "thm2", "--p", "40", "--q", "18", "--d", "2", "--epsilon", "1"]
+    for theorem in ("thm2", "remark"):
+        yield ["bounds", theorem, "--p", "40", "--q", "18", "--d", "2", "--f", "3",
+               "--epsilon", "abc"]
     for name in CONFIGS:
         yield ["experiment", f"{{tmp}}/{name}.config"]
 
