@@ -6,6 +6,10 @@ vanishing terms).  Thresholds are the exact binomial sums from the
 underlying proofs, not their asymptotic forms, so each returned value is
 certifiable at desk scale.  Fractional exponents are compared exactly:
 m >= p^(a/b) is decided as m^b >= p^a over the integers.
+
+Each formula and regime is written here once, for the solvers and the CLI:
+thm2_threshold is the remark at one f, thm3_threshold adds two terms to
+Theorem 1's, and only hd_exact_region tests the Hadwiger-Debrunner regime.
 """
 
 from __future__ import annotations
@@ -111,13 +115,12 @@ def ceil_power(p: int, exponent: Fraction) -> int:
 
 def remark_threshold(p: int, q: int, d: int, f: int,
                      epsilon: Fraction | None = None) -> BoundResult:
-    """Strict-inequality variant certifying piercing by f points:
-    r > sum_i C(p-f+1-d, q-i) * C(f-1+d, i).
+    """Kalai-count threshold certifying piercing by f points:
+    r > kalai_bound(p, q, p-f+1-d, d) = sum_i C(p-f+1-d, q-i) * C(f-1+d, i).
 
-    When epsilon is given, the admissible range
-    f <= p - ceil(p^((d-1)/d + epsilon)) + 2 is enforced; without it only
-    f >= 1 is checked.  Either way the result carries the unknown-constant
-    caveat.
+    When epsilon is given, the admissible range f <= p - M + 2 with
+    M = ceil(p^((d-1)/d + epsilon)) is enforced; without it only f >= 1 is
+    checked.  Either way the result carries the unknown-constant caveat.
     """
     check_standing(p, q, d)
     if f < 1:
@@ -137,11 +140,9 @@ def remark_threshold(p: int, q: int, d: int, f: int,
 
 
 def thm2_threshold(p: int, q: int, d: int, epsilon: Fraction) -> BoundResult:
-    """Exact threshold behind the large-q asymptotic bound.
-
-    With M = ceil(p^((d-1)/d + epsilon)): if q > M the certified piercing
-    number is p-q+1 at r = kalai_bound(p, q, q-d, d) + 1; otherwise, with
-    k = M - q, it is p-(q+k)+2 at r = kalai_bound(p, q, q+k-d-1, d) + 1.
+    """Exact threshold behind the large-q asymptotic bound: the remark's
+    threshold at f = p-q+1 when q > M and at f = p-M+2 otherwise, where
+    M = ceil(p^((d-1)/d + epsilon)).  No f is admissible when M > p+1.
     Valid only for p beyond an unknown p0(epsilon), recorded as a caveat.
     """
     check_standing(p, q, d)
@@ -149,18 +150,9 @@ def thm2_threshold(p: int, q: int, d: int, epsilon: Fraction) -> BoundResult:
     if epsilon <= 0:
         raise ArityError(f"epsilon must be positive, got {epsilon}")
     m = ceil_power(p, Fraction(d - 1, d) + epsilon)
-    if q > m:
-        return BoundResult(
-            threshold_r=kalai_bound(p, q, q - d, d) + 1,
-            pierce_bound=p - q + 1,
-            caveats=(CAVEAT_P0_UNKNOWN,),
-        )
-    k = m - q
-    return BoundResult(
-        threshold_r=kalai_bound(p, q, q + k - d - 1, d) + 1,
-        pierce_bound=p - (q + k) + 2,
-        caveats=(CAVEAT_P0_UNKNOWN,),
-    )
+    if m > p + 1:
+        raise ArityError(f"need M = ceil(p^((d-1)/d+eps)) <= p+1, got M={m}, p={p}")
+    return remark_threshold(p, q, d, p - q + 1 if q > m else p - m + 2)
 
 
 def m0(p: int, q: int, k: int) -> int:
@@ -183,21 +175,13 @@ def m0(p: int, q: int, k: int) -> int:
 
 def thm3_threshold(p: int, q: int, d: int, k: int) -> BoundResult:
     """Threshold certifying piercing by k+2 points for non-(p-q)-degenerate
-    families, interpolating between the extreme cases k = 0 and
-    k = p-q-1 (where it coincides with :func:`ms_threshold`)."""
-    check_standing(p, q, d)
-    if not 0 <= k <= p - q - 1:
-        raise ArityError(f"need 0 <= k <= p-q-1, got k={k}, p={p}, q={q}")
-    m = m0(p, q, k)
-    threshold = (
-        binom(p, q)
-        - binom(p - d + 1, q - d + 1)
-        + 1
-        + binom(q - d - 2 + m, q - d)
-        + binom(q - d - 1 + m, q - d + 1)
-    )
+    families: :func:`ms_threshold`'s threshold plus
+    C(q-d-2+m, q-d) + C(q-d-1+m, q-d+1) with m = m0(p, q, k).  Both terms
+    vanish at k = p-q-1, where m = 1 and it coincides with Theorem 1."""
+    base = ms_threshold(p, q, d).threshold_r
+    m = m0(p, q, k)  # rejects k outside 0 <= k <= p-q-1
     return BoundResult(
-        threshold_r=threshold,
+        threshold_r=base + binom(q - d - 2 + m, q - d) + binom(q - d - 1 + m, q - d + 1),
         pierce_bound=k + 2,
         caveats=(CAVEAT_NON_DEGENERATE,),
     )
@@ -218,8 +202,8 @@ def dim1_threshold(p: int, q: int, k: int) -> BoundResult:
 
 
 def hd_exact_region(p: int, q: int, d: int):
-    """p-q+1 when d*q > (d-1)*p + d (the regime where the plain (p,q)
-    property already pins the worst-case piercing number), else None."""
+    """p-q+1 when d*q > (d-1)*p + d, the regime where the plain (p,q)
+    property already pins the worst-case piercing number; else None."""
     check_standing(p, q, d)
     if d * q > (d - 1) * p + d:
         return p - q + 1

@@ -199,11 +199,8 @@ def _bound_json(result) -> dict:
 
 
 def _epsilon(args):
-    """--epsilon as a Fraction or None; a zero denominator is an input error."""
-    try:
-        return None if args.epsilon is None else Fraction(args.epsilon)
-    except ZeroDivisionError as exc:
-        raise ParseError(f"bad rational {args.epsilon!r} in --epsilon: {exc}") from None
+    """--epsilon as a Fraction, or None when it is not given."""
+    return None if args.epsilon is None else _parse_rational(args.epsilon, "--epsilon")
 
 
 #: Every theorem id of ``bounds``, in help order: the option it requires
@@ -343,19 +340,29 @@ def _experiment_rows(config):
         if key in grid and not _int_list(grid[key]):
             raise ParseError(f"grid {key} must be a list of ints, got {grid[key]!r}")
     kind = "random_intervals" if dimension == 1 else "random_polygons"
+    pierced = functools.cache(lambda F: len(piercingmod.min_piercing(F)))  # once per family
     if tag == "thm5":
+        queries = []  # (p, [(q, claimed)]); every grid q is checked before any row
+        for p in grid.get("p", [3, 4, 5, 6]):
+            claims = []
+            for q in grid.get("q") or range(dimension + 1, p + 1):
+                try:
+                    claimed = boundsmod.hd_exact_region(p, q, dimension)
+                except ArityError:  # q > p or q <= d: outside the regime too
+                    claimed = None
+                if claimed is not None:
+                    claims.append((q, claimed))
+                elif grid.get("q"):
+                    raise ArityError(f"thm5 needs q in the Hadwiger-Debrunner regime, "
+                                     f"got p={p}, q={q}, d={dimension}")
+            queries.append((p, claims))
         # seeds outermost: one family's (p, q) queries run back to back,
         # so its few q-tuple sets stay in the bounded memo of family.py
         for seed in seeds:
-            for p in grid.get("p", [3, 4, 5, 6]):
-                qs = grid.get("q") or [
-                    q
-                    for q in range(2, p + 1)
-                    if dimension * q > (dimension - 1) * p + dimension
-                ]
+            for p, claims in queries:
                 F = genmod.random_family(genmod.GeneratorSpec(kind, n=max(n, p), seed=seed))
-                for q in qs:
-                    yield _finish_row(tag, seed, F, p, q, 1, p - q + 1)
+                for q, claimed in claims:
+                    yield _finish_row(tag, seed, F, p, q, 1, claimed, pierced)
     elif tag == "prop-dim1":
         for p in grid.get("p", [4, 5, 6, 7, 8, 9]):
             for q in grid.get("q") or range(2, p + 1):
@@ -364,7 +371,7 @@ def _experiment_rows(config):
                     # error is the one reported
                     F = genmod.extremal_dim1(p, k)
                     r = boundsmod.dim1_threshold(p, q, k).threshold_r
-                    yield _finish_row(tag, 0, F, p, q, r, k + 2)
+                    yield _finish_row(tag, 0, F, p, q, r, k + 2, pierced)
     else:  # kalai
         for seed in seeds:
             F = genmod.random_family(genmod.GeneratorSpec(kind, n=n, seed=seed))
@@ -395,15 +402,15 @@ def _experiment_rows(config):
                 break  # smallest s dominates; one row set per seed and q
 
 
-def _finish_row(tag: str, seed: int, F: Family, p: int, q: int, r, claimed: int) -> tuple:
+def _finish_row(tag: str, seed: int, F: Family, p: int, q: int, r, claimed: int, pierced) -> tuple:
     """The row of one (p, q) query on F, with the family and a violation
-    of the claimed piercing bound or None."""
+    of the claimed piercing bound or None; pierced(F) is F's piercing number."""
     row = {"seed": seed, "n": len(F), "p": p, "q": q, "r_threshold": r,
            "theorem_tag": tag, "pierce_bound_claimed": claimed}
     try:
         report = familymod.max_r(F, p, q)
         row["max_r"] = report.max_r
-        actual = len(piercingmod.min_piercing(F))
+        actual = pierced(F)
         row["pierce_actual"] = actual
         row["status"] = "ok"
         violation = None

@@ -50,6 +50,13 @@ class GeneratorSpec:
             raise ArityError(f"seed must be an int, got {self.seed!r}")
         if self.grid < 1:  # coordinates are multiples of 1/grid
             raise ArityError(f"grid must be >= 1, got {self.grid}")
+        # the least value of each range a random kind draws from
+        lows = {"random_intervals": {"span": 0, "extent": 1},
+                "random_polygons": {"span": 0, "extent": 0, "min_vertices": 1,
+                                    "max_vertices": self.min_vertices}}
+        for name, low in lows.get(self.kind, {}).items():
+            if getattr(self, name) < low:
+                raise ArityError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
 
 def extremal_dim1(p: int, k: int) -> Family:
@@ -105,7 +112,7 @@ def random_family(spec: GeneratorSpec) -> Family:
         bodies = []
         for _ in range(spec.n):
             lo = _grid_fraction(rng, 0, spec.span, spec.grid)
-            length = _grid_fraction(rng, 1, max(spec.extent, 1), spec.grid)
+            length = _grid_fraction(rng, 1, spec.extent, spec.grid)
             bodies.append(Interval(lo, lo + length))
         return Family(1, tuple(bodies))
     # random_polygons: convex hulls of small grid-point samples

@@ -5,10 +5,10 @@ Three solvers live here:
 * :func:`min_piercing` — exact optimum via right-endpoint sweep in 1D and
   branch-and-bound set cover over candidate points in 2D.
 * :func:`hd_pierce` — the recursive construction that pierces a family
-  with the (p,q) property (in the regime d*q > (d-1)*p + d) using at most
-  p-q+1 points: repeatedly pick the lexicographic minimum of the
-  lexicographic maxima of intersecting d-tuples, keep that point, and
-  recurse on the bodies it misses with parameters (p-d, q-d+1).
+  with the (p,q) property within the bound of :func:`bounds.hd_exact_region`:
+  repeatedly pick the lexicographic minimum of the lexicographic maxima of
+  intersecting d-tuples, keep that point, and recurse on the bodies it
+  misses with parameters (p-d, q-d+1).
 * :func:`line_pierce` — piercing through a line: bodies missing the line
   are pierced at their lexmax, the rest are reduced to 1D segments along
   the line and solved exactly.
@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import family as familymod
-from .bounds import check_standing, dim1_threshold
+from .bounds import dim1_threshold, hd_exact_region
 from .errors import ArityError, BudgetExceededError, DimensionMismatchError, PremiseViolationError
 from .family import Family
 from .geometry import (
@@ -190,8 +190,8 @@ def min_piercing(F: Family, node_budget: int = DEFAULT_NODE_BUDGET) -> PiercingS
 
 
 def hd_pierce(F: Family, p: int, q: int) -> PiercingSet:
-    """Constructive piercing with at most p-q+1 points for a family with
-    the (p,q) property in the regime d*q > (d-1)*p + d.
+    """Constructive piercing of a family with the (p,q) property within the
+    bound of :func:`bounds.hd_exact_region`, in the regime where it has one.
 
     Each round keeps x0, the lexicographic minimum over intersecting
     d-tuples of the lexmax of their intersection (ties broken by smallest
@@ -201,10 +201,10 @@ def hd_pierce(F: Family, p: int, q: int) -> PiercingSet:
     meet (p' = q') all survivors share a point by Helly.
     """
     d = F.dimension
-    check_standing(p, q, d)
+    bound = hd_exact_region(p, q, d)
     if len(F) < p:
         raise ArityError(f"family of size {len(F)} smaller than p={p}")
-    if not d * q > (d - 1) * p + d:
+    if bound is None:
         raise ArityError(
             f"need d*q > (d-1)*p + d for the construction, got p={p}, q={q}, d={d}"
         )
@@ -257,8 +257,8 @@ def hd_pierce(F: Family, p: int, q: int) -> PiercingSet:
             points.extend(solved.points)
             break
 
-    if len(points) > p - q + 1:
-        raise AssertionError(f"construction produced {len(points)} > p-q+1 points")
+    if len(points) > bound:
+        raise AssertionError(f"construction produced {len(points)} > {bound} points")
     return _certified(F, points)
 
 
@@ -339,8 +339,9 @@ def ms_line(F: Family) -> LineLemmaWitness:
 
 
 def line_pierce(F: Family, line: Line, p: int, k: int) -> PiercingSet:
-    """Pierce with at most k+1 points a family satisfying the (p,2)
-    property through the line at the tight 1D threshold r0.
+    """Pierce a family satisfying the (p,2) property through the line at
+    the tight 1D threshold r0, within the bound :func:`bounds.dim1_threshold`
+    certifies there.
 
     Bodies missing the line are pierced at their lexmax; the rest are
     reduced to segments along the line and solved by the exact 1D sweep.
@@ -351,10 +352,10 @@ def line_pierce(F: Family, line: Line, p: int, k: int) -> PiercingSet:
         raise ArityError(f"need p >= 2 and k >= 0, got p={p}, k={k}")
     if k > p - 2:
         raise ArityError(f"need k <= p-2, got k={k}, p={p}")
-    r0 = dim1_threshold(p, 2, k).threshold_r
-    if not familymod.satisfies_pqr_through_line(F, line, p, 2, r0):
+    bound = dim1_threshold(p, 2, k)
+    if not familymod.satisfies_pqr_through_line(F, line, p, 2, bound.threshold_r):
         raise PremiseViolationError(
-            f"family does not satisfy the (p,2)_{r0} property through the line"
+            f"family does not satisfy the (p,2)_{bound.threshold_r} property through the line"
         )
     traces = [line_trace(body, line) for body in F.bodies]
     missing = [i for i, trace in enumerate(traces) if trace is None]
@@ -370,6 +371,6 @@ def line_pierce(F: Family, line: Line, p: int, k: int) -> PiercingSet:
         solved = sweep_piercing_1d(Family(1, tuple(traces)))
         base, direction = line.some_point(), line.direction()
         points.extend(base + direction.scaled(t) for t in solved.points)
-    if len(points) > k + 1:
-        raise AssertionError(f"construction produced {len(points)} > k+1 points")
+    if len(points) > bound.pierce_bound:
+        raise AssertionError(f"construction produced {len(points)} > {bound.pierce_bound} points")
     return _certified(F, points)

@@ -352,6 +352,91 @@ class TestImpliedQ:
                 assert qp == p or r <= kalai_bound(p, q, qp - d, d)
 
 
+def thm2_oracle(p, q, d, epsilon):
+    """Theorem 2's two Kalai-count cases as first written, None where its
+    piercing number p-(q+k)+2 falls below 1."""
+    m = ceil_power(p, Fraction(d - 1, d) + epsilon)
+    if q > m:
+        return kalai_bound(p, q, q - d, d) + 1, p - q + 1
+    k = m - q
+    if p - (q + k) + 2 < 1:
+        return None
+    return kalai_bound(p, q, q + k - d - 1, d) + 1, p - (q + k) + 2
+
+
+def thm3_oracle(p, q, d, k):
+    """Theorem 3's threshold as one sum, without Theorem 1's."""
+    m = m0(p, q, k)
+    return (binom(p, q) - binom(p - d + 1, q - d + 1) + 1
+            + binom(q - d - 2 + m, q - d) + binom(q - d - 1 + m, q - d + 1))
+
+
+EPSILONS = (Fraction(1, 100), Fraction(1, 6), Fraction(1, 4), Fraction(1, 2), Fraction(1), 2)
+
+
+def standing_cases(top, rng=None, count=0):
+    """Every (p, q, d) in the standing hypotheses with p <= top and d in
+    1-3, or count random ones with p up to top."""
+    if rng is None:
+        return [(p, q, d) for d in (1, 2, 3) for p in range(d + 1, top + 1)
+                for q in range(max(2, d + 1), p + 1)]
+    cases = []
+    for _ in range(count):
+        d = rng.choice((1, 2, 3))
+        p = rng.randint(d + 1, top)
+        cases.append((p, rng.randint(max(2, d + 1), p), d))
+    return cases
+
+
+class TestFormulaOracles:
+    """thm2 and thm3 read the remark and Theorem 1; their first sums stay
+    here as oracles."""
+
+    @pytest.mark.parametrize("cases", ["small", "random"])
+    def test_thm2_is_its_first_sum(self, cases):
+        rng = random.Random(14)
+        grid = standing_cases(60) if cases == "small" else standing_cases(2500, rng, 60)
+        for p, q, d in grid:
+            for eps in EPSILONS:
+                want = thm2_oracle(p, q, d, eps)
+                if want is None:
+                    with pytest.raises(ArityError, match=r"M=\d+"):
+                        thm2_threshold(p, q, d, eps)
+                    continue
+                result = thm2_threshold(p, q, d, eps)
+                assert (result.threshold_r, result.pierce_bound) == want
+                assert result.caveats == (CAVEAT_P0_UNKNOWN,)
+
+    @pytest.mark.parametrize("cases", ["small", "random"])
+    def test_thm3_is_its_first_sum(self, cases):
+        rng = random.Random(15)
+        grid = standing_cases(60) if cases == "small" else standing_cases(2500, rng, 60)
+        for p, q, d in grid:
+            ends = {0, 1, (p - q) // 2, p - q - 2, p - q - 1} & set(range(p - q))
+            for k in range(p - q) if p <= 30 else ends:
+                result = thm3_threshold(p, q, d, k)
+                assert result.threshold_r == thm3_oracle(p, q, d, k)
+                assert result.pierce_bound == k + 2
+
+    def test_thm2_outside_its_domain(self):
+        # ceil(40^(1/2 + 1)) = 253 > p + 1: no piercing target is admissible
+        with pytest.raises(ArityError, match="M=253, p=40"):
+            thm2_threshold(40, 18, 2, Fraction(1))
+        assert thm2_threshold(40, 18, 2, Fraction(1, 2)).pierce_bound == 40 - 40 + 2
+
+    def test_thm2_errors_in_order(self):
+        with pytest.raises(ArityError, match="need p >= q"):
+            thm2_threshold(4, 2, 2, Fraction(-1))
+        with pytest.raises(ArityError, match="epsilon must be positive"):
+            thm2_threshold(40, 18, 2, Fraction(0))
+
+    def test_thm3_k_range_message(self):
+        with pytest.raises(ArityError, match=r"need 0 <= k <= p-q-1, got k=3, p=6, q=3"):
+            thm3_threshold(6, 3, 2, 3)
+        with pytest.raises(ArityError, match="need p >= q >= d"):
+            thm3_threshold(6, 2, 2, 9)
+
+
 class TestReductionIdentity:
     def test_thm3_reduces_to_ms_sweep(self):
         for p in range(3, 21):

@@ -9,7 +9,7 @@ from math import comb
 
 import pytest
 
-from pqpierce import piercing
+from pqpierce import bounds, piercing
 from pqpierce.bounds import ms_threshold
 from pqpierce.cli import (
     EXIT_BUDGET,
@@ -17,6 +17,7 @@ from pqpierce.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_PREMISE,
+    EXIT_VIOLATION,
     document_to_family,
     dump_family,
     family_to_document,
@@ -121,6 +122,25 @@ class TestBoundsCommand:
                             "--epsilon", "1/0", capsys=capsys)
         assert code == EXIT_INPUT
         assert json.loads(out)["error"]["type"] == "ParseError"
+
+    @pytest.mark.parametrize("epsilon", ["1/0", "abc", ""])
+    @pytest.mark.parametrize("theorem", ["thm2", "remark"])
+    def test_malformed_epsilon_exit_2(self, theorem, epsilon, capsys):
+        code, out = run_cli("bounds", theorem, "--p", "6", "--q", "3", "--f", "1",
+                            "--epsilon", epsilon, capsys=capsys)
+        assert code == EXIT_INPUT
+        error = json.loads(out)["error"]
+        assert error["type"] == "ParseError"
+        assert error["message"].startswith(f"bad rational {epsilon!r} in --epsilon: ")
+
+    def test_thm2_outside_its_domain_exit_2(self, capsys):
+        code, out = run_cli("bounds", "thm2", "--p", "40", "--q", "18", "--d", "2",
+                            "--epsilon", "1", capsys=capsys)
+        assert code == EXIT_INPUT
+        assert json.loads(out)["error"] == {
+            "type": "ArityError",
+            "message": "need M = ceil(p^((d-1)/d+eps)) <= p+1, got M=253, p=40",
+        }
 
     def test_unwritable_output_exit_2(self, tmp_path, capsys):
         code, out = run_cli("bounds", "thm1", "--p", "6", "--q", "3",
@@ -314,6 +334,40 @@ class TestGenerateCommand:
         assert code == EXIT_INPUT
         assert json.loads(out)["error"]["type"] == error
 
+    @pytest.mark.parametrize("argv, message", [
+        (["random-intervals", "--n", "3", "--span", "-1"], "span must be >= 0, got -1"),
+        (["random-polygons", "--n", "3", "--span", "-1"], "span must be >= 0, got -1"),
+        (["random-intervals", "--n", "3", "--extent", "0"], "extent must be >= 1, got 0"),
+        (["random-intervals", "--n", "3", "--extent", "-5"], "extent must be >= 1, got -5"),
+        (["random-polygons", "--n", "3", "--extent", "-1"], "extent must be >= 0, got -1"),
+        (["--spec-json", '{"kind": "random_intervals", "n": 3, "span": -2}'],
+         "span must be >= 0, got -2"),
+        (["--spec-json", '{"kind": "random_intervals", "n": 3, "extent": 0}'],
+         "extent must be >= 1, got 0"),
+        (["--spec-json", '{"kind": "random_polygons", "n": 3, "extent": -3}'],
+         "extent must be >= 0, got -3"),
+        (["--spec-json", '{"kind": "random_polygons", "n": 3, "min_vertices": 0}'],
+         "min_vertices must be >= 1, got 0"),
+        (["--spec-json", '{"kind": "random_polygons", "n": 3, "min_vertices": 5, '
+                         '"max_vertices": 4}'], "max_vertices must be >= 5, got 4"),
+    ], ids=["intervals-span", "polygons-span", "intervals-extent-0", "intervals-extent-minus-5",
+            "polygons-extent", "spec-span", "spec-intervals-extent", "spec-polygons-extent",
+            "spec-min-vertices", "spec-max-below-min"])
+    def test_range_outside_the_draw_exit_2(self, argv, message, capsys):
+        code, out = run_cli("generate", *argv, capsys=capsys)
+        assert code == EXIT_INPUT
+        assert json.loads(out)["error"] == {"type": "ArityError", "message": message}
+
+    @pytest.mark.parametrize("argv", [
+        ["random-intervals", "--n", "4", "--span", "0", "--extent", "1"],
+        ["random-polygons", "--n", "4", "--span", "0", "--extent", "0"],
+        ["--spec-json", '{"kind": "random_polygons", "n": 3, "min_vertices": 1, '
+                        '"max_vertices": 1}'],
+    ], ids=["intervals", "polygons", "one-vertex"])
+    def test_range_ends_generate(self, argv, capsys):
+        code, out = run_cli("generate", *argv, capsys=capsys)
+        assert code == EXIT_OK and document_to_family(json.loads(out))
+
 
 class TestExperimentCommand:
     def test_prop_dim1_grid(self, tmp_path, capsys):
@@ -410,6 +464,101 @@ class TestExperimentCommand:
         assert json.loads(out)["error"]["type"] == "ParseError"
         named = next(iter(field)) if isinstance(field, dict) else "JSON object"
         assert named in json.loads(out)["error"]["message"]
+
+
+class TestExperimentClaims:
+    def run(self, tmp_path, capsys, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out_path = tmp_path / "rows.csv"
+        code = main(["experiment", str(path), "--output", str(out_path)])
+        captured = capsys.readouterr()
+        rows = out_path.read_text().splitlines() if out_path.exists() else []
+        return code, captured, rows
+
+    def test_thm5_rejects_q_outside_the_regime(self, tmp_path, capsys):
+        # (5, 2) in the plane is outside the Hadwiger-Debrunner regime, so
+        # no theorem claims p-q+1 = 4 for this family, which needs 5 points
+        config = {"theorem": "thm5", "dimension": 2, "n": 8, "seeds": [8],
+                  "grid": {"p": [5], "q": [2]}}
+        code, captured, rows = self.run(tmp_path, capsys, config)
+        assert code == EXIT_INPUT
+        assert json.loads(captured.out)["error"] == {
+            "type": "ArityError",
+            "message": "thm5 needs q in the Hadwiger-Debrunner regime, got p=5, q=2, d=2",
+        }
+        assert not (tmp_path / "rows.csv.violation.json").exists()
+
+    @pytest.mark.parametrize("dimension, q", [(1, 6), (1, 1), (2, 3), (2, 2)])
+    def test_thm5_checks_every_grid_q_first(self, dimension, q, tmp_path, capsys):
+        # a valid q comes first; no row is computed before the bad one is found
+        config = {"theorem": "thm5", "dimension": dimension, "seeds": [0],
+                  "grid": {"p": [5], "q": [5, q]}}
+        code, captured, rows = self.run(tmp_path, capsys, config)
+        assert code == EXIT_INPUT and rows == []
+        error = json.loads(captured.out)["error"]
+        assert error["type"] == "ArityError"
+        assert f"p=5, q={q}, d={dimension}" in error["message"]
+
+    @pytest.mark.parametrize("config, families", [
+        ({"theorem": "thm5", "dimension": 1, "seeds": 4}, 4),
+        ({"theorem": "thm5", "dimension": 2, "seeds": 3, "grid": {"p": [3, 5, 6]}}, 3),
+        ({"theorem": "prop-dim1"}, 27),
+    ], ids=["thm5-1d", "thm5-2d", "prop-dim1"])
+    def test_each_family_pierced_once(self, config, families, tmp_path, capsys, monkeypatch):
+        # with n = max(n, p) = 8 every p of a seed draws the same family;
+        # prop-dim1 draws one extremal family per (p, k)
+        calls = []
+
+        def counting(F, *args, **kwargs):
+            calls.append(F)
+            return min_piercing(F, *args, **kwargs)
+
+        min_piercing = piercing.min_piercing
+        monkeypatch.setattr(piercing, "min_piercing", counting)
+        code, _, rows = self.run(tmp_path, capsys, config)
+        assert code == EXIT_OK and len(rows) - 1 > families
+        assert len(calls) == len(set(calls)) == families
+
+    def test_budget_rows(self, tmp_path, capsys):
+        # 30 intervals at p = 15 overrun max_r's work budget
+        config = {"theorem": "thm5", "dimension": 1, "n": 30, "seeds": [0],
+                  "grid": {"p": [15], "q": [7, 15]}}
+        code, _, rows = self.run(tmp_path, capsys, config)
+        assert code == EXIT_OK
+        assert rows[1:] == ["0,30,15,7,1,,9,,thm5,budget_exceeded",
+                            "0,30,15,15,1,,1,,thm5,budget_exceeded"]
+
+    def test_pierce_budget_row(self, tmp_path, capsys, monkeypatch):
+        # a budget error of the piercing search also leaves its row marked
+        def over_budget(F):
+            raise piercing.BudgetExceededError("piercing search exceeded 1 nodes")
+
+        monkeypatch.setattr(piercing, "min_piercing", over_budget)
+        config = {"theorem": "thm5", "dimension": 1, "n": 6, "seeds": [0],
+                  "grid": {"p": [4], "q": [3, 4]}}
+        code, _, rows = self.run(tmp_path, capsys, config)
+        assert code == EXIT_OK
+        header = rows[0].split(",")
+        for line in rows[1:]:
+            row = dict(zip(header, line.split(",")))
+            assert row["status"] == "budget_exceeded" and row["pierce_actual"] == ""
+        assert len(rows) == 3
+
+    def test_kalai_violation_exit_1(self, tmp_path, capsys, monkeypatch):
+        # seed 0's intervals all meet, so it tests no s; seed 2's f-vector
+        # is (5, 4, 1, 0, 0), so it tests s = 2, and q = 1 breaks a zero bound
+        monkeypatch.setattr(bounds, "kalai_bound", lambda p, q, s, d: 0)
+        config = {"theorem": "kalai", "dimension": 1, "n": 5, "seeds": [0, 2]}
+        code, captured, rows = self.run(tmp_path, capsys, config)
+        assert code == EXIT_VIOLATION and rows == [] and captured.out == ""
+        dump = tmp_path / "rows.csv.violation.json"
+        document = json.loads(dump.read_text())
+        message = document["metadata"]["violation"]
+        assert message == "f_(q-1)=5 exceeds bound 0 (seed 2, q=1, s=2)"
+        assert document_to_family(document) == random_family(
+            GeneratorSpec("random_intervals", n=5, seed=2))
+        assert captured.err == f"violation: {message}; family dumped to {dump}\n"
 
 
 class TestInternalFault:

@@ -124,6 +124,20 @@ class TestRandomFamilies:
         with pytest.raises(ArityError, match="grid must be >= 1"):
             GeneratorSpec("random_intervals", n=3, grid=grid)
 
+    @pytest.mark.parametrize("kind, field, value", [
+        ("random_intervals", "span", -1), ("random_polygons", "span", -1),
+        ("random_intervals", "extent", 0), ("random_polygons", "extent", -1),
+        ("random_polygons", "min_vertices", 0), ("random_polygons", "max_vertices", 2),
+    ])
+    def test_ranges_must_be_drawable(self, kind, field, value):
+        with pytest.raises(ArityError, match=f"^{field} must be >= "):
+            GeneratorSpec(kind, n=3, **{field: value})
+
+    def test_ranges_unread_by_a_kind_are_free(self):
+        # extremal_dim1 draws nothing, random_intervals makes no vertices
+        assert len(random_family(GeneratorSpec("extremal_dim1", p=4, k=0, span=-1))) == 4
+        GeneratorSpec("random_intervals", n=3, min_vertices=0, max_vertices=-1)
+
     def test_unknown_kind(self):
         with pytest.raises(ArityError):
             GeneratorSpec("mystery")

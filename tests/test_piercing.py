@@ -206,6 +206,16 @@ class TestHdPierce:
         with pytest.raises(ArityError):
             hd_pierce(F, 6, 4)  # 2*4 > 6+2 fails
 
+    def test_errors_in_order(self):
+        # standing hypotheses first, then the family's size, then the regime
+        small, full = Family.of([box(0, 0, 1, 1)] * 3), Family.of([box(0, 0, 1, 1)] * 6)
+        with pytest.raises(ArityError, match=r"need p >= q >= d\+1, got p=6, q=2, d=2"):
+            hd_pierce(small, 6, 2)
+        with pytest.raises(ArityError, match="family of size 3 smaller than p=6"):
+            hd_pierce(small, 6, 4)
+        with pytest.raises(ArityError, match=r"need d\*q > \(d-1\)\*p \+ d for the construction"):
+            hd_pierce(full, 6, 4)
+
     def test_small_family_rejected(self):
         F = intervals((0, 1), (1, 2))
         with pytest.raises(ArityError):
