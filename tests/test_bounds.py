@@ -422,7 +422,8 @@ class TestFormulaOracles:
         # ceil(40^(1/2 + 1)) = 253 > p + 1: no piercing target is admissible
         with pytest.raises(ArityError, match="M=253, p=40"):
             thm2_threshold(40, 18, 2, Fraction(1))
-        assert thm2_threshold(40, 18, 2, Fraction(1, 2)).pierce_bound == 40 - 40 + 2
+        # M = ceil(40^1) = 40 <= p + 1 gives f = p - M + 2 = 2
+        assert thm2_threshold(40, 18, 2, Fraction(1, 2)).pierce_bound == 2
 
     def test_thm2_errors_in_order(self):
         with pytest.raises(ArityError, match="need p >= q"):
