@@ -1,10 +1,19 @@
 """Exact rational primitives: intervals, convex polygons, lines.
 
-All coordinates are `fractions.Fraction`, so every predicate (membership,
-sidedness, intersection emptiness) is decided exactly.  That matters here:
-the lexicographic-extremum constructions built on top of this module are
-degenerate-sensitive, and an epsilon tolerance would silently break the
-tightness arguments they support.
+Every predicate (membership, sidedness, intersection emptiness) is decided
+exactly.  That matters here: the lexicographic-extremum constructions
+built on top of this module are degenerate-sensitive, and an epsilon
+tolerance would silently break the tightness arguments they support.
+
+Points, interval ends and line coefficients are `fractions.Fraction`.  A
+polygon computes on integers: each vertex is the primitive triple
+(X, Y, W), W > 0, of the point (X/W, Y/W), and each halfplane the
+primitive triple (A, B, C) of A*x + B*y <= C, so a side is
+A*X + B*Y - C*W.  Clips, membership, line incidence, the hull's turn test
+and the canonical check are integer arithmetic, and a region built by a
+clip turns its vertices into `Point`s only when they are read.  Each new
+vertex is the primitive form of the meeting point of two input edge
+lines, so coordinates do not grow along a chain of clips.
 
 Degenerate convex polygons are first class: a single point has one vertex,
 a segment has two.  Intersections clip one halfplane at a time in a single
@@ -17,13 +26,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import DimensionMismatchError, PremiseViolationError
 
 #: Exact scalar type used for every coordinate.
 Rational = Fraction
+
+#: A primitive integer triple: the point (X/W, Y/W) with W > 0, or the
+#: halfplane A*x + B*y <= C.
+Homogeneous = tuple[int, int, int]
 
 
 def rational(value) -> Fraction:
@@ -42,15 +55,22 @@ class Point:
         object.__setattr__(self, "x", Fraction(self.x))
         object.__setattr__(self, "y", Fraction(self.y))
 
+    @classmethod
+    def _exact(cls, x: Fraction, y: Fraction) -> "Point":
+        """A point from two Fractions, without the coercion of ``Point``."""
+        p = object.__new__(cls)
+        p.__dict__.update(x=x, y=y)
+        return p
+
     def __add__(self, other: "Point") -> "Point":
-        return Point(self.x + other.x, self.y + other.y)
+        return Point._exact(self.x + other.x, self.y + other.y)
 
     def __sub__(self, other: "Point") -> "Point":
-        return Point(self.x - other.x, self.y - other.y)
+        return Point._exact(self.x - other.x, self.y - other.y)
 
     def scaled(self, t) -> "Point":
         t = Fraction(t)
-        return Point(self.x * t, self.y * t)
+        return Point._exact(self.x * t, self.y * t)
 
 
 def pt(x, y) -> Point:
@@ -62,14 +82,55 @@ def dot(u: Point, v: Point) -> Fraction:
     return u.x * v.x + u.y * v.y
 
 
-def orient(o: Point, a: Point, b: Point) -> Fraction:
-    """Twice the signed area of (o, a, b); > 0 means a left turn."""
-    return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
-
-
 def sqdist(u: Point, v: Point) -> Fraction:
     d = u - v
     return d.x * d.x + d.y * d.y
+
+
+def _homogeneous(p: Point) -> Homogeneous:
+    """The primitive triple of a point: W is the lcm of the two
+    denominators, which leaves no factor common to X, Y and W."""
+    xd, yd = p.x.denominator, p.y.denominator
+    w = lcm(xd, yd)
+    return p.x.numerator * (w // xd), p.y.numerator * (w // yd), w
+
+
+def _point(v: Homogeneous) -> Point:
+    X, Y, W = v
+    return Point._exact(Fraction(X, W), Fraction(Y, W))
+
+
+def _primitive(a: int, b: int, c: int) -> Homogeneous:
+    g = gcd(a, b, c) or 1
+    return a // g, b // g, c // g
+
+
+def _integer_plane(a, b, c) -> Homogeneous:
+    """Rational coefficients scaled to their primitive integer triple."""
+    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    m = lcm(a.denominator, b.denominator, c.denominator)
+    return _primitive(a.numerator * (m // a.denominator), b.numerator * (m // b.denominator),
+                      c.numerator * (m // c.denominator))
+
+
+def _lex_less(u: Homogeneous, w: Homogeneous) -> bool:
+    """Whether u comes before w, x first, then y."""
+    dx = u[0] * w[2] - w[0] * u[2]
+    return dx < 0 or (dx == 0 and u[1] * w[2] < w[1] * u[2])
+
+
+def _left_turn(o: Homogeneous, a: Homogeneous, b: Homogeneous) -> bool:
+    """Whether o, a, b turn strictly left: the sign of the 3x3 determinant
+    of the triples, which is W_o*W_a*W_b > 0 times twice the signed area
+    of the triangle."""
+    return (o[0] * (a[1] * b[2] - a[2] * b[1]) - o[1] * (a[0] * b[2] - a[2] * b[0])
+            + o[2] * (a[0] * b[1] - a[1] * b[0])) > 0
+
+
+def _edge_plane(u: Homogeneous, w: Homogeneous) -> Homogeneous:
+    """The halfplane left of the directed line u -> w."""
+    return _primitive(w[1] * u[2] - u[1] * w[2], u[0] * w[2] - w[0] * u[2],
+                      u[0] * w[1] - w[0] * u[1])
 
 
 @dataclass(frozen=True, order=True)
@@ -103,22 +164,22 @@ def convex_hull(points: Iterable[Point]) -> tuple[Point, ...]:
     ConvexPolygon, so ``convex_hull(poly.vertices) == poly.vertices``.
     """
     pts = sorted(set(points))
+    hom = [_homogeneous(p) for p in pts]
+
+    def chain(order):
+        kept: list[int] = []
+        for i in order:
+            while len(kept) >= 2 and not _left_turn(hom[kept[-2]], hom[kept[-1]], hom[i]):
+                kept.pop()
+            kept.append(i)
+        return kept[:-1]
+
     if len(pts) <= 1:
         return tuple(pts)
-    lower: list[Point] = []
-    for p in pts:
-        while len(lower) >= 2 and orient(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[Point] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and orient(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return tuple(lower[:-1] + upper[:-1])
+    return tuple(pts[i] for i in chain(range(len(pts))) + chain(reversed(range(len(pts)))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class ConvexPolygon:
     """A compact convex region given by its canonical vertex tuple.
 
@@ -128,20 +189,41 @@ class ConvexPolygon:
     argument is canonical (lexmin first, a strict left turn at every vertex,
     lexicographic order rising once and then falling once) and rejects it
     if not; use :meth:`from_points` to build from an arbitrary point set.
+    Equality, hashing and every predicate read the integer form.
     """
 
-    vertices: tuple[Point, ...]
+    _hom: tuple[Homogeneous, ...]
+
+    def __init__(self, vertices: Iterable[Point]):
+        verts = tuple(vertices)
+        self.__dict__.update(vertices=verts, _hom=tuple(map(_homogeneous, verts)))
+        self.__post_init__()
+
+    @classmethod
+    def _from_hom(cls, hom: tuple[Homogeneous, ...]) -> "ConvexPolygon":
+        """A polygon from its integer form; its Points are made when read."""
+        poly = object.__new__(cls)
+        poly.__dict__["_hom"] = hom
+        poly.__post_init__()
+        return poly
 
     def __post_init__(self):
-        verts = tuple(self.vertices)
-        object.__setattr__(self, "vertices", verts)
-        if not verts:
+        """The canonical check, on the integer form."""
+        hom = self._hom
+        n = len(hom)
+        if not n:
             raise ValueError("polygon needs at least one vertex")
-        n = len(verts)
-        rise = [u < w for u, w in zip(verts, verts[1:] + verts[:1])]
+        rise = [_lex_less(u, w) for u, w in zip(hom, hom[1:] + hom[:1])]
         if rise != sorted(rise, reverse=True) or rise[-1] or (n > 1 and not rise[0]) or (
-                n > 2 and any(orient(verts[i - 2], verts[i - 1], verts[i]) <= 0 for i in range(n))):
-            raise ValueError(f"vertices not in canonical convex position: {verts}")
+                n > 2 and not all(_left_turn(hom[i - 2], hom[i - 1], hom[i]) for i in range(n))):
+            raise ValueError(f"vertices not in canonical convex position: {self.vertices}")
+
+    def __repr__(self):
+        return f"ConvexPolygon(vertices={self.vertices!r})"
+
+    @cached_property
+    def vertices(self) -> tuple[Point, ...]:
+        return tuple(map(_point, self._hom))
 
     @classmethod
     def from_points(cls, points: Iterable[Point]) -> "ConvexPolygon":
@@ -154,36 +236,28 @@ class ConvexPolygon:
     def dimension(self) -> int:
         return 2
 
-    def halfplanes(self) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
-        """Halfplanes (a, b, c), each meaning a*x + b*y <= c, whose
-        intersection is exactly this region (degenerate cases included)."""
-        return self._halfplanes
-
     @cached_property
-    def _halfplanes(self) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
-        v = self.vertices
-        if len(v) <= 2:
-            # on the supporting line, and between the endpoints; a point is
-            # the segment from itself to itself along the x-axis
-            u, w = v[0], v[-1]
-            d = w - u if len(v) == 2 else Point(1, 0)
-            return (
-                (d.y, -d.x, d.y * u.x - d.x * u.y),
-                (-d.y, d.x, -(d.y * u.x - d.x * u.y)),
-                (-d.x, -d.y, -(d.x * u.x + d.y * u.y)),
-                (d.x, d.y, d.x * w.x + d.y * w.y),
-            )
-        planes = []
-        n = len(v)
-        for i in range(n):
-            u, w = v[i], v[(i + 1) % n]
-            a = w.y - u.y
-            b = u.x - w.x
-            planes.append((a, b, a * u.x + b * u.y))
-        return tuple(planes)
+    def _planes(self) -> tuple[Homogeneous, ...]:
+        """Primitive halfplanes (A, B, C), each meaning A*x + B*y <= C,
+        whose intersection is exactly this region (degenerate cases
+        included)."""
+        v = self._hom
+        if len(v) > 2:
+            return tuple(_edge_plane(u, w) for u, w in zip(v, v[1:] + v[:1]))
+        # on the supporting line both ways, and between the endpoints; a
+        # point is the segment from itself to itself along the x-axis
+        (uX, uY, uW), (wX, wY, wW) = v[0], v[-1]
+        dx, dy = (wX * uW - uX * wW, wY * uW - uY * wW) if len(v) == 2 else (1, 0)
+        a, b, c = _primitive(dy * uW, -dx * uW, dy * uX - dx * uY)
+        return ((a, b, c), (-a, -b, -c),
+                _primitive(-dx * uW, -dy * uW, -(dx * uX + dy * uY)),
+                _primitive(dx * wW, dy * wW, dx * wX + dy * wY))
 
     def contains(self, p: Point) -> bool:
-        return all(a * p.x + b * p.y <= c for a, b, c in self.halfplanes())
+        # (X, Y, W) need not be primitive for a sign test
+        xn, xd, yn, yd = p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator
+        X, Y, W = xn * yd, yn * xd, xd * yd
+        return all(a * X + b * Y <= c * W for a, b, c in self._planes)
 
 
 ConvexBody = Union[Interval, ConvexPolygon]
@@ -203,13 +277,9 @@ class Line:
     c: Fraction
 
     def __post_init__(self):
-        a, b, c = Fraction(self.a), Fraction(self.b), Fraction(self.c)
-        if a == 0 and b == 0:
+        ia, ib, ic = _integer_plane(self.a, self.b, self.c)
+        if ia == 0 and ib == 0:
             raise ValueError("degenerate line: a = b = 0")
-        scale = a.denominator * b.denominator * c.denominator
-        ia, ib, ic = int(a * scale), int(b * scale), int(c * scale)
-        g = gcd(gcd(abs(ia), abs(ib)), abs(ic))
-        ia, ib, ic = ia // g, ib // g, ic // g
         if ia < 0 or (ia == 0 and ib < 0):
             ia, ib, ic = -ia, -ib, -ic
         object.__setattr__(self, "a", Fraction(ia))
@@ -237,40 +307,47 @@ class Line:
 
 
 def _clip_halfplane(
-    verts: tuple[Point, ...], a: Fraction, b: Fraction, c: Fraction
-) -> Optional[tuple[Point, ...]]:
+    verts: tuple[Homogeneous, ...], a: int, b: int, c: int
+) -> Optional[tuple[Homogeneous, ...]]:
     """Clip canonical convex vertices to {a*x + b*y <= c}; None if empty.
 
     One walk keeps the inner vertices and inserts each strict edge crossing.
-    A crossing lies strictly inside an edge, so no duplicate or collinear
-    triple arises and the output is canonical once rotated to its lexmin.
+    On the edge u -> w that is s_u*w - s_w*u, whose side is zero, negated
+    when its W is negative and divided by its gcd.  A crossing lies
+    strictly inside an edge, so no duplicate or collinear triple arises and
+    the output is canonical once rotated to its lexmin, which is the old
+    lexmin whenever that one is kept.
     """
-    sides = [a * v.x + b * v.y - c for v in verts]
-    # a Fraction has the sign of its numerator, an int compare is cheaper
-    signs = [s.numerator for s in sides]
-    if max(signs) <= 0:
+    sides = [a * X + b * Y - c * W for X, Y, W in verts]
+    if max(sides) <= 0:
         return verts
+    if min(sides) > 0:
+        return None
     n = len(verts)
-    kept: list[Point] = []
+    kept = []
     for i in range(n):
-        j = (i + 1) % n
-        if signs[i] <= 0:
+        si, sj = sides[i], sides[i + 1 - n]
+        if si <= 0:
             kept.append(verts[i])
         # a segment's one edge is walked once, from its first end
-        if (signs[i] < 0 < signs[j] or signs[j] < 0 < signs[i]) and (n > 2 or i == 0):
-            u, w = verts[i], verts[j]
-            t = sides[i] / (sides[i] - sides[j])
-            kept.append(Point(u.x + (w.x - u.x) * t, u.y + (w.y - u.y) * t))
-    if not kept:
-        return None
-    k = kept.index(min(kept))
-    return tuple(kept[k:] + kept[:k])
+        if (si < 0 < sj or sj < 0 < si) and (n > 2 or i == 0):
+            (uX, uY, uW), (wX, wY, wW) = verts[i], verts[i + 1 - n]
+            X, Y, W = si * wX - sj * uX, si * wY - sj * uY, si * wW - sj * uW
+            g = gcd(X, Y, W) if W > 0 else -gcd(X, Y, W)
+            kept.append((X // g, Y // g, W // g))
+    if sides[0] > 0:
+        k = 0
+        for i in range(1, len(kept)):
+            if _lex_less(kept[i], kept[k]):
+                k = i
+        kept = kept[k:] + kept[:k]
+    return tuple(kept)
 
 
 def clip_polygon(body: ConvexPolygon, a, b, c) -> Optional[ConvexPolygon]:
     """The part of the polygon in {a*x + b*y <= c}, or None when empty."""
-    verts = _clip_halfplane(body.vertices, Fraction(a), Fraction(b), Fraction(c))
-    return None if verts is None else ConvexPolygon(verts)
+    verts = _clip_halfplane(body._hom, *_integer_plane(a, b, c))
+    return None if verts is None else ConvexPolygon._from_hom(verts)
 
 
 def intersect_bodies(bodies: Sequence[ConvexBody]) -> Optional[ConvexBody]:
@@ -290,13 +367,13 @@ def intersect_bodies(bodies: Sequence[ConvexBody]) -> Optional[ConvexBody]:
         lo = max(body.lo for body in bodies)
         hi = min(body.hi for body in bodies)
         return Interval(lo, hi) if lo <= hi else None
-    verts = bodies[0].vertices
+    verts = bodies[0]._hom
     for body in bodies[1:]:
-        for a, b, c in body.halfplanes():
+        for a, b, c in body._planes:
             verts = _clip_halfplane(verts, a, b, c)
             if verts is None:
                 return None
-    return ConvexPolygon(verts)
+    return ConvexPolygon._from_hom(verts)
 
 
 def lexmax_body(body: ConvexBody):
@@ -307,7 +384,11 @@ def lexmax_body(body: ConvexBody):
     """
     if body.dimension == 1:
         return body.hi
-    return max(body.vertices)
+    best = body._hom[0]
+    for v in body._hom[1:]:
+        if _lex_less(best, v):
+            best = v
+    return _point(best)
 
 
 def body_contains_point(body: ConvexBody, p) -> bool:
@@ -325,20 +406,22 @@ def line_meets_body(line: Line, body: ConvexBody) -> bool:
     """True iff the body's vertices do not all lie strictly on one side."""
     if body.dimension != 2:
         raise DimensionMismatchError("line incidence is a 2D predicate")
-    sides = [line.side(v) for v in body.vertices]
+    a, b, c = line.a.numerator, line.b.numerator, line.c.numerator
+    sides = [a * X + b * Y - c * W for X, Y, W in body._hom]
     return min(sides) <= 0 <= max(sides)
 
 
 def line_trace(body: ConvexPolygon, line: Line) -> Optional[Interval]:
     """The t for which ``line.some_point() + t * line.direction()`` lies in
     the body, as an interval, or None when the body misses the line."""
-    below = _clip_halfplane(body.vertices, line.a, line.b, line.c)
-    trace = below and _clip_halfplane(below, -line.a, -line.b, -line.c)
+    a, b, c = line.a.numerator, line.b.numerator, line.c.numerator
+    below = _clip_halfplane(body._hom, a, b, c)
+    trace = below and _clip_halfplane(below, -a, -b, -c)
     if trace is None:
         return None
-    base, direction = line.some_point(), line.direction()
-    scale = dot(direction, direction)
-    ts = [dot(v - base, direction) / scale for v in trace]
+    # t = (direction . v - direction . base) / |direction|^2, direction = (-b, a)
+    offset, scale = dot(line.some_point(), line.direction()), a * a + b * b
+    ts = [(Fraction(a * Y - b * X, W) - offset) / scale for X, Y, W in trace]
     return Interval(min(ts), max(ts))
 
 

@@ -1,7 +1,9 @@
 """Exact-geometry unit tests and randomized invariants."""
 
+import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +16,7 @@ from pqpierce.geometry import (
     Interval,
     Line,
     Point,
+    _homogeneous,
     clip_polygon,
     convex_hull,
     dot,
@@ -282,6 +285,107 @@ def hull_rebuild_clip(verts, a, b, c):
     return convex_hull(kept)
 
 
+def orient(o, a, b):
+    """Twice the signed area of (o, a, b); > 0 means a left turn."""
+    return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
+
+
+def fraction_clip_halfplane(verts, a, b, c):
+    """Clip canonical convex vertices to {a*x + b*y <= c}; None if empty.
+
+    The Fraction clip the integer kernel replaced, kept as its oracle.
+    One walk keeps the inner vertices and inserts each strict edge crossing.
+    A crossing lies strictly inside an edge, so no duplicate or collinear
+    triple arises and the output is canonical once rotated to its lexmin.
+    """
+    sides = [a * v.x + b * v.y - c for v in verts]
+    # a Fraction has the sign of its numerator, an int compare is cheaper
+    signs = [s.numerator for s in sides]
+    if max(signs) <= 0:
+        return verts
+    n = len(verts)
+    kept = []
+    for i in range(n):
+        j = (i + 1) % n
+        if signs[i] <= 0:
+            kept.append(verts[i])
+        # a segment's one edge is walked once, from its first end
+        if (signs[i] < 0 < signs[j] or signs[j] < 0 < signs[i]) and (n > 2 or i == 0):
+            u, w = verts[i], verts[j]
+            t = sides[i] / (sides[i] - sides[j])
+            kept.append(Point(u.x + (w.x - u.x) * t, u.y + (w.y - u.y) * t))
+    if not kept:
+        return None
+    k = kept.index(min(kept))
+    return tuple(kept[k:] + kept[:k])
+
+
+def fraction_canonical_check(verts):
+    """The Fraction canonical check the integer kernel replaced: raises
+    ValueError unless the vertices are lexmin first, turn strictly left
+    at every vertex, and rise lexicographically once and then fall once."""
+    verts = tuple(verts)
+    if not verts:
+        raise ValueError("polygon needs at least one vertex")
+    n = len(verts)
+    rise = [u < w for u, w in zip(verts, verts[1:] + verts[:1])]
+    if rise != sorted(rise, reverse=True) or rise[-1] or (n > 1 and not rise[0]) or (
+            n > 2 and any(orient(verts[i - 2], verts[i - 1], verts[i]) <= 0 for i in range(n))):
+        raise ValueError(f"vertices not in canonical convex position: {verts}")
+
+
+def fraction_halfplanes(v):
+    """Fraction halfplanes (a, b, c), each meaning a*x + b*y <= c, whose
+    intersection is exactly the canonical vertices' region."""
+    if len(v) <= 2:
+        # on the supporting line, and between the endpoints; a point is
+        # the segment from itself to itself along the x-axis
+        u, w = v[0], v[-1]
+        d = w - u if len(v) == 2 else Point(1, 0)
+        return (
+            (d.y, -d.x, d.y * u.x - d.x * u.y),
+            (-d.y, d.x, -(d.y * u.x - d.x * u.y)),
+            (-d.x, -d.y, -(d.x * u.x + d.y * u.y)),
+            (d.x, d.y, d.x * w.x + d.y * w.y),
+        )
+    planes = []
+    n = len(v)
+    for i in range(n):
+        u, w = v[i], v[(i + 1) % n]
+        a = w.y - u.y
+        b = u.x - w.x
+        planes.append((a, b, a * u.x + b * u.y))
+    return tuple(planes)
+
+
+def fraction_intersect(bodies):
+    """Vertices of the bodies' common region, or None, by Fraction clips
+    of the first body with every halfplane of the others."""
+    verts = bodies[0].vertices
+    for body in bodies[1:]:
+        for a, b, c in fraction_halfplanes(body.vertices):
+            verts = fraction_clip_halfplane(verts, a, b, c)
+            if verts is None:
+                return None
+    fraction_canonical_check(verts)
+    return verts
+
+
+def fraction_contains(verts, p):
+    return all(a * p.x + b * p.y <= c for a, b, c in fraction_halfplanes(verts))
+
+
+def fraction_trace(body, line):
+    below = fraction_clip_halfplane(body.vertices, line.a, line.b, line.c)
+    trace = below and fraction_clip_halfplane(below, -line.a, -line.b, -line.c)
+    if trace is None:
+        return None
+    base, direction = line.some_point(), line.direction()
+    scale = dot(direction, direction)
+    ts = [dot(v - base, direction) / scale for v in trace]
+    return Interval(min(ts), max(ts))
+
+
 def random_hull(rng, size, radius):
     return convex_hull(pt(rng.randint(-radius, radius), rng.randint(-radius, radius))
                        for _ in range(size))
@@ -389,3 +493,153 @@ def test_translating_or_scaling_keeps_f_vector_and_max_r(seed, shift, factor):
         assert f_vector(G) == f_vector(F)
         for p, q in ((4, 2), (5, 3)):
             assert max_r(G, p, q).max_r == max_r(F, p, q).max_r
+
+
+#: coordinate kinds for the cross-checks against the Fraction oracles:
+#: small integers, rationals with denominators up to 7^6, values within
+#: 40 of 2^64, and the last two mixed in one polygon
+SMALL = st.integers(-8, 8).map(Fraction)
+RATIONAL = st.fractions(min_value=-8, max_value=8, max_denominator=7 ** 6)
+NEAR_2_64 = st.builds(lambda k, d: 2 ** 64 + Fraction(k, d), st.integers(-40, 40), st.integers(1, 7))
+KINDS = (SMALL, RATIONAL, NEAR_2_64, st.one_of(RATIONAL, NEAR_2_64))
+
+
+@st.composite
+def hull_of(draw, kind):
+    """A canonical hull: a point, a segment (two points, or several on one
+    line) or a polygon of up to seven points."""
+    size = draw(st.sampled_from((1, 2, 3, 7)))
+    points = draw(st.lists(st.builds(Point, kind, kind), min_size=size, max_size=size))
+    if size > 2 and draw(st.booleans()):
+        u, w = points[:2]
+        points = [u + (w - u).scaled(t) for t in draw(st.lists(RATIONAL, min_size=1, max_size=4))]
+    return convex_hull(points)
+
+
+@st.composite
+def halfplane_for(draw, verts, kind):
+    """(a, b, c) for a*x + b*y <= c: through a vertex, along an edge either
+    way, or through a point drawn like the vertices."""
+    a, b = draw(st.tuples(RATIONAL, RATIONAL).filter(lambda ab: ab != (0, 0)))
+    how = draw(st.sampled_from(("vertex", "edge", "free")))
+    if how == "edge" and len(verts) >= 2:
+        i = draw(st.integers(0, len(verts) - 1))
+        u, w = verts[i - 1], verts[i]
+        sign = draw(st.sampled_from((1, -1)))
+        a, b = sign * (w.y - u.y), sign * (u.x - w.x)
+        return a, b, a * u.x + b * u.y
+    v = draw(st.sampled_from(verts)) if how == "vertex" else Point(draw(kind), draw(kind))
+    return a, b, a * v.x + b * v.y
+
+
+def vertices_or_none(body):
+    return None if body is None else body.vertices
+
+
+class TestIntegerKernelAgainstFractionOracles:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_clip_polygon(self, data):
+        kind = data.draw(st.sampled_from(KINDS))
+        hull = data.draw(hull_of(kind))
+        a, b, c = data.draw(halfplane_for(hull, kind))
+        assert vertices_or_none(clip_polygon(ConvexPolygon(hull), a, b, c)) == \
+            fraction_clip_halfplane(hull, a, b, c)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_intersect_bodies(self, data):
+        kind = data.draw(st.sampled_from(KINDS))
+        bodies = [ConvexPolygon(data.draw(hull_of(kind))) for _ in range(data.draw(st.integers(2, 3)))]
+        assert vertices_or_none(intersect_bodies(bodies)) == fraction_intersect(bodies)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_line_trace(self, data):
+        kind = data.draw(st.sampled_from(KINDS))
+        body = ConvexPolygon(data.draw(hull_of(kind)))
+        line = Line(*data.draw(halfplane_for(body.vertices, kind)))
+        want = fraction_trace(body, line)
+        assert line_trace(body, line) == want
+        assert line_meets_body(line, body) == (want is not None)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_contains(self, data):
+        kind = data.draw(st.sampled_from(KINDS))
+        body = ConvexPolygon(data.draw(hull_of(kind)))
+        v = body.vertices
+        tiny = Fraction(1, 7 ** 7)
+        probes = list(v) + [(u + w).scaled(Fraction(1, 2)) for u, w in zip(v, v[1:] + v[:1])]
+        probes += [p + Point(dx * tiny, dy * tiny) for p in probes for dx, dy in ((1, 0), (0, -1))]
+        probes += data.draw(st.lists(st.builds(Point, kind, kind), max_size=4))
+        for p in probes:
+            assert body.contains(p) == fraction_contains(v, p), p
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_polygon_acceptance_and_rejection(self, data):
+        kind = data.draw(st.sampled_from(KINDS))
+        hull = list(data.draw(hull_of(kind)))
+        k = data.draw(st.integers(0, len(hull) - 1))
+        variants = [hull, hull[k:] + hull[:k], hull[::-1], hull[:k + 1] + hull[k:], sorted(hull),
+                    hull[:k] + [(hull[k - 1] + hull[k]).scaled(Fraction(1, 2))] + hull[k:]]
+        for verts in map(tuple, variants):
+            try:
+                fraction_canonical_check(verts)
+            except ValueError as oracle:
+                with pytest.raises(ValueError) as got:
+                    ConvexPolygon(verts)
+                assert str(got.value) == str(oracle)
+            else:
+                assert ConvexPolygon(verts).vertices == verts
+
+
+def assert_primitive_form(body):
+    """Each vertex is a primitive (X, Y, W), W > 0, that round-trips."""
+    assert len(body._hom) == len(body.vertices)
+    for (X, Y, W), v in zip(body._hom, body.vertices):
+        assert W > 0 and gcd(X, Y, W) == 1
+        assert (Fraction(X, W), Fraction(Y, W)) == (v.x, v.y)
+        assert _homogeneous(v) == (X, Y, W)
+
+
+class TestIntegerForm:
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_vertices_primitive_and_round_trip(self, data):
+        kind = data.draw(st.sampled_from(KINDS))
+        body = ConvexPolygon(data.draw(hull_of(kind)))
+        assert_primitive_form(body)
+        clipped = clip_polygon(body, *data.draw(halfplane_for(body.vertices, kind)))
+        if clipped is not None:
+            assert_primitive_form(clipped)
+            assert clipped == ConvexPolygon(clipped.vertices)
+
+    def test_chain_vertices_bounded_by_their_edge_lines(self):
+        """Along a 10-deep chain of clips, each region vertex is no larger,
+        coordinate by coordinate, than the cross product of any two input
+        edge lines through it: it is that meeting point's primitive form."""
+        rng = random.Random(15)
+
+        def coordinate(sign):
+            return sign * Fraction(rng.randint(1, 7 ** 6), rng.randint(1, 7 ** 6))
+
+        for _ in range(12):
+            # one point per quadrant, so every body holds the origin
+            bodies = [ConvexPolygon.from_points(
+                [Point(coordinate(sx), coordinate(sy)) for sx in (1, -1) for sy in (1, -1)])
+                for _ in range(11)]
+            region = bodies[0]
+            for depth in range(1, 11):
+                region = intersect_bodies([region, bodies[depth]])
+                assert_primitive_form(region)
+                lines = {plane for body in bodies[:depth + 1] for plane in body._planes}
+                for X, Y, W in region._hom:
+                    through = [(A, B, C) for A, B, C in lines if A * X + B * Y == C * W]
+                    crossings = [(C1 * B2 - B1 * C2, A1 * C2 - C1 * A2, A1 * B2 - B1 * A2)
+                                 for (A1, B1, C1), (A2, B2, C2) in itertools.combinations(through, 2)
+                                 if A1 * B2 != B1 * A2]
+                    assert crossings
+                    for cx, cy, cw in crossings:
+                        assert abs(X) <= abs(cx) and abs(Y) <= abs(cy) and abs(W) <= abs(cw)
