@@ -54,7 +54,6 @@ from .geometry import (
     lexmax_body,
     line_meets_body,
     pt,
-    rational,
     separating_line,
 )
 from .piercing import (

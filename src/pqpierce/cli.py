@@ -3,9 +3,9 @@
 Subcommands: bounds, analyze, pierce, generate, experiment.  Families are
 exchanged as JSON documents with rationals serialized as exact
 "numerator/denominator" strings; experiment matrices are CSV.  Exit
-codes: 0 success, 1 theorem-claim violation (experiment), 2 input error,
-3 premise violation, 4 budget exceeded, 5 internal fault (any other
-exception; its traceback goes to stderr).
+codes: 0 success, 1 theorem-claim violation (experiment), 2 input error
+(a usage error too), 3 premise violation, 4 budget exceeded, 5 internal
+fault (any other exception; its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -221,8 +221,6 @@ THEOREMS = {
 
 
 def cmd_bounds(args, out) -> int:
-    if args.theorem not in THEOREMS:
-        raise ArityError(f"unknown theorem id {args.theorem!r}")
     required, payload = THEOREMS[args.theorem]
     if required is not None and getattr(args, required) is None:
         raise ArityError(f"{args.theorem} requires --{required}")
@@ -451,10 +449,17 @@ def cmd_experiment(args, out) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error raises ParseError (exit 2); subparsers share the class."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 @functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     """Built once: building costs about fifteen parses."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pqpierce",
         description="Exact piercing thresholds, property checks, and solvers "
         "for families of convex sets in dimensions 1 and 2.",
@@ -510,16 +515,14 @@ def main(argv=None) -> int:
         # argparse reads a value such as "-1,1,0" as an option name
         i = argv.index("--line")
         argv[i:i + 2] = ["--line=" + argv[i + 1]]
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_INPUT if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         if getattr(args, "output", None):
             with open(args.output, "w") as handle:
                 return args.func(args, handle)
         return args.func(args, sys.stdout)
+    except SystemExit:  # only --help exits; usage errors raise ParseError
+        return EXIT_OK
     except Exception as exc:
         code = next((code for types, code in ERROR_EXITS if isinstance(exc, types)), EXIT_INTERNAL)
         if code == EXIT_INTERNAL:

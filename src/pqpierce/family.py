@@ -352,13 +352,18 @@ def satisfies_pqr_through_line(F: Family, line: Line, p: int, q: int, r: int,
     given line, i.e. their common region meets it."""
     if F.dimension != 2:
         raise DimensionMismatchError("through-line property is 2D only")
+    return _satisfies_pqr_on_traces(F, [line_trace(body, line) for body in F.bodies],
+                                    p, q, r, work_budget)
+
+
+def _satisfies_pqr_on_traces(F: Family, traces, p: int, q: int, r: int,
+                             work_budget: int = DEFAULT_WORK_BUDGET) -> bool:
+    """The through-line property from ``traces[i]``, body i's trace on the
+    line or None: members meet on the line exactly when their traces do."""
     if r < 1:
         raise ArityError(f"r must be >= 1, got {r}")
-    # the common part of some members meets the line exactly when their
-    # traces on it meet: a 1D sweep over the traces, a miss being None
-    best, _ = _fewest_flagged(
-        F, p, q, lambda: _swept_qtuples([line_trace(body, line) for body in F.bodies], q),
-        r, work_budget, "through-line")
+    best, _ = _fewest_flagged(F, p, q, lambda: _swept_qtuples(traces, q), r,
+                              work_budget, "through-line")
     return best >= r
 
 

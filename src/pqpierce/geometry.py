@@ -5,15 +5,16 @@ exactly.  That matters here: the lexicographic-extremum constructions
 built on top of this module are degenerate-sensitive, and an epsilon
 tolerance would silently break the tightness arguments they support.
 
-Points, interval ends and line coefficients are `fractions.Fraction`.  A
-polygon computes on integers: each vertex is the primitive triple
-(X, Y, W), W > 0, of the point (X/W, Y/W), and each halfplane the
-primitive triple (A, B, C) of A*x + B*y <= C, so a side is
-A*X + B*Y - C*W.  Clips, membership, line incidence, the hull's turn test
-and the canonical check are integer arithmetic, and a region built by a
-clip turns its vertices into `Point`s only when they are read.  Each new
-vertex is the primitive form of the meeting point of two input edge
-lines, so coordinates do not grow along a chain of clips.
+Points and interval ends are `fractions.Fraction`; a line keeps its
+primitive integer coefficients.  A polygon computes on integers: each
+vertex is the primitive triple (X, Y, W), W > 0, of the point
+(X/W, Y/W), and each halfplane the primitive triple (A, B, C) of
+A*x + B*y <= C, so a side is A*X + B*Y - C*W.  Clips, membership, line
+incidence, the hull's turn test and the canonical check are integer
+arithmetic, and a region built by a clip turns its vertices into
+`Point`s only when they are read.  Each new vertex is the primitive form
+of the meeting point of two input edge lines, so coordinates do not grow
+along a chain of clips.
 
 Degenerate convex polygons are first class: a single point has one vertex,
 a segment has two.  Intersections clip one halfplane at a time in a single
@@ -37,11 +38,6 @@ Rational = Fraction
 #: A primitive integer triple: the point (X/W, Y/W) with W > 0, or the
 #: halfplane A*x + B*y <= C.
 Homogeneous = tuple[int, int, int]
-
-
-def rational(value) -> Fraction:
-    """Coerce an int, string ("3/4"), or Fraction to an exact Fraction."""
-    return Fraction(value)
 
 
 @dataclass(frozen=True, order=True)
@@ -272,9 +268,9 @@ class Line:
     lines compare equal.
     """
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
+    a: int
+    b: int
+    c: int
 
     def __post_init__(self):
         ia, ib, ic = _integer_plane(self.a, self.b, self.c)
@@ -282,9 +278,7 @@ class Line:
             raise ValueError("degenerate line: a = b = 0")
         if ia < 0 or (ia == 0 and ib < 0):
             ia, ib, ic = -ia, -ib, -ic
-        object.__setattr__(self, "a", Fraction(ia))
-        object.__setattr__(self, "b", Fraction(ib))
-        object.__setattr__(self, "c", Fraction(ic))
+        self.__dict__.update(a=ia, b=ib, c=ic)
 
     @classmethod
     def from_point_direction(cls, p: Point, d: Point) -> "Line":
@@ -302,8 +296,8 @@ class Line:
     def some_point(self) -> Point:
         """A rational point on the line."""
         if self.b != 0:
-            return Point(Fraction(0), self.c / self.b)
-        return Point(self.c / self.a, Fraction(0))
+            return Point(Fraction(0), Fraction(self.c, self.b))
+        return Point(Fraction(self.c, self.a), Fraction(0))
 
 
 def _clip_halfplane(
@@ -406,7 +400,7 @@ def line_meets_body(line: Line, body: ConvexBody) -> bool:
     """True iff the body's vertices do not all lie strictly on one side."""
     if body.dimension != 2:
         raise DimensionMismatchError("line incidence is a 2D predicate")
-    a, b, c = line.a.numerator, line.b.numerator, line.c.numerator
+    a, b, c = line.a, line.b, line.c
     sides = [a * X + b * Y - c * W for X, Y, W in body._hom]
     return min(sides) <= 0 <= max(sides)
 
@@ -414,7 +408,7 @@ def line_meets_body(line: Line, body: ConvexBody) -> bool:
 def line_trace(body: ConvexPolygon, line: Line) -> Optional[Interval]:
     """The t for which ``line.some_point() + t * line.direction()`` lies in
     the body, as an interval, or None when the body misses the line."""
-    a, b, c = line.a.numerator, line.b.numerator, line.c.numerator
+    a, b, c = line.a, line.b, line.c
     below = _clip_halfplane(body._hom, a, b, c)
     trace = below and _clip_halfplane(below, -a, -b, -c)
     if trace is None:

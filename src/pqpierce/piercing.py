@@ -90,22 +90,20 @@ def candidate_points(F: Family) -> list:
     and sorted; sufficient for exact minimum piercing.  In 1D a pair's
     lexmax is min(hi_i, hi_j), already a body's, so these are the
     distinct right endpoints."""
-    if F.dimension == 1:
-        return sorted({body.hi for body in F.bodies})
     return sorted({lexmax_body(region) for region in (*F.bodies, *F.pair_regions.values())})
 
 
 def sweep_piercing_1d(F: Family) -> PiercingSet:
-    """Exact minimum piercing of intervals: repeatedly stab the smallest
-    right endpoint among surviving intervals."""
+    """Exact minimum piercing of intervals: one pass in (hi, lo) order
+    stabs an interval's right endpoint when it starts after the last
+    stab.  Every interval ends at or after the stabs made before it, so
+    one that starts at or before the last stab contains it."""
     if F.dimension != 1:
         raise DimensionMismatchError("sweep solver is 1D only")
-    remaining = sorted(F.bodies, key=lambda b: (b.hi, b.lo))
     points: list[Fraction] = []
-    while remaining:
-        stab = remaining[0].hi
-        points.append(stab)
-        remaining = [b for b in remaining if not b.contains(stab)]
+    for body in sorted(F.bodies, key=lambda b: (b.hi, b.lo)):
+        if not points or body.lo > points[-1]:
+            points.append(body.hi)
     return _certified(F, points)
 
 
@@ -343,21 +341,20 @@ def line_pierce(F: Family, line: Line, p: int, k: int) -> PiercingSet:
     the tight 1D threshold r0, within the bound :func:`bounds.dim1_threshold`
     certifies there.
 
-    Bodies missing the line are pierced at their lexmax; the rest are
-    reduced to segments along the line and solved by the exact 1D sweep.
+    Each body is traced on the line once.  The traces decide the
+    through-line premise; bodies whose trace is empty miss the line and
+    are pierced at their lexmax, and the rest of the traces are solved by
+    the exact 1D sweep.  :func:`bounds.dim1_threshold` checks the range
+    of (p, k).
     """
     if F.dimension != 2:
         raise DimensionMismatchError("line piercing is 2D only")
-    if k < 0 or p < 2:
-        raise ArityError(f"need p >= 2 and k >= 0, got p={p}, k={k}")
-    if k > p - 2:
-        raise ArityError(f"need k <= p-2, got k={k}, p={p}")
     bound = dim1_threshold(p, 2, k)
-    if not familymod.satisfies_pqr_through_line(F, line, p, 2, bound.threshold_r):
+    traces = [line_trace(body, line) for body in F.bodies]
+    if not familymod._satisfies_pqr_on_traces(F, traces, p, 2, bound.threshold_r):
         raise PremiseViolationError(
             f"family does not satisfy the (p,2)_{bound.threshold_r} property through the line"
         )
-    traces = [line_trace(body, line) for body in F.bodies]
     missing = [i for i, trace in enumerate(traces) if trace is None]
     if len(missing) > k:
         raise PremiseViolationError(

@@ -166,6 +166,28 @@ def frozenset_branch_and_bound(
     return _certified(F, [covers[ci][0] for ci in best])
 
 
+def refiltering_sweep(F: Family) -> PiercingSet:
+    """Exact minimum piercing of intervals: repeatedly stab the smallest
+    right endpoint among surviving intervals.
+
+    The 1D sweep as it was before it became one pass, kept verbatim as
+    the oracle for ``piercing.sweep_piercing_1d``: both must give the
+    same points."""
+    remaining = sorted(F.bodies, key=lambda b: (b.hi, b.lo))
+    points: list[Fraction] = []
+    while remaining:
+        stab = remaining[0].hi
+        points.append(stab)
+        remaining = [b for b in remaining if not b.contains(stab)]
+    return _certified(F, points)
+
+
+#: intervals on small integer ends, lengths 0 to 3: single points, shared
+#: endpoints and duplicates are common
+INTERVALS = st.tuples(st.integers(-4, 4), st.integers(0, 3)).map(
+    lambda lo_len: Interval(lo_len[0], lo_len[0] + lo_len[1]))
+
+
 #: hulls of one to four small integer points: points, segments and
 #: polygons that often touch or share a vertex
 POLYGONS = st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=4).map(

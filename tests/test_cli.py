@@ -143,6 +143,26 @@ class TestBoundsCommand:
             "message": "need M = ceil(p^((d-1)/d+eps)) <= p+1, got M=253, p=40",
         }
 
+    @pytest.mark.parametrize("argv, message", [
+        (["bounds", "foo", "--p", "6", "--q", "3"], "argument theorem: invalid choice: 'foo'"),
+        (["bounds", "thm1", "--p", "x", "--q", "3"], "argument --p: invalid int value: 'x'"),
+        (["bounds", "thm1", "--p", "6"], "the following arguments are required: --q"),
+        (["bounds", "thm1", "--p", "6", "--q", "3", "--zz"], "unrecognized arguments: --zz"),
+        (["pierce"], "the following arguments are required: family"),
+        ([], "the following arguments are required: command"),
+    ], ids=["unknown-theorem", "non-int", "missing-option", "unknown-option",
+            "missing-positional", "no-command"])
+    def test_usage_error_exit_2(self, argv, message, capsys):
+        code, out = run_cli(*argv, capsys=capsys)
+        assert code == EXIT_INPUT and out.count("\n") == 1
+        error = json.loads(out)["error"]
+        assert error["type"] == "ParseError" and error["message"].startswith(message)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["bounds", "--help"]])
+    def test_help_exit_0(self, argv, capsys):
+        code, out = run_cli(*argv, capsys=capsys)
+        assert code == EXIT_OK and out.startswith("usage: pqpierce")
+
     def test_unwritable_output_exit_2(self, tmp_path, capsys):
         code, out = run_cli("bounds", "thm1", "--p", "6", "--q", "3",
                             "--output", str(tmp_path / "missing" / "out.json"), capsys=capsys)
@@ -262,6 +282,20 @@ class TestPierceCommand:
         )
         assert code == EXIT_OK
         assert json.loads(out)["points"] == [["2", "2"]]
+
+    @pytest.mark.parametrize("p, k, message", [
+        ("1", "0", "need p >= q >= 2, got p=1, q=2"),
+        ("5", "-1", "need 0 <= k <= p-q, got k=-1, p=5, q=2"),
+        ("5", "4", "need 0 <= k <= p-q, got k=4, p=5, q=2"),
+    ], ids=["p-1", "k-minus-1", "k-p-minus-1"])
+    def test_line_range_exit_2(self, p, k, message, tmp_path, capsys):
+        # dim1_threshold(p, 2, k) is the one check of the range of (p, k)
+        path = tmp_path / "fam.json"
+        path.write_text(dump_family(random_family(GeneratorSpec("random_polygons", n=5, seed=2))))
+        code, out = run_cli("pierce", str(path), "--strategy", "line", "--p", p, f"--k={k}",
+                            "--line", "0,1,0", capsys=capsys)
+        assert code == EXIT_INPUT
+        assert json.loads(out)["error"] == {"type": "ArityError", "message": message}
 
 
 class TestGenerateCommand:

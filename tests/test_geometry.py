@@ -214,6 +214,14 @@ class TestLineIncidence:
         with pytest.raises(ValueError):
             Line(0, 0, 1)
 
+    def test_integer_coefficients(self):
+        line = Line(Fraction(-1, 2), Fraction(1, 3), Fraction(5, 6))
+        assert repr(line) == "Line(a=3, b=-2, c=-5)"
+        assert {type(line.a), type(line.b), type(line.c)} == {int}
+        # exact points, not float quotients of ints
+        assert Line(0, 3, 1).some_point() == Point(Fraction(0), Fraction(1, 3))
+        assert Line(3, 0, 1).some_point() == Point(Fraction(1, 3), Fraction(0))
+
 
 def polygon_trace(body, line):
     """Reference trace: the meets check, the body clipped to both closed

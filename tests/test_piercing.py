@@ -9,6 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pqpierce import family as familymod
+from pqpierce import geometry
+from pqpierce import piercing as piercingmod
 from pqpierce.errors import ArityError, BudgetExceededError, PremiseViolationError
 from pqpierce.family import Family, degeneracy_level, satisfies_pqr
 from pqpierce.generators import GeneratorSpec, extremal_dim1, random_family
@@ -34,12 +37,14 @@ from pqpierce.piercing import (
 )
 
 from conftest import (
+    INTERVALS,
     box,
     brute_pair_regions,
     exhaustive_candidate_points,
     frozenset_branch_and_bound,
     intervals,
     polygon_families,
+    refiltering_sweep,
     ring_caps,
 )
 
@@ -176,6 +181,35 @@ class TestMinPiercing:
         for seed in range(50):
             F = random_family(GeneratorSpec("random_intervals", n=9, seed=seed))
             assert len(sweep_piercing_1d(F)) == len(branch_and_bound_piercing(F))
+
+
+class TestSweepOracle:
+    """The one-pass 1D sweep against the refiltering sweep it replaced:
+    the same points."""
+
+    def test_seeded_families(self):
+        for seed in range(30):
+            for n, span in ((6, 2), (9, 4), (12, 8)):
+                F = random_family(GeneratorSpec("random_intervals", n=n, seed=seed, span=span))
+                assert sweep_piercing_1d(F) == refiltering_sweep(F)
+                G = Family.of(F.bodies + F.bodies[::2])  # duplicated bodies
+                assert sweep_piercing_1d(G) == refiltering_sweep(G)
+        for p in range(2, 8):
+            for k in range(p - 1):
+                F = extremal_dim1(p, k)
+                assert sweep_piercing_1d(F) == refiltering_sweep(F)
+
+    def test_shared_ends_and_single_points(self):
+        F = intervals((0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (0, 2), (1, 1), (3, 3), (2, 3))
+        assert sweep_piercing_1d(F) == refiltering_sweep(F)
+        assert sweep_piercing_1d(F).points == (0, 1, 2, 3)
+
+    @given(st.lists(INTERVALS, min_size=1, max_size=12),
+           st.lists(st.integers(0, 11), max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_hypothesis_families(self, bodies, copies):
+        F = Family.of(bodies + [bodies[i % len(bodies)] for i in copies])
+        assert sweep_piercing_1d(F) == refiltering_sweep(F)
 
 
 class TestHdPierce:
@@ -373,6 +407,22 @@ class TestLinePierce:
         F = Family.of([box(0, 0, 2, 2), box(1, 1, 3, 3), box(2, 2, 4, 4)])
         result = line_pierce(F, diag, 3, 1)
         assert result.certified and len(result) <= 2
+
+    def test_each_body_traced_once(self, monkeypatch):
+        calls = []
+
+        def counting(body, line):
+            calls.append(body)
+            return geometry.line_trace(body, line)
+
+        # every name under which the program calls line_trace
+        for module in (familymod, piercingmod):
+            monkeypatch.setattr(module, "line_trace", counting)
+        F = Family.of(
+            [box(0, -1, 2, 1), box(1, -1, 3, 1), box(0, -2, 3, 2), box(5, 5, 6, 6)]
+        )
+        line_pierce(F, self.AXIS, 3, 1)
+        assert calls == list(F.bodies)
 
 
 class TestPairLemma:
