@@ -4,7 +4,8 @@ transcript.
 ``tests/golden/cli.jsonl`` holds one JSON object per call: its argv, in
 which ``{tmp}`` stands for a scratch directory, its exit code and its
 stdout.  The families are made by ``generate`` from fixed specs at the
-start of the transcript, so the replay needs no fixture files.  To
+start of the transcript, and the hand-written documents in ``DOCUMENTS``
+are written next to them, so the replay needs no fixture files.  To
 record the transcript again after a deliberate change of output, run
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -45,6 +46,48 @@ CONFIGS = {
                     "grid": {"p": [15], "q": [7, 15]}},
 }
 
+
+
+def _polygons(*bodies) -> dict:
+    return {"format_version": "1", "dimension": 2,
+            "bodies": [{"type": "polygon", "vertices": vertices} for vertices in bodies]}
+
+
+BIG = "1234567890123456789012345678901234567890"
+
+#: hand-written family documents, written next to the families; they pin
+#: the rational grammar a document accepts and the error it reports
+DOCUMENTS = {
+    # JSON ints: unsorted, duplicate and collinear vertices, a point, a
+    # segment with its midpoint and a point given twice
+    "doc-ints": _polygons(
+        [[4, 0], [0, 0], [4, 4], [2, 0], [0, 4], [0, 0], [0, 2]],
+        [[3, 1], [6, 1], [6, 1], [3, 5]],
+        [[2, 2]],
+        [[1, 6], [5, 2], [3, 4]],
+        [[-1, 3], [7, 3]],
+        [[5, 5], [5, 5]]),
+    # strings that Fraction reads: decimals, exponents, spaces, signs,
+    # leading zeros, unreduced fractions; JSON floats
+    "doc-strings": _polygons(
+        [["0.5", "1e2"], [" 1/2", "+3"], ["007/010", "-3/4"], ["2.25", " 5 "]],
+        [["1E1", "1/3"], ["-0", "0/7"], ["+1/2", "2/4"], ["-1.5e1", "12.5"]],
+        [[0.25, 3], ["3/6", 1.5e1]]),
+    # 40-digit coordinates and mixed denominators
+    "doc-big": _polygons(
+        [[BIG, "1/3"], ["-" + BIG + "/7", "5/6"], ["0", "-" + BIG]],
+        [["1/3", "1/4"], ["2/5", "7/12"], ["-11/9", "13/15"]],
+        [[BIG + "/" + BIG[::-1], "1"], ["1", BIG + "/" + BIG[::-1]]]),
+    # rejected values; the first is reported, body by body, x before y
+    "doc-zero-den": _polygons([[0, 0], [1, 1]], [[0, "1/0"], ["abc", 1]]),
+    "doc-abc": _polygons([[0, 0]], [["abc", "1/0"]]),
+    "doc-true": _polygons([[0, 0], [1, 0]], [[1, True]]),
+    # 4300 digits, CPython's default int-to-str limit, read and printed in
+    # full; past it, the message names the limit in words that differ
+    # between Python versions, so tests/test_cli.py checks that case
+    "doc-long": _polygons([[0, 0], [1, 0]], [["9" * 4300, 1]], [[2, 2], [3, 2], [2, 3]]),
+}
+
 ANALYZE = ((2, 1), (3, 2), (4, 3), (5, 3), (6, 2))
 HD = ((3, 3), (5, 4), (6, 5), (4, 4))
 LINES = ("1,-1,0", "0,1,1")
@@ -66,6 +109,12 @@ def calls():
                 for p, k in ((5, 2), (6, 4)):
                     yield ["pierce", path, "--strategy", "line", "--p", str(p), "--k", str(k),
                            "--line", line]
+    for name in DOCUMENTS:
+        path = f"{{tmp}}/{name}.json"
+        yield ["analyze", path, "--p", "3", "--q", "2"]
+        yield ["pierce", path]
+        yield ["pierce", path, "--strategy", "hd", "--p", "3", "--q", "3"]
+        yield ["pierce", path, "--strategy", "line", "--p", "3", "--k", "1", "--line", "1,-1,0"]
     for theorem, extra in (("thm1", []), ("thm2", ["--epsilon", "1/6"]), ("thm3", ["--k", "3"]),
                            ("prop-dim1", ["--k", "2"]), ("lemma-r0", ["--f", "3"]),
                            ("remark", ["--f", "3", "--epsilon", "1/8"]), ("kalai", ["--s", "12"]),
@@ -87,6 +136,8 @@ def calls():
 def write_configs(tmp) -> None:
     for name, config in CONFIGS.items():
         pathlib.Path(tmp, f"{name}.config").write_text(json.dumps(config))
+    for name, document in DOCUMENTS.items():
+        pathlib.Path(tmp, f"{name}.json").write_text(json.dumps(document))
 
 
 def run(argv, tmp) -> tuple[int, str]:
