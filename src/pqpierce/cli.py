@@ -2,7 +2,10 @@
 
 Subcommands: bounds, analyze, pierce, generate, experiment.  Families are
 exchanged as JSON documents with rationals serialized as exact
-"numerator/denominator" strings; experiment matrices are CSV.  Exit
+"numerator/denominator" strings; experiment matrices are CSV.  A polygon's
+coordinates go from the document to its integer vertex triples without
+`Fraction` when they are JSON ints or plain "n" and "n/d" strings; any
+other form is read by `Fraction`, whose grammar and messages apply.  Exit
 codes: 0 success, 1 theorem-claim violation (experiment), 2 input error
 (a usage error too), 3 premise violation, 4 budget exceeded, 5 internal
 fault (any other exception; its traceback goes to stderr).
@@ -16,6 +19,7 @@ import dataclasses
 import decimal
 import functools
 import json
+import re
 import sys
 import traceback
 from fractions import Fraction
@@ -83,6 +87,29 @@ def _parse_rational(text, where: str) -> Fraction:
         raise ParseError(f"bad rational {text!r} in {where}: {exc}") from None
 
 
+#: the forms every document this program writes uses
+_PLAIN = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
+def _parse_ratio(value, where: str) -> tuple[int, int]:
+    """``_parse_rational(value, where)`` as (numerator, denominator), the
+    denominator positive but not reduced.  JSON ints and plain strings are
+    read as ints; everything else goes through ``_parse_rational``."""
+    # 2000 bits is at most 603 digits, under the least int-to-str limit (640)
+    if type(value) is int and value.bit_length() <= 2000:
+        return value, 1
+    if type(value) is str and _PLAIN.fullmatch(value):
+        num, _, den = value.partition("/")
+        try:
+            num, den = int(num), int(den or 1)
+        except ValueError:  # past the int-to-str digit limit
+            den = 0
+        if den:
+            return num, den
+    value = _parse_rational(value, where)
+    return value.numerator, value.denominator
+
+
 def family_to_document(F: Family, metadata: dict | None = None) -> dict:
     bodies = []
     for body in F.bodies:
@@ -127,11 +154,8 @@ def document_to_family(doc: dict) -> Family:
                     raise ParseError(f"{where}: vertices must be a nonempty list")
                 if not all(isinstance(v, list) and len(v) == 2 for v in verts):
                     raise ParseError(f"{where}: every vertex must be an [x, y] pair")
-                pts = [
-                    Point(_parse_rational(x, where), _parse_rational(y, where))
-                    for x, y in verts
-                ]
-                body = ConvexPolygon.from_points(pts)
+                body = ConvexPolygon._from_ratios(
+                    [_parse_ratio(x, where) + _parse_ratio(y, where) for x, y in verts])
             else:
                 raise ParseError(f"{where}: unknown body type {kind!r}")
         except ValueError as exc:
@@ -153,7 +177,7 @@ def _read_json(path: str):
             return json.load(handle)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int past the int-to-str limit
         raise ParseError(f"invalid JSON in {path}: {exc}") from None
 
 

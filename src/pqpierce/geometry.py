@@ -9,12 +9,15 @@ Points and interval ends are `fractions.Fraction`; a line keeps its
 primitive integer coefficients.  A polygon computes on integers: each
 vertex is the primitive triple (X, Y, W), W > 0, of the point
 (X/W, Y/W), and each halfplane the primitive triple (A, B, C) of
-A*x + B*y <= C, so a side is A*X + B*Y - C*W.  Clips, membership, line
-incidence, the hull's turn test and the canonical check are integer
-arithmetic, and a region built by a clip turns its vertices into
-`Point`s only when they are read.  Each new vertex is the primitive form
-of the meeting point of two input edge lines, so coordinates do not grow
-along a chain of clips.
+A*x + B*y <= C, so a side is A*X + B*Y - C*W.  The hull, clips,
+membership, line incidence, traces, the closest pair of a separating line
+and the canonical check are integer arithmetic, and a region turns its
+vertices into `Point`s only when they are read.  The one hull is a
+monotone chain over integer pairs that share one denominator, so a
+polygon built from exact numerators and denominators (as a family
+document gives them) never passes through `Fraction`.  Each new vertex of
+a clip is the primitive form of the meeting point of two input edge
+lines, so coordinates do not grow along a chain of clips.
 
 Degenerate convex polygons are first class: a single point has one vertex,
 a segment has two.  Intersections clip one halfplane at a time in a single
@@ -72,15 +75,6 @@ class Point:
 def pt(x, y) -> Point:
     """Shorthand constructor accepting ints, strings, or Fractions."""
     return Point(Fraction(x), Fraction(y))
-
-
-def dot(u: Point, v: Point) -> Fraction:
-    return u.x * v.x + u.y * v.y
-
-
-def sqdist(u: Point, v: Point) -> Fraction:
-    d = u - v
-    return d.x * d.x + d.y * d.y
 
 
 def _homogeneous(p: Point) -> Homogeneous:
@@ -151,6 +145,39 @@ class Interval:
         return self.lo <= x <= self.hi
 
 
+def _hull(ratios: Iterable[tuple[int, int, int, int]]) -> tuple[Homogeneous, ...]:
+    """The primitive vertex triples, in canonical order, of the hull of the
+    points (xn/xd, yn/yd), xd, yd > 0.
+
+    Every point is put on the lcm L of all the denominators, and a monotone
+    chain (Andrew 1979) runs on the integer pairs: sorted, so the lexmin
+    comes first, with a vertex kept only where the chain turns strictly
+    left, so collinear and repeated points drop out.
+    """
+    ratios = list(ratios)
+    scale = lcm(*(d for _, xd, _, yd in ratios for d in (xd, yd)))
+    pts = sorted({(xn * (scale // xd), yn * (scale // yd)) for xn, xd, yn, yd in ratios})
+
+    def chain(order):
+        kept: list[tuple[int, int]] = []
+        for x, y in order:
+            while len(kept) >= 2:
+                (ox, oy), (ax, ay) = kept[-2], kept[-1]
+                if (ax - ox) * (y - oy) > (ay - oy) * (x - ox):
+                    break
+                kept.pop()
+            kept.append((x, y))
+        return kept[:-1]
+
+    if len(pts) > 1:
+        pts = chain(pts) + chain(reversed(pts))
+    return tuple(_primitive(x, y, scale) for x, y in pts)
+
+
+def _ratios(points: Iterable[Point]):
+    return ((p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator) for p in points)
+
+
 def convex_hull(points: Iterable[Point]) -> tuple[Point, ...]:
     """Convex hull in counter-clockwise order, lexicographically smallest
     vertex first, collinear interior points dropped.
@@ -159,20 +186,7 @@ def convex_hull(points: Iterable[Point]) -> tuple[Point, ...]:
     to a single point.  This is also the canonical vertex form used by
     ConvexPolygon, so ``convex_hull(poly.vertices) == poly.vertices``.
     """
-    pts = sorted(set(points))
-    hom = [_homogeneous(p) for p in pts]
-
-    def chain(order):
-        kept: list[int] = []
-        for i in order:
-            while len(kept) >= 2 and not _left_turn(hom[kept[-2]], hom[kept[-1]], hom[i]):
-                kept.pop()
-            kept.append(i)
-        return kept[:-1]
-
-    if len(pts) <= 1:
-        return tuple(pts)
-    return tuple(pts[i] for i in chain(range(len(pts))) + chain(reversed(range(len(pts)))))
+    return tuple(map(_point, _hull(_ratios(points))))
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -223,10 +237,15 @@ class ConvexPolygon:
 
     @classmethod
     def from_points(cls, points: Iterable[Point]) -> "ConvexPolygon":
-        hull = convex_hull(points)
+        return cls._from_ratios(_ratios(points))
+
+    @classmethod
+    def _from_ratios(cls, ratios: Iterable[tuple[int, int, int, int]]) -> "ConvexPolygon":
+        """The hull of the points (xn/xd, yn/yd), xd, yd > 0."""
+        hull = _hull(ratios)
         if not hull:
             raise ValueError("no points given")
-        return cls(hull)
+        return cls._from_hom(hull)
 
     @property
     def dimension(self) -> int:
@@ -413,34 +432,28 @@ def line_trace(body: ConvexPolygon, line: Line) -> Optional[Interval]:
     trace = below and _clip_halfplane(below, -a, -b, -c)
     if trace is None:
         return None
-    # t = (direction . v - direction . base) / |direction|^2, direction = (-b, a)
-    offset, scale = dot(line.some_point(), line.direction()), a * a + b * b
-    ts = [(Fraction(a * Y - b * X, W) - offset) / scale for X, Y, W in trace]
-    return Interval(min(ts), max(ts))
+    # base + t * direction is (-b*t, c/b + a*t), or (c/a, a*t) when b = 0
+    # (then a > 0), so t is -x/b, or y/a; the trace lies on the line, so it
+    # is one or two vertices, lexmin first, and t falls along them iff b > 0
+    lo, hi = (Fraction(-X, b * W) if b else Fraction(Y, a * W) for X, Y, W in (trace[0], trace[-1]))
+    return Interval(lo, hi) if b <= 0 else Interval(hi, lo)
 
 
-def _edges(poly: ConvexPolygon) -> list[tuple[Point, Point]]:
-    """The closed boundary's edges; a point is one edge of length zero."""
-    v = poly.vertices
-    return [(v[i - 1], v[i]) for i in range(len(v))]
-
-
-def _closest_on_segment(p: Point, u: Point, w: Point) -> Point:
-    d = w - u
-    den = dot(d, d)
-    if den == 0:
-        return u
-    t = dot(p - u, d) / den
-    t = min(max(t, Fraction(0)), Fraction(1))
-    return u + d.scaled(t)
-
-
-def _closest_pair(A: ConvexPolygon, B: ConvexPolygon) -> tuple[Point, Point]:
-    """Deterministic closest pair (point of A, point of B); exact, and
-    attained at a vertex of one body and a vertex or edge of the other."""
-    cands = [(v, _closest_on_segment(v, u, w)) for v in A.vertices for u, w in _edges(B)]
-    cands += [(_closest_on_segment(v, u, w), v) for v in B.vertices for u, w in _edges(A)]
-    return min(cands, key=lambda pair: (sqdist(pair[0], pair[1]), pair))
+def _foot(p: tuple[int, int], u: tuple[int, int], w: tuple[int, int]):
+    """The point of the closed segment u-w nearest to p, all integer pairs,
+    as the triple (X, Y, D) of (X/D, Y/D), D > 0, with its squared
+    distance to p as the numerator over D*D."""
+    dx, dy = w[0] - u[0], w[1] - u[1]
+    den, t = dx * dx + dy * dy, (p[0] - u[0]) * dx + (p[1] - u[1]) * dy
+    # the projection parameter t/den, clamped to [0, 1]
+    if t <= 0:
+        X, Y, D = u[0], u[1], 1
+    elif t >= den:
+        X, Y, D = w[0], w[1], 1
+    else:
+        X, Y, D = u[0] * den + dx * t, u[1] * den + dy * t, den
+    ex, ey = p[0] * D - X, p[1] * D - Y
+    return ex * ex + ey * ey, (X, Y, D)
 
 
 def separating_line(A: ConvexPolygon, B: ConvexPolygon) -> Line:
@@ -450,17 +463,36 @@ def separating_line(A: ConvexPolygon, B: ConvexPolygon) -> Line:
     disjoint compact convex sets always separates strictly and has
     rational coordinates.  Raises PremiseViolationError if the bodies
     intersect.
+
+    The closest pair is attained at a vertex of one body and a point of a
+    closed edge of the other (a point is one edge of length zero); every
+    such candidate is found on integers, both bodies on one denominator.
+    Any nearest candidate gives the same line: pb - pa is the least vector
+    of the convex set B - A, so it is one n for every closest pair, and A
+    lies in n . x <= n . pa for each closest pa, which fixes n . pa.
     """
     if A.dimension != 2 or B.dimension != 2:
         raise DimensionMismatchError("separating_line is 2D only")
     if intersect_bodies([A, B]) is not None:
         raise PremiseViolationError("bodies intersect; no separating line exists")
-    pa, pb = _closest_pair(A, B)
-    n = pb - pa
-    mid = (pa + pb).scaled(Fraction(1, 2))
-    line = Line(n.x, n.y, dot(n, mid))
-    sa = [line.side(v) for v in A.vertices]
-    sb = [line.side(v) for v in B.vertices]
+    # a vertex is the integer pair (x, y) of the point (x/L, y/L)
+    L = lcm(*(W for _, _, W in A._hom + B._hom))
+    va = [(X * (L // W), Y * (L // W)) for X, Y, W in A._hom]
+    vb = [(X * (L // W), Y * (L // W)) for X, Y, W in B._hom]
+    best = None  # (num, D, vertex, foot): squared distance num/D^2 times L^2
+    for ps, qs in ((va, vb), (vb, va)):
+        for p in ps:
+            for i in range(len(qs)):
+                num, foot = _foot(p, qs[i - 1], qs[i])
+                if best is None or num * best[1] ** 2 < best[0] * foot[2] ** 2:
+                    best = (num, foot[2], p, foot)
+    _, D, (px, py), (X, Y, _) = best
+    # the bisector n . x = n . mid, n = foot - vertex, scaled by 2 D^2 and
+    # read at x = x'/L
+    nx, ny = X - px * D, Y - py * D
+    line = Line(2 * D * nx * L, 2 * D * ny * L, nx * (px * D + X) + ny * (py * D + Y))
+    sa = [line.a * X + line.b * Y - line.c * W for X, Y, W in A._hom]
+    sb = [line.a * X + line.b * Y - line.c * W for X, Y, W in B._hom]
     if not ((max(sa) < 0 < min(sb)) or (max(sb) < 0 < min(sa))):
         raise AssertionError("bisector failed to separate; closest pair bug")
     return line

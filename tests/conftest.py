@@ -25,6 +25,79 @@ from pqpierce.geometry import (
 from pqpierce.piercing import DEFAULT_NODE_BUDGET, PiercingSet, _certified, candidate_points
 
 
+def dot(u: Point, v: Point) -> Fraction:
+    return u.x * v.x + u.y * v.y
+
+
+def sqdist(u: Point, v: Point) -> Fraction:
+    d = u - v
+    return d.x * d.x + d.y * d.y
+
+
+def fraction_hull(points) -> tuple:
+    """Convex hull in Fraction arithmetic: counter-clockwise from the
+    lexmin, collinear and repeated points dropped.  The oracle for the
+    integer chain behind ``convex_hull`` and ``ConvexPolygon.from_points``."""
+    pts = sorted(set(points))
+
+    def chain(order):
+        kept = []
+        for p in order:
+            while len(kept) >= 2 and (
+                    (kept[-1].x - kept[-2].x) * (p.y - kept[-2].y)
+                    - (kept[-1].y - kept[-2].y) * (p.x - kept[-2].x)) <= 0:
+                kept.pop()
+            kept.append(p)
+        return kept[:-1]
+
+    if len(pts) <= 1:
+        return tuple(pts)
+    return tuple(chain(pts) + chain(pts[::-1]))
+
+
+def fraction_document_to_family(doc: dict) -> Family:
+    """A well-formed 2D document read the way the CLI read it before it
+    parsed to ints: every coordinate through ``Fraction(str(value))``,
+    every body the Fraction hull of its points."""
+    return Family(2, tuple(
+        ConvexPolygon(fraction_hull(Point(Fraction(str(x)), Fraction(str(y)))
+                                    for x, y in raw["vertices"]))
+        for raw in doc["bodies"]))
+
+
+def _edges(poly: ConvexPolygon) -> list[tuple[Point, Point]]:
+    """The closed boundary's edges; a point is one edge of length zero."""
+    v = poly.vertices
+    return [(v[i - 1], v[i]) for i in range(len(v))]
+
+
+def _closest_on_segment(p: Point, u: Point, w: Point) -> Point:
+    d = w - u
+    den = dot(d, d)
+    if den == 0:
+        return u
+    t = dot(p - u, d) / den
+    t = min(max(t, Fraction(0)), Fraction(1))
+    return u + d.scaled(t)
+
+
+def _closest_pair(A: ConvexPolygon, B: ConvexPolygon) -> tuple[Point, Point]:
+    """Deterministic closest pair (point of A, point of B); exact, and
+    attained at a vertex of one body and a vertex or edge of the other."""
+    cands = [(v, _closest_on_segment(v, u, w)) for v in A.vertices for u, w in _edges(B)]
+    cands += [(_closest_on_segment(v, u, w), v) for v in B.vertices for u, w in _edges(A)]
+    return min(cands, key=lambda pair: (sqdist(pair[0], pair[1]), pair))
+
+
+def fraction_bisector(A: ConvexPolygon, B: ConvexPolygon) -> Line:
+    """The perpendicular bisector of the closest pair of disjoint A and B,
+    in Fraction arithmetic: the oracle for ``geometry.separating_line``."""
+    pa, pb = _closest_pair(A, B)
+    n = pb - pa
+    mid = (pa + pb).scaled(Fraction(1, 2))
+    return Line(n.x, n.y, dot(n, mid))
+
+
 def box(x0, y0, x1, y1) -> ConvexPolygon:
     return ConvexPolygon.from_points([pt(x0, y0), pt(x1, y0), pt(x1, y1), pt(x0, y1)])
 

@@ -5,12 +5,15 @@ import subprocess
 import sys
 import time
 from decimal import Decimal
+from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pqpierce import bounds, piercing
 from pqpierce.bounds import ms_threshold
+from pqpierce import cli
 from pqpierce.cli import (
     EXIT_BUDGET,
     EXIT_INPUT,
@@ -23,9 +26,11 @@ from pqpierce.cli import (
     family_to_document,
     main,
 )
-from pqpierce.errors import BudgetExceededError
+from pqpierce.errors import BudgetExceededError, ParseError
 from pqpierce.family import DEFAULT_WORK_BUDGET, _intersecting_qtuples
 from pqpierce.generators import GeneratorSpec, extremal_dim1, random_family
+
+from conftest import fraction_document_to_family
 
 
 def run_cli(*argv, capsys=None):
@@ -90,6 +95,97 @@ class TestDocumentRoundTrip:
         code, out = run_cli("pierce", str(path), capsys=capsys)
         assert code == EXIT_INPUT
         assert json.loads(out)["error"]["type"] == "ParseError"
+
+    def test_integer_past_the_str_limit_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "long.json"
+        path.write_text('{"format_version": "1", "dimension": 2, "bodies": '
+                        '[{"type": "polygon", "vertices": [[1%s, 0]]}]}' % ("0" * 5000))
+        code, out = run_cli("pierce", str(path), capsys=capsys)
+        assert code == EXIT_INPUT
+        error = json.loads(out)["error"]
+        assert error["type"] == "ParseError"
+        assert error["message"].startswith(f"invalid JSON in {path}: ")
+
+
+def rational_or_error(value, where="body 0"):
+    """What the document path made of a coordinate before it parsed to
+    ints: the Fraction, or the message of its ParseError."""
+    try:
+        return Fraction(str(value))
+    except (ValueError, ZeroDivisionError) as exc:
+        return f"bad rational {value!r} in {where}: {exc}"
+
+
+#: JSON values a coordinate may hold: strings near the plain grammar, ints
+#: near 2^64 and past 2000 bits, bools, floats, null
+COORDINATE_VALUES = st.one_of(
+    st.text(alphabet="0123456789-+/.e_ \n\u0661", max_size=8),
+    st.from_regex(r"-?[0-9]{1,30}(/[0-9]{1,30})?", fullmatch=True),
+    st.integers(-2 ** 70, 2 ** 70),
+    st.sampled_from([10 ** 700, -(2 ** 2001), 2 ** 2000 - 1, "9" * 5000, "1/" + "7" * 4400]),
+    st.booleans(), st.floats(allow_nan=False), st.none())
+
+
+#: a rational spelled as the writer spells it, unreduced, zero-padded, as
+#: a JSON int or float, or in a form only Fraction reads
+@st.composite
+def spelled(draw):
+    value = draw(st.fractions(min_value=-50, max_value=50, max_denominator=12))
+    k = draw(st.integers(1, 4))
+    forms = [str(value), f"{value.numerator * k}/{value.denominator * k}",
+             f" {value} ", f"+{abs(value)}" if value >= 0 else str(value)]
+    if value.numerator >= 0:
+        forms.append(f"00{value.numerator}/0{value.denominator}")
+    if value.denominator == 1:
+        forms += [value.numerator, f"{value.numerator}.0", f"{value.numerator}e0"]
+    if value.denominator in (1, 2, 4, 8):
+        forms.append(float(value))
+    return draw(st.sampled_from(forms))
+
+
+class TestIntegerDocumentPath:
+    @given(COORDINATE_VALUES)
+    @settings(max_examples=300, deadline=None)
+    def test_grammar_and_messages_match_fraction(self, value):
+        try:
+            num, den = cli._parse_ratio(value, "body 0")
+        except ParseError as exc:
+            got = str(exc)
+        else:
+            assert den > 0
+            got = Fraction(num, den)
+        assert got == rational_or_error(value)
+
+    @given(st.lists(st.lists(st.tuples(spelled(), spelled()), min_size=1, max_size=6),
+                    min_size=1, max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_family_matches_fraction_path(self, bodies):
+        doc = {"format_version": "1", "dimension": 2,
+               "bodies": [{"type": "polygon", "vertices": [list(v) for v in verts]}
+                          for verts in bodies]}
+        F, oracle = document_to_family(json.loads(json.dumps(doc))), fraction_document_to_family(doc)
+        assert (F, hash(F), repr(F)) == (oracle, hash(oracle), repr(oracle))
+        assert [body._hom for body in F.bodies] == [body._hom for body in oracle.bodies]
+
+    def test_string_past_the_str_limit_exit_2(self, tmp_path, capsys):
+        # the message is the runtime's own; its words differ between
+        # Python versions, so it is not in the golden transcript
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({"format_version": "1", "dimension": 2, "bodies": [
+            {"type": "polygon", "vertices": [[0, 0]]},
+            {"type": "polygon", "vertices": [["9" * 5000, 1]]}]}))
+        code, out = run_cli("pierce", str(path), capsys=capsys)
+        assert code == EXIT_INPUT
+        assert json.loads(out)["error"] == {"type": "ParseError",
+                                            "message": rational_or_error("9" * 5000, "body 1")}
+
+    def test_first_bad_value_reported(self):
+        doc = {"format_version": "1", "dimension": 2, "bodies": [
+            {"type": "polygon", "vertices": [[0, 0], ["1", "2/0"], ["x", 1]]},
+            {"type": "polygon", "vertices": [["abc", 0]]}]}
+        with pytest.raises(ParseError) as got:
+            document_to_family(doc)
+        assert str(got.value) == rational_or_error("2/0")
 
 
 class TestBoundsCommand:

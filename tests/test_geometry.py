@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pqpierce.errors import DimensionMismatchError, PremiseViolationError
 from pqpierce.family import Family, f_vector, max_r
@@ -19,7 +19,6 @@ from pqpierce.geometry import (
     _homogeneous,
     clip_polygon,
     convex_hull,
-    dot,
     intersect_bodies,
     lexmax_body,
     line_meets_body,
@@ -28,7 +27,7 @@ from pqpierce.geometry import (
     separating_line,
 )
 
-from conftest import box
+from conftest import box, dot, fraction_bisector, fraction_hull
 
 
 coords = st.integers(min_value=-8, max_value=8)
@@ -195,6 +194,59 @@ class TestSeparation:
         else:
             with pytest.raises(PremiseViolationError):
                 separating_line(a, b)
+
+
+@st.composite
+def tie_heavy_pairs(draw):
+    """Disjoint pairs with many equally near candidates: squares across an
+    equal gap, parallel edges, two points, a point and a segment."""
+    small = st.integers(-3, 3)
+    x, y = draw(small), draw(small)
+    kind = draw(st.sampled_from(("squares", "parallel", "points", "point-segment")))
+    if kind == "squares":
+        s, gap, shift = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(small)
+        corners = [(x, y, x + s, y + s), (x + s + gap, y + shift, x + 2 * s + gap, y + shift + s)]
+        if draw(st.booleans()):  # the gap vertical instead
+            corners = [(y0, x0, y1, x1) for x0, y0, x1, y1 in corners]
+        a, b = (box(*c) for c in corners)
+    elif kind == "parallel":
+        # edges on the lines through p and p + o along d, each body on its
+        # far side of them
+        d = draw(st.tuples(small, small).filter(lambda v: v != (0, 0)).map(lambda v: pt(*v)))
+        o = draw(st.tuples(small, small).filter(
+            lambda v: v[0] * d.y != v[1] * d.x).map(lambda v: pt(*v)))
+        p = pt(x, y)
+        j, k1, k2, t1, t2 = (draw(st.integers(-2, 3)) for _ in range(5))
+        a_pts, b_pts = [p, p + d.scaled(k1)], [p + o + d.scaled(j), p + o + d.scaled(j + k2)]
+        if draw(st.booleans()):
+            a_pts.append(p - o + d.scaled(t1))
+            b_pts.append(p + o.scaled(2) + d.scaled(t2))
+        a, b = ConvexPolygon.from_points(a_pts), ConvexPolygon.from_points(b_pts)
+    else:
+        u = pt(x, y)
+        v, w = (draw(st.tuples(small, small).map(lambda c: pt(*c))) for _ in range(2))
+        a = ConvexPolygon.from_points([u])
+        b = ConvexPolygon.from_points([v] if kind == "points" else [v, w])
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+class TestSeparationAgainstFractionBisector:
+    @given(tie_heavy_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_tie_heavy_pairs(self, pair):
+        assume(intersect_bodies(pair) is None)
+        line = separating_line(*pair)
+        assert (line, repr(line)) == (fraction_bisector(*pair), repr(fraction_bisector(*pair)))
+
+    @pytest.mark.parametrize("pair", [
+        (box(0, 0, 1, 1), box(2, 0, 3, 1)),
+        (box(0, 0, 2, 2), box(3, 1, 5, 3)),
+        (ConvexPolygon.from_points([pt(0, 0), pt(4, 0)]), ConvexPolygon.from_points([pt(1, 1), pt(3, 1)])),
+        (ConvexPolygon.from_points([pt(1, 1)]), ConvexPolygon.from_points([pt(0, 0), pt(2, 0)])),
+    ])
+    def test_pinned_ties(self, pair):
+        for A, B in (pair, pair[::-1]):
+            assert separating_line(A, B) == fraction_bisector(A, B)
 
 
 class TestLineIncidence:
@@ -540,6 +592,19 @@ def halfplane_for(draw, verts, kind):
     return a, b, a * v.x + b * v.y
 
 
+@st.composite
+def point_lists(draw, kind):
+    """Points drawn like the vertices, often with a collinear run through
+    two of them and repeats, in any order: their hulls are points,
+    segments and polygons."""
+    points = draw(st.lists(st.builds(Point, kind, kind), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        u, w = points[0], points[-1]
+        points += [u + (w - u).scaled(t) for t in draw(st.lists(RATIONAL, max_size=4))]
+    points += draw(st.lists(st.sampled_from(points), max_size=3))
+    return draw(st.permutations(points))
+
+
 def vertices_or_none(body):
     return None if body is None else body.vertices
 
@@ -583,6 +648,27 @@ class TestIntegerKernelAgainstFractionOracles:
         probes += data.draw(st.lists(st.builds(Point, kind, kind), max_size=4))
         for p in probes:
             assert body.contains(p) == fraction_contains(v, p), p
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_hull(self, data):
+        points = data.draw(point_lists(data.draw(st.sampled_from(KINDS))))
+        want = fraction_hull(points)
+        hull = convex_hull(iter(points))
+        assert (hull, repr(hull)) == (want, repr(want))
+        poly, oracle = ConvexPolygon.from_points(iter(points)), ConvexPolygon(want)
+        assert (poly, hash(poly), repr(poly), poly._hom) == \
+            (oracle, hash(oracle), repr(oracle), oracle._hom)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_separating_line(self, data):
+        kind = data.draw(st.sampled_from(KINDS))
+        a, b = (ConvexPolygon(data.draw(hull_of(kind))) for _ in range(2))
+        assume(intersect_bodies([a, b]) is None)
+        for A, B in ((a, b), (b, a)):
+            line = separating_line(A, B)
+            assert (line, repr(line)) == (fraction_bisector(A, B), repr(fraction_bisector(A, B)))
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
