@@ -149,10 +149,10 @@ def _hull(ratios: Iterable[tuple[int, int, int, int]]) -> tuple[Homogeneous, ...
     """The primitive vertex triples, in canonical order, of the hull of the
     points (xn/xd, yn/yd), xd, yd > 0.
 
-    Every point is put on the lcm L of all the denominators, and a monotone
-    chain (Andrew 1979) runs on the integer pairs: sorted, so the lexmin
-    comes first, with a vertex kept only where the chain turns strictly
-    left, so collinear and repeated points drop out.
+    Every point is put on the lcm of all the denominators, and a monotone
+    chain (Andrew 1979) runs on the distinct integer pairs, sorted so that
+    the lexmin comes first; it keeps a vertex only where it turns strictly
+    left, which drops collinear points.
     """
     ratios = list(ratios)
     scale = lcm(*(d for _, xd, _, yd in ratios for d in (xd, yd)))

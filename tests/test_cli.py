@@ -145,7 +145,7 @@ def spelled(draw):
 
 class TestIntegerDocumentPath:
     @given(COORDINATE_VALUES)
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=200, deadline=None)
     def test_grammar_and_messages_match_fraction(self, value):
         try:
             num, den = cli._parse_ratio(value, "body 0")
@@ -158,7 +158,7 @@ class TestIntegerDocumentPath:
 
     @given(st.lists(st.lists(st.tuples(spelled(), spelled()), min_size=1, max_size=6),
                     min_size=1, max_size=4))
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=60, deadline=None)
     def test_family_matches_fraction_path(self, bodies):
         doc = {"format_version": "1", "dimension": 2,
                "bodies": [{"type": "polygon", "vertices": [list(v) for v in verts]}

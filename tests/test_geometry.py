@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pqpierce.errors import DimensionMismatchError, PremiseViolationError
 from pqpierce.family import Family, f_vector, max_r
@@ -232,21 +232,17 @@ def tie_heavy_pairs(draw):
 
 class TestSeparationAgainstFractionBisector:
     @given(tie_heavy_pairs())
-    @settings(max_examples=300, deadline=None)
+    @example((box(0, 0, 1, 1), box(2, 0, 3, 1)))
+    @example((box(3, 1, 5, 3), box(0, 0, 2, 2)))
+    @example((ConvexPolygon.from_points([pt(0, 0), pt(4, 0)]),
+              ConvexPolygon.from_points([pt(1, 1), pt(3, 1)])))
+    @example((ConvexPolygon.from_points([pt(1, 1)]),
+              ConvexPolygon.from_points([pt(0, 0), pt(2, 0)])))
+    @settings(max_examples=150, deadline=None)
     def test_tie_heavy_pairs(self, pair):
         assume(intersect_bodies(pair) is None)
         line = separating_line(*pair)
         assert (line, repr(line)) == (fraction_bisector(*pair), repr(fraction_bisector(*pair)))
-
-    @pytest.mark.parametrize("pair", [
-        (box(0, 0, 1, 1), box(2, 0, 3, 1)),
-        (box(0, 0, 2, 2), box(3, 1, 5, 3)),
-        (ConvexPolygon.from_points([pt(0, 0), pt(4, 0)]), ConvexPolygon.from_points([pt(1, 1), pt(3, 1)])),
-        (ConvexPolygon.from_points([pt(1, 1)]), ConvexPolygon.from_points([pt(0, 0), pt(2, 0)])),
-    ])
-    def test_pinned_ties(self, pair):
-        for A, B in (pair, pair[::-1]):
-            assert separating_line(A, B) == fraction_bisector(A, B)
 
 
 class TestLineIncidence:
@@ -650,7 +646,7 @@ class TestIntegerKernelAgainstFractionOracles:
             assert body.contains(p) == fraction_contains(v, p), p
 
     @given(st.data())
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=100, deadline=None)
     def test_hull(self, data):
         points = data.draw(point_lists(data.draw(st.sampled_from(KINDS))))
         want = fraction_hull(points)
@@ -661,7 +657,7 @@ class TestIntegerKernelAgainstFractionOracles:
             (oracle, hash(oracle), repr(oracle), oracle._hom)
 
     @given(st.data())
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=60, deadline=None)
     def test_separating_line(self, data):
         kind = data.draw(st.sampled_from(KINDS))
         a, b = (ConvexPolygon(data.draw(hull_of(kind))) for _ in range(2))
