@@ -131,6 +131,12 @@ def calls():
                "--epsilon", "abc"]
     for name in CONFIGS:
         yield ["experiment", f"{{tmp}}/{name}.config"]
+    # each option a theorem, strategy or generate requires, left out
+    for theorem in ("thm2", "thm3", "prop-dim1", "lemma-r0", "remark", "kalai", "implied-q"):
+        yield ["bounds", theorem, "--p", "40", "--q", "18", "--d", "2"]
+    yield ["pierce", "{tmp}/dense0.json", "--strategy", "hd", "--p", "5"]
+    yield ["pierce", "{tmp}/dense0.json", "--strategy", "line", "--p", "5", "--k", "2"]
+    yield ["generate"]
 
 
 def write_configs(tmp) -> None:
