@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, isqrt, log2
 
-from .errors import ArityError
+from .errors import ArityError, BudgetExceededError
 
 #: Attached whenever a result relies on an asymptotic hypothesis whose
 #: explicit constant is unknown.
@@ -26,6 +26,10 @@ CAVEAT_P0_UNKNOWN = "requires p >= p0(epsilon), p0 unknown"
 
 #: Attached to results that presume no single point pierces all but p-q members.
 CAVEAT_NON_DEGENERATE = "requires non-(p-q)-degenerate family"
+
+#: Most bits of the power p^a that :func:`ceil_power` builds to decide
+#: m >= p^(a/b); past it the call raises instead of running for minutes.
+POWER_BIT_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -91,10 +95,19 @@ def lemma_r0_threshold(p: int, q: int, d: int, f: int) -> BoundResult:
 
 
 def _floor_root(x: int, k: int) -> int:
-    """floor(x^(1/k)) by integer Newton iteration."""
+    """floor(x^(1/k)) by integer Newton iteration from a float estimate.
+
+    One step from any positive r lands at or above the answer (by AM-GM,
+    the step's mean is at least x^(1/k)), and from there each step falls
+    until the answer; the estimate only makes the steps few."""
     if x < 2 or k == 1:
         return x
-    r = 1 << ((x.bit_length() + k - 1) // k)  # certified upper bound
+    if k >= x.bit_length():  # then 1 <= x^(1/k) < 2
+        return 1
+    bits = log2(x) / k  # log2 of the answer
+    scale = max(int(bits) - 52, 0)
+    r = (int(2 ** (bits - scale)) + 1) << scale
+    r = ((k - 1) * r + x // r ** (k - 1)) // k
     while True:
         nr = ((k - 1) * r + x // r ** (k - 1)) // k
         if nr >= r:
@@ -104,11 +117,17 @@ def _floor_root(x: int, k: int) -> int:
 
 def ceil_power(p: int, exponent: Fraction) -> int:
     """Smallest integer m with m >= p^exponent, decided exactly over the
-    integers (m >= p^(a/b) iff m^b >= p^a)."""
+    integers (m >= p^(a/b) iff m^b >= p^a).  Raises BudgetExceededError
+    when p^a has more than :data:`POWER_BIT_BUDGET` bits."""
     if p < 1 or exponent < 0:
         raise ArityError(f"need p >= 1 and exponent >= 0, got p={p}, e={exponent}")
     num, den = exponent.numerator, exponent.denominator
-    target = p**num
+    # p^a has over num * (p.bit_length() - 1) bits, so it is built only
+    # when it has at most twice the budget's bits
+    if num * (p.bit_length() - 1) >= POWER_BIT_BUDGET or (
+            target := p**num).bit_length() > POWER_BIT_BUDGET:
+        raise BudgetExceededError(
+            f"ceil_power needs {p}^{num}, past the budget of {POWER_BIT_BUDGET} bits")
     root = _floor_root(target, den)
     return root if root**den == target else root + 1
 

@@ -163,7 +163,7 @@ def document_to_family(doc: dict) -> Family:
         bodies.append(body)
     try:
         return Family(dimension, tuple(bodies))
-    except (ValueError, DimensionMismatchError) as exc:
+    except DimensionMismatchError as exc:
         raise ParseError(str(exc)) from None
 
 
@@ -342,10 +342,10 @@ def _experiment_rows(config):
     if not isinstance(config, dict):
         raise ParseError(f"experiment config must be a JSON object, got {config!r}")
     seeds = config.get("seeds", 20)
-    if type(seeds) is int:
+    if type(seeds) is int and seeds >= 0:
         seeds = list(range(seeds))
     elif not _int_list(seeds):
-        raise ParseError(f"seeds must be an int or a list of ints, got {seeds!r}")
+        raise ParseError(f"seeds must be a nonnegative int or a list of ints, got {seeds!r}")
     dimension = config.get("dimension", 1)
     if type(dimension) is not int or dimension not in (1, 2):
         raise ParseError(f"dimension must be 1 or 2, got {dimension!r}")
@@ -554,7 +554,7 @@ def main(argv=None) -> int:
         error = {"type": type(exc).__name__, "message": str(exc)}
         witness = getattr(exc, "witness", None)
         if witness is not None:
-            error["witness"] = [list(w) if isinstance(w, tuple) else w for w in witness]
+            error["witness"] = list(witness)
         _emit({"error": error}, sys.stdout)
         return code
 

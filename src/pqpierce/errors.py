@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto its exit-code contract: input problems
-(parse, arity, dimension) exit 2, violated premises exit 3, exhausted
-enumeration budgets exit 4.  Any other exception is an internal fault
+(parse, arity, dimension) exit 2, violated premises exit 3, exceeded
+work limits exit 4.  Any other exception is an internal fault
 and exits 5.
 """
 
@@ -35,4 +35,5 @@ class PremiseViolationError(PQPierceError):
 
 
 class BudgetExceededError(PQPierceError):
-    """An enumeration budget was exhausted before the answer was decided."""
+    """A work limit was exceeded before the answer was decided: an
+    enumeration or search budget, or the bits of a power."""

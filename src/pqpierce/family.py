@@ -14,7 +14,7 @@ closed form, because by Helly a set of intervals meets exactly when its
 pairs do; the through-line property is that sweep over the bodies'
 traces on the line.  The q-tuple flags are memoized for the last eight
 (family, q) queries and aggregated by a depth-first search over
-p-subsets, with a configurable hard work cap instead of silent
+p-subsets, with the fixed work cap DEFAULT_WORK_BUDGET instead of silent
 truncation.  The search carries, for every later index, the count a pick
 of it would add, and skips a branch whose lower bound (the counts so far
 plus the smallest additions still to come, which only grow) reaches the
@@ -164,15 +164,6 @@ class PQRReport:
     witness_subset: tuple[int, ...]
 
 
-def _check_arity(F: Family, p: int, q: int) -> None:
-    if q < 1 or p < 1:
-        raise ArityError(f"p and q must be positive, got p={p}, q={q}")
-    if q > p:
-        raise ArityError(f"q={q} exceeds p={p}")
-    if p > len(F):
-        raise ArityError(f"p={p} exceeds family size {len(F)}")
-
-
 def _interval_sweep(bodies):
     """Yield (i, earlier) for every interval of a sequence in (lo, index)
     order, where ``earlier`` lists the intervals before i in that order
@@ -236,12 +227,12 @@ def f_vector(F: Family) -> tuple[int, ...]:
 
 
 def _fewest_flagged(F: Family, p: int, q: int, flagged, floor: int,
-                    work_budget: int, what: str) -> tuple[int, tuple[int, ...]]:
+                    what: str) -> tuple[int, tuple[int, ...]]:
     """The lexicographically first p-subset of F holding the fewest
     q-tuples of ``flagged()``, as (count, subset).  The scan stops at the
-    first subset whose count falls below ``floor``; ``flagged`` is called
-    only once the budget check on C(n,p) * C(p,q) + C(n,q) steps has
-    passed.
+    first subset whose count falls below ``floor`` (r, at least 1);
+    ``flagged`` is called only once the C(n,p) * C(p,q) + C(n,q) steps
+    are found within DEFAULT_WORK_BUDGET, read once per call.
 
     Depth-first over p-subsets in lexicographic order, with an explicit
     stack because p may exceed the recursion limit.  A flagged q-tuple is
@@ -263,11 +254,19 @@ def _fewest_flagged(F: Family, p: int, q: int, flagged, floor: int,
     best too, since the scan is still running).  So the answer is the
     one a full scan in lexicographic order would give.
     """
-    _check_arity(F, p, q)
     n = len(F)
+    if floor < 1:
+        raise ArityError(f"r must be >= 1, got {floor}")
+    if q < 1 or p < 1:
+        raise ArityError(f"p and q must be positive, got p={p}, q={q}")
+    if q > p:
+        raise ArityError(f"q={q} exceeds p={p}")
+    if p > n:
+        raise ArityError(f"p={p} exceeds family size {n}")
     work = comb(n, p) * comb(p, q) + comb(n, q)
-    if work > work_budget:
-        raise BudgetExceededError(f"{what} enumeration needs {work} steps, budget is {work_budget}")
+    if work > DEFAULT_WORK_BUDGET:
+        raise BudgetExceededError(
+            f"{what} enumeration needs {work} steps, budget is {DEFAULT_WORK_BUDGET}")
     root = [0] * n
     # later[j] maps j' > j to the link of the flagged tuples whose last two
     # members are j and j': the mask of their first members (q = 3), the
@@ -328,42 +327,31 @@ def _fewest_flagged(F: Family, p: int, q: int, flagged, floor: int,
     return best, tuple(j for j in range(n) if best_mask >> j & 1)
 
 
-def max_r(F: Family, p: int, q: int, work_budget: int = DEFAULT_WORK_BUDGET) -> PQRReport:
+def max_r(F: Family, p: int, q: int) -> PQRReport:
     """The largest r such that every p-subset of F contains at least r
     intersecting q-tuples (0 means the plain (p,q) property fails)."""
-    best, witness = _fewest_flagged(F, p, q, lambda: _intersecting_qtuples(F, q), 1,
-                                    work_budget, "max_r")
+    best, witness = _fewest_flagged(F, p, q, lambda: _intersecting_qtuples(F, q), 1, "max_r")
     return PQRReport(p=p, q=q, max_r=best, witness_subset=witness)
 
 
-def satisfies_pqr(F: Family, p: int, q: int, r: int,
-                  work_budget: int = DEFAULT_WORK_BUDGET) -> bool:
+def satisfies_pqr(F: Family, p: int, q: int, r: int) -> bool:
     """Whether among any p members at least r of the q-tuples intersect."""
-    if r < 1:
-        raise ArityError(f"r must be >= 1, got {r}")
-    best, _ = _fewest_flagged(F, p, q, lambda: _intersecting_qtuples(F, q), r,
-                              work_budget, "max_r")
+    best, _ = _fewest_flagged(F, p, q, lambda: _intersecting_qtuples(F, q), r, "max_r")
     return best >= r
 
 
-def satisfies_pqr_through_line(F: Family, line: Line, p: int, q: int, r: int,
-                               work_budget: int = DEFAULT_WORK_BUDGET) -> bool:
+def satisfies_pqr_through_line(F: Family, line: Line, p: int, q: int, r: int) -> bool:
     """Whether among any p members at least r q-tuples intersect *on* the
     given line, i.e. their common region meets it."""
     if F.dimension != 2:
         raise DimensionMismatchError("through-line property is 2D only")
-    return _satisfies_pqr_on_traces(F, [line_trace(body, line) for body in F.bodies],
-                                    p, q, r, work_budget)
+    return _satisfies_pqr_on_traces(F, [line_trace(body, line) for body in F.bodies], p, q, r)
 
 
-def _satisfies_pqr_on_traces(F: Family, traces, p: int, q: int, r: int,
-                             work_budget: int = DEFAULT_WORK_BUDGET) -> bool:
+def _satisfies_pqr_on_traces(F: Family, traces, p: int, q: int, r: int) -> bool:
     """The through-line property from ``traces[i]``, body i's trace on the
     line or None: members meet on the line exactly when their traces do."""
-    if r < 1:
-        raise ArityError(f"r must be >= 1, got {r}")
-    best, _ = _fewest_flagged(F, p, q, lambda: _swept_qtuples(traces, q), r,
-                              work_budget, "through-line")
+    best, _ = _fewest_flagged(F, p, q, lambda: _swept_qtuples(traces, q), r, "through-line")
     return best >= r
 
 

@@ -47,7 +47,7 @@ from .geometry import (
     separating_line,
 )
 
-#: Node cap for the branch-and-bound cover search.
+#: Node cap for the branch-and-bound cover search, read once per search.
 DEFAULT_NODE_BUDGET = 500_000
 
 
@@ -107,11 +107,7 @@ def sweep_piercing_1d(F: Family) -> PiercingSet:
     return _certified(F, points)
 
 
-def branch_and_bound_piercing(
-    F: Family,
-    candidates: Optional[list] = None,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> PiercingSet:
+def branch_and_bound_piercing(F: Family, candidates: Optional[list] = None) -> PiercingSet:
     """Exact minimum piercing via branch-and-bound set cover over a
     sufficient candidate-point set (works in 1D and 2D).
 
@@ -122,6 +118,7 @@ def branch_and_bound_piercing(
     own point, reach the best cover so far; otherwise it branches on the
     covers of the uncovered body that the fewest covers hold."""
     n = len(F)
+    budget = DEFAULT_NODE_BUDGET
     if candidates is None:
         candidates = candidate_points(F)
     covers = []
@@ -156,10 +153,8 @@ def branch_and_bound_piercing(
     def search(chosen: list[int], uncovered: int) -> None:
         nonlocal best, nodes
         nodes += 1
-        if nodes > node_budget:
-            raise BudgetExceededError(
-                f"piercing search exceeded {node_budget} nodes on {n} bodies"
-            )
+        if nodes > budget:
+            raise BudgetExceededError(f"piercing search exceeded {budget} nodes on {n} bodies")
         if not uncovered:
             if len(chosen) < len(best):
                 best = list(chosen)
@@ -180,11 +175,11 @@ def branch_and_bound_piercing(
     return _certified(F, [kept[ci][0] for ci in best])
 
 
-def min_piercing(F: Family, node_budget: int = DEFAULT_NODE_BUDGET) -> PiercingSet:
+def min_piercing(F: Family) -> PiercingSet:
     """An exact minimum-cardinality piercing set for the family."""
     if F.dimension == 1:
         return sweep_piercing_1d(F)
-    return branch_and_bound_piercing(F, node_budget=node_budget)
+    return branch_and_bound_piercing(F)
 
 
 def hd_pierce(F: Family, p: int, q: int) -> PiercingSet:

@@ -1,6 +1,7 @@
 """Threshold formulas: anchored values, identities, hypothesis checks."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,7 @@ from pqpierce.bounds import (
     thm2_threshold,
     thm3_threshold,
 )
-from pqpierce.errors import ArityError
+from pqpierce.errors import ArityError, BudgetExceededError
 
 
 class TestBinom:
@@ -165,6 +166,42 @@ class TestCeilPower:
         p, e = 10**6, Fraction(5, 3)
         m = ceil_power(p, e)
         assert m**3 >= p**5 > (m - 1) ** 3
+
+    def test_power_budget(self):
+        # 2^1048575 has 2^20 bits and 3^661577 one fewer: both are built;
+        # one more factor of either passes the budget, as does 100^1000005
+        assert bounds.POWER_BIT_BUDGET == 1 << 20
+        assert ceil_power(2, Fraction(1048575)) == 2**1048575
+        assert ceil_power(3, Fraction(661577)) == 3**661577
+        for p, a in ((2, 1048576), (3, 661578), (100, 1000005)):
+            with pytest.raises(BudgetExceededError,
+                               match=rf"ceil_power needs {p}\^{a}, past the budget of 1048576 bits"):
+                ceil_power(p, Fraction(a, 7))
+
+    def test_root_of_a_long_power(self):
+        # the root's start comes from a float estimate, so the Newton
+        # steps are few however large the root's degree
+        start = time.process_time()
+        m = ceil_power(3, Fraction(391001, 40000))
+        assert m == 46119 and m**40000 >= 3**391001 > (m - 1) ** 40000
+        # p^(1/1000000007) lies in (1, 2): no root of degree 10^9 is taken
+        assert thm2_threshold(10, 5, 1, Fraction(1, 1000000007)).threshold_r == 7
+        assert time.process_time() - start < 1
+
+    @pytest.mark.parametrize("p, q, d, f, epsilon", [
+        (100, 50, 2, None, Fraction(1, 1000003)),
+        (100, 50, 2, None, Fraction(1, 10000019)),
+        (100, 50, 2, None, Fraction(10000019)),
+        (10, 5, 2, 1, Fraction(1, 10000019)),
+    ])
+    def test_power_past_the_budget_raises_quickly(self, p, q, d, f, epsilon):
+        start = time.process_time()
+        with pytest.raises(BudgetExceededError):
+            if f is None:
+                thm2_threshold(p, q, d, epsilon)
+            else:
+                remark_threshold(p, q, d, f, epsilon)
+        assert time.process_time() - start < 1
 
 
 class TestThm2Threshold:

@@ -230,6 +230,19 @@ class TestBoundsCommand:
         assert error["type"] == "ParseError"
         assert error["message"].startswith(f"bad rational {epsilon!r} in --epsilon: ")
 
+    @pytest.mark.parametrize("argv, code", [
+        (["thm2", "--p", "100", "--q", "50", "--d", "2", "--epsilon", "1/1000003"], EXIT_BUDGET),
+        (["thm2", "--p", "100", "--q", "50", "--d", "2", "--epsilon", "1/10000019"], EXIT_BUDGET),
+        (["thm2", "--p", "100", "--q", "50", "--d", "2", "--epsilon", "10000019"], EXIT_BUDGET),
+        (["remark", "--p", "10", "--q", "5", "--d", "2", "--f", "1", "--epsilon", "1/10000019"],
+         EXIT_BUDGET),
+        (["thm2", "--p", "10", "--q", "5", "--d", "1", "--epsilon", "1/1000000007"], EXIT_OK),
+    ])
+    def test_extreme_epsilon_ends_quickly(self, argv, code, capsys):
+        start = time.process_time()
+        assert run_cli("bounds", *argv, capsys=capsys)[0] == code
+        assert time.process_time() - start < 1
+
     def test_thm2_outside_its_domain_exit_2(self, capsys):
         code, out = run_cli("bounds", "thm2", "--p", "40", "--q", "18", "--d", "2",
                             "--epsilon", "1", capsys=capsys)
@@ -583,7 +596,7 @@ class TestExperimentCommand:
         {"seeds": "x"}, {"seeds": [0, "1"]}, {"seeds": True},
         {"dimension": 3}, {"dimension": True},
         {"grid": [3]}, {"n": "x"}, {"grid": {"p": [3], "q": ["a"]}, "theorem": "prop-dim1"},
-        [1, 2],
+        [1, 2], {"seeds": -1},
     ])
     def test_malformed_config_exit_2(self, field, tmp_path, capsys):
         # a dict replaces fields of a valid config, anything else is the config

@@ -12,7 +12,6 @@ from pqpierce.bounds import kalai_bound
 from pqpierce.errors import ArityError, BudgetExceededError
 from pqpierce import family as familymod
 from pqpierce.family import (
-    DEFAULT_WORK_BUDGET,
     Family,
     _fewest_flagged,
     _intersecting_qtuples,
@@ -126,8 +125,8 @@ def stack_fewest(flags, n, p, q, floor):
     return best, tuple(j for j in range(n) if best_mask >> j & 1)
 
 
-def fewest(F, flags, p, q, floor, work_budget=DEFAULT_WORK_BUDGET):
-    return _fewest_flagged(F, p, q, lambda: flags, floor, work_budget, "test")
+def fewest(F, flags, p, q, floor):
+    return _fewest_flagged(F, p, q, lambda: flags, floor, "test")
 
 
 def assert_floor_matches_scan(F, flags, p, q, floor):
@@ -186,17 +185,18 @@ class TestPrunedScanAgainstOracle:
                 for r in range(1, comb(p, q) + 2):
                     assert satisfies_pqr(F, p, q, r) == (r_max >= r)
 
-    def test_larger_1d_families_against_both_oracles(self):
+    def test_larger_1d_families_against_both_oracles(self, monkeypatch):
         # the full scan only where it stays small; with q = 1 every member
         # is flagged, so the first p-subset is the answer and the previous
         # search visits all C(n, p) subsets to confirm it
+        monkeypatch.setattr(familymod, "DEFAULT_WORK_BUDGET", 10**9)
         for n in range(10, 19, 2):
             F = random_family(GeneratorSpec("random_intervals", n=n, seed=n, span=18, extent=6))
             for q in range(1, 6):
                 flags = _intersecting_qtuples(F, q)
                 for p in range(q, n + 1):
                     for floor in (1, 2, 3, comb(p, q), comb(p, q) + 1):
-                        got = fewest(F, flags, p, q, floor, work_budget=10**9)
+                        got = fewest(F, flags, p, q, floor)
                         if q == 1:
                             assert got == (p, tuple(range(p)))
                         if q > 1 or n <= 14:
@@ -250,10 +250,11 @@ class TestMaxR:
         )
         assert count == report.max_r
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
         F = intervals(*[(i, i + 1) for i in range(10)])
-        with pytest.raises(BudgetExceededError):
-            max_r(F, 5, 3, work_budget=10)
+        monkeypatch.setattr(familymod, "DEFAULT_WORK_BUDGET", 10)
+        with pytest.raises(BudgetExceededError, match="needs 2640 steps, budget is 10"):
+            max_r(F, 5, 3)
 
     def test_capped_by_total_count(self):
         from math import comb
@@ -281,8 +282,13 @@ class TestSatisfiesPQR:
                     assert satisfies_pqr(F, p + 1, 2, r)
 
     def test_r_must_be_positive(self):
-        with pytest.raises(ArityError):
-            satisfies_pqr(intervals((0, 1), (0, 2)), 2, 2, 0)
+        # checked before p and q, which are out of range here too
+        F = Family.of([box(0, 0, 1, 1), box(2, 0, 3, 1)])
+        for r in (0, -1):
+            for check in (lambda: satisfies_pqr(F, 3, 2, r),
+                          lambda: satisfies_pqr_through_line(F, Line(0, 1, 0), 3, 2, r)):
+                with pytest.raises(ArityError, match=f"r must be >= 1, got {r}"):
+                    check()
 
 
 def remapped_trace_flags(F, line, q):

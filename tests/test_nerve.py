@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pqpierce.family import (
-    DEFAULT_WORK_BUDGET,
     Family,
     _fewest_flagged,
     _intersecting_qtuples,
@@ -40,7 +39,7 @@ def walk_through_line(F, line, p, q, r):
         return {indices for indices, region in intersecting_subfamilies(F, range(q, q + 1))
                 if line_meets_body(line, region)}
 
-    best, _ = _fewest_flagged(F, p, q, on_line, r, DEFAULT_WORK_BUDGET, "through-line")
+    best, _ = _fewest_flagged(F, p, q, on_line, r, "through-line")
     return best >= r
 
 

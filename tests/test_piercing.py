@@ -106,12 +106,12 @@ def oracle_families():
     yield ring_caps()
 
 
-def nodes_needed(solver, F, **kwargs) -> int:
-    """The smallest node budget under which the solver finishes."""
+def nodes_needed(solve, F) -> int:
+    """The smallest node budget under which ``solve(F, budget)`` finishes."""
     budget = 1
     while True:
         try:
-            solver(F, node_budget=budget, **kwargs)
+            solve(F, budget)
             return budget
         except BudgetExceededError:
             budget += 1
@@ -121,11 +121,20 @@ class TestBranchAndBoundOracle:
     """The bitmask solver against the frozenset solver it replaced: the
     same points, and the same number of search nodes."""
 
-    def test_same_points_and_nodes(self):
+    def test_same_points_and_nodes(self, monkeypatch):
+        def bitmask(F, budget):
+            # the limit is undone on return, so the next family runs under
+            # the default again
+            with monkeypatch.context() as patch:
+                patch.setattr(piercingmod, "DEFAULT_NODE_BUDGET", budget)
+                branch_and_bound_piercing(F)
+
+        def reference(F, budget):
+            frozenset_branch_and_bound(F, node_budget=budget)
+
         for F in oracle_families():
             assert branch_and_bound_piercing(F) == frozenset_branch_and_bound(F)
-            assert (nodes_needed(branch_and_bound_piercing, F)
-                    == nodes_needed(frozenset_branch_and_bound, F))
+            assert nodes_needed(bitmask, F) == nodes_needed(reference, F)
 
     def test_same_points_on_exhaustive_candidates(self):
         for F in oracle_families():
@@ -165,11 +174,13 @@ class TestMinPiercing:
             for body in F.bodies:
                 assert any(body_contains_point(body, p) for p in result.points)
 
-    def test_node_budget(self):
+    def test_node_budget(self, monkeypatch):
         F = ring_caps()  # the search needs 6 nodes
+        monkeypatch.setattr(piercingmod, "DEFAULT_NODE_BUDGET", 5)
         with pytest.raises(BudgetExceededError, match="exceeded 5 nodes on 9 bodies"):
-            min_piercing(F, node_budget=5)
-        assert len(min_piercing(F, node_budget=6)) == 2
+            min_piercing(F)
+        monkeypatch.setattr(piercingmod, "DEFAULT_NODE_BUDGET", 6)
+        assert len(min_piercing(F)) == 2
 
     def test_each_pair_clipped_once(self, clip_calls):
         F = random_family(GeneratorSpec("random_polygons", n=7, seed=4, span=5))
