@@ -95,13 +95,16 @@ def lemma_r0_threshold(p: int, q: int, d: int, f: int) -> BoundResult:
 
 
 def _floor_root(x: int, k: int) -> int:
-    """floor(x^(1/k)) by integer Newton iteration from a float estimate.
+    """floor(x^(1/k)) by integer Newton iteration from a float estimate,
+    or by :func:`math.isqrt` for k = 2, which skips the long divisions.
 
     One step from any positive r lands at or above the answer (by AM-GM,
     the step's mean is at least x^(1/k)), and from there each step falls
     until the answer; the estimate only makes the steps few."""
     if x < 2 or k == 1:
         return x
+    if k == 2:
+        return isqrt(x)
     if k >= x.bit_length():  # then 1 <= x^(1/k) < 2
         return 1
     bits = log2(x) / k  # log2 of the answer

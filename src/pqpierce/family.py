@@ -8,20 +8,30 @@ kept (:attr:`Family.pair_regions` is the all-pairs view); a triple's flag
 is one clip of a kept pair region with the third body.  By Helly's
 theorem a subfamily of three or more planar bodies meets exactly when
 each of its triples does, so every larger subfamily is read off the
-memoised flags, with no geometry.  In 1D one sweep over the
-intervals sorted by left endpoint gives the intersecting subfamilies in
-closed form, because by Helly a set of intervals meets exactly when its
-pairs do; the through-line property is that sweep over the bodies'
-traces on the line.  The q-tuple flags are memoized for the last eight
-(family, q) queries and aggregated by a depth-first search over
-p-subsets, with the fixed work cap DEFAULT_WORK_BUDGET instead of silent
-truncation.  The search carries, for every later index, the count a pick
-of it would add, and skips a branch whose lower bound (the counts so far
-plus the smallest additions still to come, which only grow) reaches the
-fewest found so far: no subset under it can be strictly better, so the
-answer is the one a full scan gives.
-The 1D degeneracy level is one sweep over the sorted endpoints; the 2D
-scan stops at the first candidate point as deep as the largest pair
+memoised flags, with no geometry.  In 1D every answer depends only on
+the order of the endpoints, so the nerve ranks them once, on first use,
+and the sweeps run on those ints, mapping back to ``Fraction`` only for
+the points they return.  One sweep over the intervals sorted by left
+endpoint gives the intersecting subfamilies in closed form, because by
+Helly a set of intervals meets exactly when its pairs do; the
+through-line property is that sweep over the bodies' traces on the line.
+The q-tuple flags are memoized for the last eight (family, q) queries
+and aggregated by a depth-first search over p-subsets, with the fixed
+work cap DEFAULT_WORK_BUDGET instead of silent truncation.  The search
+carries, for every later index, the count a pick of it would add, and
+skips a branch whose lower bound reaches the fewest found so far: no
+subset under it can be strictly better, so the answer is the one a full
+scan gives.  The bound is the counts so far plus the smallest additions
+still to come, which only grow, plus, for q >= 2 in 1D and through a
+line, the q-tuples the remaining picks must hold among themselves:
+bodies that t points pierce split into at most t groups that each share
+a point, so any m of them hold at least the q-tuples of t near-equal
+cliques (C(., q) is convex).  Those tuples have no member in the prefix,
+so the other terms never count them.  Any upper bound on t serves, and a
+body that misses the line is a group of its own; for q = 1 the additions
+already count each pick's singleton, so nothing is added.
+The 1D degeneracy level is one sweep over the sorted endpoint ranks; the
+2D scan stops at the first candidate point as deep as the largest pair
 degree allows.
 """
 
@@ -32,7 +42,7 @@ from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import comb
+from math import comb, lcm
 
 from .errors import ArityError, BudgetExceededError, DimensionMismatchError
 from .geometry import ConvexBody, Line, body_contains_point, intersect_bodies, line_trace
@@ -76,6 +86,11 @@ class _Nerve:
     def all_pairs(self) -> dict[tuple[int, int], ConvexBody]:
         return {ij: region for ij in itertools.combinations(range(len(self.bodies)), 2)
                 if (region := self.pair(*ij)) is not None}
+
+    @cached_property
+    def ranks(self) -> _Ranks:
+        """The endpoint ranks of a 1D family, built on first use."""
+        return _Ranks(self.bodies)
 
     def walk(self, lo: int, hi: int):
         """Yield, in lexicographic order, the index tuples of the
@@ -164,32 +179,82 @@ class PQRReport:
     witness_subset: tuple[int, ...]
 
 
-def _interval_sweep(bodies):
-    """Yield (i, earlier) for every interval of a sequence in (lo, index)
-    order, where ``earlier`` lists the intervals before i in that order
-    whose ``hi`` reaches ``lo_i``.  None entries are skipped, and the
-    others keep their indices in the sequence.
+class _Ranks:
+    """The endpoints of a sequence of intervals, None entries allowed, as
+    ints: ``values`` lists the distinct endpoints in increasing order, and
+    ``lo[i]`` and ``hi[i]`` are the positions of interval i's ends in it
+    (None for a None entry).  Ranks keep every comparison of endpoints,
+    ties included, so a sweep on them gives the answer it gives on the
+    values.  ``by_lo`` and ``by_hi`` hold the indices of the intervals in
+    (lo, index) and (hi, lo, index) order."""
+
+    def __init__(self, intervals):
+        ends = [x for body in intervals if body is not None for x in (body.lo, body.hi)]
+        # on the lcm of the denominators every endpoint is an int, so the
+        # ranking sorts and hashes ints, not Fractions
+        scale = lcm(*(x.denominator for x in ends))
+
+        def key(x):
+            return x.numerator * (scale // x.denominator)
+
+        value = {key(x): x for x in ends}
+        order = sorted(value)
+        self.values = [value[k] for k in order]
+        rank = {k: r for r, k in enumerate(order)}
+        self.lo = [None if body is None else rank[key(body.lo)] for body in intervals]
+        self.hi = [None if body is None else rank[key(body.hi)] for body in intervals]
+        present = [i for i, lo in enumerate(self.lo) if lo is not None]
+        self.by_lo = sorted(present, key=self.lo.__getitem__)  # stable: ties by index
+        self.by_hi = sorted(present, key=lambda i: (self.hi[i], self.lo[i]))
+
+    def stabs(self, start: int = 0) -> list[int]:
+        """A minimum piercing set, as ranks, of the intervals with index at
+        least ``start``: one pass in (hi, lo) order stabs an interval's
+        right end when it starts after the last stab.  Every interval ends
+        at or after the stabs made before it, so one that starts at or
+        before the last stab contains it."""
+        points: list[int] = []
+        last = -1
+        for i in self.by_hi:
+            if i >= start and self.lo[i] > last:
+                last = self.hi[i]
+                points.append(last)
+        return points
+
+    @cached_property
+    def taus(self) -> list[int]:
+        """``taus[j]`` bounds the groups that the entries with index at
+        least j split into, each group sharing a point: their piercing
+        number, each None entry counted as a group of its own."""
+        return [len(self.stabs(j)) + self.lo[j:].count(None) for j in range(len(self.lo))]
+
+
+def _interval_sweep(ranks: _Ranks):
+    """Yield (i, earlier) for every interval in (lo, index) order, where
+    ``earlier`` lists the intervals before i in that order whose ``hi``
+    reaches ``lo_i``.  None entries are skipped, and the others keep their
+    indices in the sequence.
 
     Each of them contains ``lo_i``, so i with any subset of ``earlier`` is
     an intersecting subfamily whose last member in this order is i, and
     every intersecting subfamily arises once this way: its members all
     contain the largest left endpoint among them.
     """
+    his = ranks.hi
     active: list[int] = []
-    for i in sorted((j for j, body in enumerate(bodies) if body is not None),
-                    key=lambda j: (bodies[j].lo, j)):
-        lo = bodies[i].lo
+    for i in ranks.by_lo:
+        lo = ranks.lo[i]
         # left endpoints only grow, so an interval ending before lo_i
         # reaches no later one either
-        active = [j for j in active if bodies[j].hi >= lo]
+        active = [j for j in active if his[j] >= lo]
         yield i, active
         active = active + [i]
 
 
-def _swept_qtuples(intervals, q: int) -> frozenset[tuple[int, ...]]:
-    """Index tuples of the q-subsets of the intervals that meet."""
+def _swept_qtuples(ranks: _Ranks, q: int) -> frozenset[tuple[int, ...]]:
+    """Index tuples of the q-subsets of the ranked intervals that meet."""
     return frozenset(tuple(sorted(others + (i,)))
-                     for i, earlier in _interval_sweep(intervals)
+                     for i, earlier in _interval_sweep(ranks)
                      for others in itertools.combinations(earlier, q - 1))
 
 
@@ -197,7 +262,7 @@ def _swept_qtuples(intervals, q: int) -> frozenset[tuple[int, ...]]:
 def _intersecting_qtuples(F: Family, q: int) -> frozenset[tuple[int, ...]]:
     """Index tuples of the q-subsets with nonempty common intersection."""
     if F.dimension == 1:
-        return _swept_qtuples(F.bodies, q)
+        return _swept_qtuples(F._nerve.ranks, q)
     return frozenset(F._nerve.walk(q, q))
 
 
@@ -208,7 +273,7 @@ def count_intersecting_qtuples(F: Family, q: int) -> int:
     if q > len(F):
         raise ArityError(f"q={q} exceeds family size {len(F)}")
     if F.dimension == 1:  # i closes C(d_i, q-1) of them, as in f_vector
-        return sum(comb(len(earlier), q - 1) for _, earlier in _interval_sweep(F.bodies))
+        return sum(comb(len(earlier), q - 1) for _, earlier in _interval_sweep(F._nerve.ranks))
     return len(_intersecting_qtuples(F, q))
 
 
@@ -218,7 +283,7 @@ def f_vector(F: Family) -> tuple[int, ...]:
     In 1D an interval with d earlier intervals in :func:`_interval_sweep`
     closes C(d, j) intersecting (j+1)-subsets."""
     if F.dimension == 1:
-        degrees = [len(earlier) for _, earlier in _interval_sweep(F.bodies)]
+        degrees = [len(earlier) for _, earlier in _interval_sweep(F._nerve.ranks)]
         return tuple(sum(comb(d, j) for d in degrees) for j in range(len(F)))
     counts = [0] * len(F)
     for indices in F._nerve.walk(1, len(F)):
@@ -226,8 +291,16 @@ def f_vector(F: Family) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def _fewest_flagged(F: Family, p: int, q: int, flagged, floor: int,
-                    what: str) -> tuple[int, tuple[int, ...]]:
+def _cliques(m: int, t: int, q: int) -> int:
+    """The fewest q-subsets that lie inside one of t groups holding m
+    members in all: C(size, q) summed over t near-equal sizes, since
+    C(., q) is convex."""
+    size, big = divmod(m, t)
+    return big * comb(size + 1, q) + (t - big) * comb(size, q)
+
+
+def _fewest_flagged(F: Family, p: int, q: int, flagged, floor: int, what: str,
+                    ranks: _Ranks | None = None) -> tuple[int, tuple[int, ...]]:
     """The lexicographically first p-subset of F holding the fewest
     q-tuples of ``flagged()``, as (count, subset).  The scan stops at the
     first subset whose count falls below ``floor`` (r, at least 1);
@@ -253,6 +326,20 @@ def _fewest_flagged(F: Family, p: int, q: int, flagged, floor: int,
     not the lexicographically first; one below ``floor`` is below the
     best too, since the scan is still running).  So the answer is the
     one a full scan in lexicographic order would give.
+
+    ``ranks``, when given for q >= 2, ranks intervals (the bodies, or their
+    traces on a line) whose flagged q-tuples are exactly the meeting ones,
+    and adds a third term to child j's bound.  The ``need`` picks from
+    index j on split into at most t_j = ``ranks.taus[j]`` groups, each
+    sharing a point, since t_j points pierce that suffix (any upper bound
+    on the piercing number would do; a body missing the line is a group
+    of its own).  Every q-tuple inside a group is flagged, so the picks
+    hold at least ``_cliques(need, t_j, q)`` flagged q-tuples among
+    themselves.  None of these has a member in P, while every tuple that
+    count(P) and the increments count has all members but its last in P,
+    so the three terms count disjoint tuples and their sum is still a
+    lower bound.  For q = 1 a pick's own singleton is the tuple an
+    increment counts, so the term is not added.
     """
     n = len(F)
     if floor < 1:
@@ -284,6 +371,13 @@ def _fewest_flagged(F: Family, p: int, q: int, flagged, floor: int,
     else:
         for *rest, j, last in flagged():
             later[j].setdefault(last, []).append(sum(1 << i for i in rest))
+    # cliques[need][j]: the flagged q-tuples that need picks from index j
+    # on hold among themselves, where a bound applies
+    cliques = [[0] * n] * (p + 1)
+    if ranks is not None and q >= 2:
+        taus = ranks.taus
+        rows = ({t: _cliques(need, t, q) for t in set(taus)} for need in range(p + 1))
+        cliques = [[row[t] for t in taus] for row in rows]
     best = comb(p, q) + 1  # above every count, so the first subset replaces it
     best_mask = 0
     # (lower bound, prefix size, prefix mask, its count, last index, the
@@ -317,26 +411,36 @@ def _fewest_flagged(F: Family, p: int, q: int, flagged, floor: int,
         # the need - 1 smallest increments after the child, and rest their sum
         pool = sorted(inc[n - need + 1:])
         rest = sum(pool)
+        within = cliques[need]
         for j in range(n - need, last, -1):
             child = count + inc[j]
-            if child + rest < best:
-                stack.append((child + rest, size + 1, mask | 1 << j, child, j, inc))
+            low = child + rest + within[j]
+            if low < best:
+                stack.append((low, size + 1, mask | 1 << j, child, j, inc))
             if inc[j] < pool[-1]:
                 rest += inc[j] - pool.pop()
                 insort(pool, inc[j])
     return best, tuple(j for j in range(n) if best_mask >> j & 1)
 
 
+def _ranks_1d(F: Family) -> _Ranks | None:
+    """The ranks behind the piercing bound: 1D only, since a 2D family
+    has no cheap piercing number."""
+    return F._nerve.ranks if F.dimension == 1 else None
+
+
 def max_r(F: Family, p: int, q: int) -> PQRReport:
     """The largest r such that every p-subset of F contains at least r
     intersecting q-tuples (0 means the plain (p,q) property fails)."""
-    best, witness = _fewest_flagged(F, p, q, lambda: _intersecting_qtuples(F, q), 1, "max_r")
+    best, witness = _fewest_flagged(F, p, q, lambda: _intersecting_qtuples(F, q), 1, "max_r",
+                                    _ranks_1d(F))
     return PQRReport(p=p, q=q, max_r=best, witness_subset=witness)
 
 
 def satisfies_pqr(F: Family, p: int, q: int, r: int) -> bool:
     """Whether among any p members at least r of the q-tuples intersect."""
-    best, _ = _fewest_flagged(F, p, q, lambda: _intersecting_qtuples(F, q), r, "max_r")
+    best, _ = _fewest_flagged(F, p, q, lambda: _intersecting_qtuples(F, q), r, "max_r",
+                              _ranks_1d(F))
     return best >= r
 
 
@@ -351,7 +455,8 @@ def satisfies_pqr_through_line(F: Family, line: Line, p: int, q: int, r: int) ->
 def _satisfies_pqr_on_traces(F: Family, traces, p: int, q: int, r: int) -> bool:
     """The through-line property from ``traces[i]``, body i's trace on the
     line or None: members meet on the line exactly when their traces do."""
-    best, _ = _fewest_flagged(F, p, q, lambda: _swept_qtuples(traces, q), r, "through-line")
+    ranks = _Ranks(traces)
+    best, _ = _fewest_flagged(F, p, q, lambda: _swept_qtuples(ranks, q), r, "through-line", ranks)
     return best >= r
 
 
@@ -363,18 +468,19 @@ def degeneracy_level(F: Family):
 
     In 1D the candidates are the right endpoints, and the depth of x is
     the number of left endpoints at most x less the number of right
-    endpoints below it, read off the two sorted endpoint lists.  In 2D
-    no point lies in more bodies than one body meets, itself included, so
-    the scan stops at the first candidate that reaches that count."""
+    endpoints below it, read off the two sorted lists of endpoint ranks.
+    In 2D no point lies in more bodies than one body meets, itself
+    included, so the scan stops at the first candidate that reaches that
+    count."""
     if F.dimension == 1:
-        los = sorted(body.lo for body in F.bodies)
-        his = sorted(body.hi for body in F.bodies)
+        ranks = F._nerve.ranks
+        los, his = sorted(ranks.lo), sorted(ranks.hi)
 
         def depth(x):
             return bisect_right(los, x) - bisect_left(his, x)
 
         point = max(his, key=depth)  # max keeps the first of equal depths
-        return len(F) - depth(point), point
+        return len(F) - depth(point), ranks.values[point]
     from .piercing import candidate_points
 
     # a point lies in no more bodies than one of them meets, itself included

@@ -94,17 +94,13 @@ def candidate_points(F: Family) -> list:
 
 
 def sweep_piercing_1d(F: Family) -> PiercingSet:
-    """Exact minimum piercing of intervals: one pass in (hi, lo) order
-    stabs an interval's right endpoint when it starts after the last
-    stab.  Every interval ends at or after the stabs made before it, so
-    one that starts at or before the last stab contains it."""
+    """Exact minimum piercing of intervals: the one pass of
+    :meth:`family._Ranks.stabs` on the family's endpoint ranks, each stab
+    mapped back to its endpoint."""
     if F.dimension != 1:
         raise DimensionMismatchError("sweep solver is 1D only")
-    points: list[Fraction] = []
-    for body in sorted(F.bodies, key=lambda b: (b.hi, b.lo)):
-        if not points or body.lo > points[-1]:
-            points.append(body.hi)
-    return _certified(F, points)
+    ranks = F._nerve.ranks
+    return _certified(F, [ranks.values[point] for point in ranks.stabs()])
 
 
 def branch_and_bound_piercing(F: Family, candidates: Optional[list] = None) -> PiercingSet:

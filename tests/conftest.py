@@ -255,10 +255,74 @@ def refiltering_sweep(F: Family) -> PiercingSet:
     return _certified(F, points)
 
 
+def fraction_interval_sweep(bodies):
+    """Yield (i, earlier) for every interval of a sequence in (lo, index)
+    order, where ``earlier`` lists the intervals before i in that order
+    whose ``hi`` reaches ``lo_i``.  None entries are skipped, and the
+    others keep their indices in the sequence.
+
+    The sweep as it was on ``Fraction`` endpoints, before it ran on ranks,
+    kept verbatim as the oracle for ``family._interval_sweep``."""
+    active: list[int] = []
+    for i in sorted((j for j, body in enumerate(bodies) if body is not None),
+                    key=lambda j: (bodies[j].lo, j)):
+        lo = bodies[i].lo
+        # left endpoints only grow, so an interval ending before lo_i
+        # reaches no later one either
+        active = [j for j in active if bodies[j].hi >= lo]
+        yield i, active
+        active = active + [i]
+
+
+def fraction_degeneracy_1d(F: Family):
+    """The 1D degeneracy level and point as they were computed on
+    ``Fraction`` endpoints, kept verbatim as the oracle for the ranked
+    ``family.degeneracy_level``."""
+    from bisect import bisect_left, bisect_right
+
+    los = sorted(body.lo for body in F.bodies)
+    his = sorted(body.hi for body in F.bodies)
+
+    def depth(x):
+        return bisect_right(los, x) - bisect_left(his, x)
+
+    point = max(his, key=depth)  # max keeps the first of equal depths
+    return len(F) - depth(point), point
+
+
+def fraction_sweep_piercing_1d(F: Family) -> PiercingSet:
+    """Exact minimum piercing of intervals: one pass in (hi, lo) order
+    stabs an interval's right endpoint when it starts after the last
+    stab.  The sweep as it was on ``Fraction`` endpoints, kept verbatim
+    as the oracle for the ranked ``piercing.sweep_piercing_1d``."""
+    points: list[Fraction] = []
+    for body in sorted(F.bodies, key=lambda b: (b.hi, b.lo)):
+        if not points or body.lo > points[-1]:
+            points.append(body.hi)
+    return _certified(F, points)
+
+
 #: intervals on small integer ends, lengths 0 to 3: single points, shared
 #: endpoints and duplicates are common
 INTERVALS = st.tuples(st.integers(-4, 4), st.integers(0, 3)).map(
     lambda lo_len: Interval(lo_len[0], lo_len[0] + lo_len[1]))
+
+
+#: intervals whose ends are sixths, halves, thirds or integers in a small
+#: range, lengths 0 to 2: equal ends written over different denominators,
+#: point intervals and duplicates are common
+TIED_INTERVALS = st.tuples(st.integers(-6, 6), st.sampled_from((1, 2, 3, 6)), st.integers(0, 4)).map(
+    lambda t: Interval(Fraction(t[0], t[1]), Fraction(t[0], t[1]) + Fraction(t[2], 2)))
+
+
+@st.composite
+def tied_families(draw, min_size=1, max_size=9):
+    """1D families of TIED_INTERVALS, some members repeated."""
+    bodies = draw(st.lists(TIED_INTERVALS, min_size=min_size, max_size=max_size))
+    copies = draw(st.lists(st.sampled_from(range(len(bodies))), max_size=3))
+    bodies = (bodies + [bodies[i] for i in copies])[:max_size]
+    order = draw(st.permutations(range(len(bodies))))
+    return Family.of([bodies[i] for i in order])
 
 
 #: hulls of one to four small integer points: points, segments and

@@ -188,6 +188,25 @@ class TestCeilPower:
         assert thm2_threshold(10, 5, 1, Fraction(1, 1000000007)).threshold_r == 7
         assert time.process_time() - start < 1
 
+    def test_square_root_matches_the_newton_path(self):
+        # floor(sqrt(x)) is floor((x^2)^(1/4)), which the Newton steps take
+        rng = random.Random(2)
+        for bits in (1, 2, 30, 52, 53, 54, 200, 1000, 3000):
+            for _ in range(5):
+                s = rng.getrandbits(bits) | 1 << (bits - 1)
+                for x in (s * s - 1, s * s, s * s + 1):
+                    r = bounds._floor_root(x, 2)
+                    assert r * r <= x < (r + 1) * (r + 1)
+                    assert r == bounds._floor_root(x * x, 4)
+
+    def test_long_square_root(self):
+        # 2^524287 has a 2^19-bit root; Newton steps divide numbers of
+        # 2^20 bits, isqrt does not
+        start = time.process_time()
+        m = ceil_power(2, Fraction(524287, 2))
+        assert time.process_time() - start < 1
+        assert m * m >= 2**524287 > (m - 1) * (m - 1)
+
     @pytest.mark.parametrize("p, q, d, f, epsilon", [
         (100, 50, 2, None, Fraction(1, 1000003)),
         (100, 50, 2, None, Fraction(1, 10000019)),

@@ -1,20 +1,26 @@
 """Property verification over families: counting, (p,q)_r, degeneracy."""
 
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pqpierce.bounds import kalai_bound
 from pqpierce.errors import ArityError, BudgetExceededError
 from pqpierce import family as familymod
 from pqpierce.family import (
     Family,
+    _Ranks,
     _fewest_flagged,
+    _interval_sweep,
     _intersecting_qtuples,
+    _satisfies_pqr_on_traces,
     _swept_qtuples,
     count_intersecting_qtuples,
     degeneracy_level,
@@ -35,9 +41,19 @@ from pqpierce.geometry import (
     line_trace,
     pt,
 )
-from pqpierce.piercing import candidate_points
+from pqpierce.piercing import candidate_points, min_piercing
 
-from conftest import LINES, box, intervals, polygon_families
+from conftest import (
+    LINES,
+    TIED_INTERVALS,
+    box,
+    fraction_degeneracy_1d,
+    fraction_interval_sweep,
+    fraction_sweep_piercing_1d,
+    intervals,
+    polygon_families,
+    tied_families,
+)
 
 
 def brute_count(F, q):
@@ -129,6 +145,11 @@ def fewest(F, flags, p, q, floor):
     return _fewest_flagged(F, p, q, lambda: flags, floor, "test")
 
 
+def bounded_fewest(F, flags, p, q, floor, ranks):
+    """The search with the suffix piercing bound of ``ranks``."""
+    return _fewest_flagged(F, p, q, lambda: flags, floor, "test", ranks)
+
+
 def assert_floor_matches_scan(F, flags, p, q, floor):
     got = fewest(F, flags, p, q, floor)
     assert got == scan_fewest(flags, len(F), p, q, floor)
@@ -197,6 +218,7 @@ class TestPrunedScanAgainstOracle:
                 for p in range(q, n + 1):
                     for floor in (1, 2, 3, comb(p, q), comb(p, q) + 1):
                         got = fewest(F, flags, p, q, floor)
+                        assert got == bounded_fewest(F, flags, p, q, floor, F._nerve.ranks)
                         if q == 1:
                             assert got == (p, tuple(range(p)))
                         if q > 1 or n <= 14:
@@ -224,6 +246,118 @@ class TestPrunedScanAgainstOracle:
         report = max_r(F, 1200, 1)
         assert report.max_r == 1200
         assert report.witness_subset == tuple(range(1200))
+
+
+#: trace lists: TIED_INTERVALS, with None for a body that misses the line
+TRACES = st.lists(st.one_of(st.none(), TIED_INTERVALS), min_size=1, max_size=8)
+
+
+def sweep_flags(intervals, q):
+    """The meeting q-tuples of a sequence of intervals or None, from the
+    Fraction sweep."""
+    return frozenset(tuple(sorted(others + (i,)))
+                     for i, earlier in fraction_interval_sweep(intervals)
+                     for others in itertools.combinations(earlier, q - 1))
+
+
+def brute_piercing_number(bodies):
+    """The fewest points piercing every interval, found by trying every
+    set of k right endpoints for k = 0, 1, ... (some minimum piercing set
+    uses right endpoints only)."""
+    his = sorted({body.hi for body in bodies})
+    for k in range(len(his) + 1):
+        for points in itertools.combinations(his, k):
+            if all(any(body.contains(x) for x in points) for body in bodies):
+                return k
+
+
+class TestPiercingBound:
+    @settings(max_examples=150, deadline=None)
+    @given(TRACES)
+    def test_suffix_taus_are_piercing_numbers(self, traces):
+        taus = _Ranks(traces).taus
+        for j in range(len(traces)):
+            present = [body for body in traces[j:] if body is not None]
+            missing = len(traces) - j - len(present)
+            assert taus[j] == brute_piercing_number(present) + missing
+
+    @settings(max_examples=40, deadline=None)
+    @given(tied_families(max_size=8))
+    def test_max_r_and_floors_match_the_oracles(self, F):
+        n = len(F)
+        for q in range(1, min(n, 5) + 1):
+            flags = sweep_flags(F.bodies, q)
+            for p in range(q, n + 1):
+                want = scan_fewest(flags, n, p, q, 1)
+                report = max_r(F, p, q)
+                assert (report.max_r, report.witness_subset) == want
+                assert want == stack_fewest(flags, n, p, q, 1)
+                for r in (2, 3, comb(p, q)):
+                    got = bounded_fewest(F, flags, p, q, r, F._nerve.ranks)
+                    assert got == scan_fewest(flags, n, p, q, r)
+                    assert got == stack_fewest(flags, n, p, q, r)
+                    assert satisfies_pqr(F, p, q, r) == (want[0] >= r)
+
+    @settings(max_examples=40, deadline=None)
+    @given(TRACES)
+    def test_traces_with_missing_bodies_match_the_oracles(self, traces):
+        n = len(traces)
+        F = intervals(*[(i, i) for i in range(n)])  # fixes n only
+        ranks = _Ranks(traces)
+        for q in range(1, min(n, 5) + 1):
+            flags = sweep_flags(traces, q)
+            assert _swept_qtuples(ranks, q) == flags
+            for p in range(q, n + 1):
+                for r in (1, 2, 3, comb(p, q)):
+                    got = bounded_fewest(F, flags, p, q, r, ranks)
+                    assert got == scan_fewest(flags, n, p, q, r)
+                    assert got == stack_fewest(flags, n, p, q, r)
+                    assert _satisfies_pqr_on_traces(F, traces, p, q, r) == (got[0] >= r)
+
+
+class TestRanks:
+    @settings(max_examples=150, deadline=None)
+    @given(TRACES)
+    def test_ranks_keep_the_order_of_the_endpoints(self, traces):
+        ranks = _Ranks(traces)
+        assert ranks.values == sorted({x for body in traces if body is not None
+                                       for x in (body.lo, body.hi)})
+        for body, lo, hi in zip(traces, ranks.lo, ranks.hi):
+            if body is None:
+                assert lo is None and hi is None
+            else:
+                assert (ranks.values[lo], ranks.values[hi]) == (body.lo, body.hi)
+        assert list(_interval_sweep(ranks)) == list(fraction_interval_sweep(traces))
+
+    @settings(max_examples=150, deadline=None)
+    @given(tied_families(max_size=10))
+    def test_sweeps_match_the_fraction_oracles(self, F):
+        n = len(F)
+        degrees = [len(earlier) for _, earlier in fraction_interval_sweep(F.bodies)]
+        assert f_vector(F) == tuple(sum(comb(d, j) for d in degrees) for j in range(n))
+        for q in range(1, n + 1):
+            assert count_intersecting_qtuples(F, q) == sum(comb(d, q - 1) for d in degrees)
+        level, point = degeneracy_level(F)
+        assert (level, point) == fraction_degeneracy_1d(F) and type(point) is Fraction
+        pierced = min_piercing(F)
+        assert pierced == fraction_sweep_piercing_1d(F)
+        assert all(type(x) is Fraction for x in pierced.points)
+
+    def test_memo_leaves_equality_hashing_vars_and_pickle(self):
+        F = random_family(GeneratorSpec("random_intervals", n=8, seed=3))
+        G = Family(F.dimension, F.bodies)
+        before, pickled, digest = dict(vars(F)), pickle.dumps(F), hash(F)
+        f_vector(F)
+        max_r(F, 5, 3)
+        degeneracy_level(F)
+        min_piercing(F)
+        assert "ranks" in vars(F._memo)
+        assert vars(F) == before and F == G and hash(F) == digest == hash(G)
+        assert pickle.dumps(F) == pickled == pickle.dumps(G)
+        for other in (pickle.loads(pickled), copy.copy(F), copy.deepcopy(F)):
+            assert other == F and not hasattr(other, "_memo")
+            assert f_vector(other) == f_vector(F)
+            assert other._memo.ranks is not F._memo.ranks
 
 
 class TestMaxR:
@@ -299,7 +433,7 @@ def remapped_trace_flags(F, line, q):
               if (trace := line_trace(body, line)) is not None}
     ids = list(traces)
     return {tuple(ids[k] for k in indices)
-            for indices in _swept_qtuples(list(traces.values()), q)}
+            for indices in _swept_qtuples(_Ranks(list(traces.values())), q)}
 
 
 class TestThroughLine:
@@ -327,7 +461,7 @@ class TestThroughLine:
     def test_sweep_skips_missing_traces(self, F, line):
         traces = [line_trace(body, line) for body in F.bodies]
         for q in range(1, len(F) + 1):
-            assert _swept_qtuples(traces, q) == remapped_trace_flags(F, line, q)
+            assert _swept_qtuples(_Ranks(traces), q) == remapped_trace_flags(F, line, q)
 
 
 def scan_degeneracy(F):

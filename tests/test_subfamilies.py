@@ -90,14 +90,17 @@ class TestPairRegions:
         G = Family(F.dimension, F.bodies)
         assert G == F and hash(G) == hash(F) and not hasattr(G, "_memo")
 
-    def test_1d_sweep_paths_build_no_table(self):
+    def test_1d_sweep_paths_build_no_table(self, clip_calls):
+        # the memo holds the endpoint ranks the sweeps share, and no pair
         for F in families_1d():
             f_vector(F)
             max_r(F, 5, 3)
             count_intersecting_qtuples(F, 3)
             degeneracy_level(F)
             min_piercing(F)
-            assert not hasattr(F, "_memo")
+            assert F._memo.memo == {} and "all_pairs" not in vars(F._memo)
+            assert "ranks" in vars(F._memo)
+        assert clip_calls == []
 
     def test_1d_count_in_closed_form(self):
         # 20 nested intervals: every 10-subset meets, C(20, 10) of them
