@@ -378,11 +378,17 @@ def _experiment_rows(config):
                     raise ArityError(f"thm5 needs q in the Hadwiger-Debrunner regime, "
                                      f"got p={p}, q={q}, d={dimension}")
             queries.append((p, claims))
-        # seeds outermost: one family's (p, q) queries run back to back,
-        # so its few q-tuple sets stay in the bounded memo of family.py
+        # one family per (seed, size): every p of a seed with the same
+        # max(n, p) shares one Family, so its memo (the 1D links per q, the
+        # 2D pair regions) serves all of that seed's queries
         for seed in seeds:
+            drawn: dict[int, Family] = {}
             for p, claims in queries:
-                F = genmod.random_family(genmod.GeneratorSpec(kind, n=max(n, p), seed=seed))
+                size = max(n, p)
+                if size not in drawn:
+                    spec = genmod.GeneratorSpec(kind, n=size, seed=seed)
+                    drawn[size] = genmod.random_family(spec)
+                F = drawn[size]
                 for q, claimed in claims:
                     yield _finish_row(tag, seed, F, p, q, 1, claimed, pierced)
     elif tag == "prop-dim1":

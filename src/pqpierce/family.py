@@ -15,21 +15,24 @@ the points they return.  One sweep over the intervals sorted by left
 endpoint gives the intersecting subfamilies in closed form, because by
 Helly a set of intervals meets exactly when its pairs do; the
 through-line property is that sweep over the bodies' traces on the line.
-The q-tuple flags are memoized for the last eight (family, q) queries
-and aggregated by a depth-first search over p-subsets, with the fixed
-work cap DEFAULT_WORK_BUDGET instead of silent truncation.  The search
-carries, for every later index, the count a pick of it would add, and
-skips a branch whose lower bound reaches the fewest found so far: no
-subset under it can be strictly better, so the answer is the one a full
-scan gives.  The bound is the counts so far plus the smallest additions
-still to come, which only grow, plus, for q >= 2 in 1D and through a
-line, the q-tuples the remaining picks must hold among themselves:
-bodies that t points pierce split into at most t groups that each share
-a point, so any m of them hold at least the q-tuples of t near-equal
-cliques (C(., q) is convex).  Those tuples have no member in the prefix,
-so the other terms never count them.  Any upper bound on t serves, and a
-body that misses the line is a group of its own; for q = 1 the additions
-already count each pick's singleton, so nothing is added.
+The meeting q-tuples reach the search as links, grouped by their last
+two members: in 1D they are read off one table of pair masks on the
+ranks and kept there per q, and in 2D regrouped from the memoised tuple
+set of the nerve's walk.  They are aggregated by a depth-first search
+over p-subsets, with the fixed work cap DEFAULT_WORK_BUDGET instead of
+silent truncation.  The search carries, for every later index, the
+count a pick of it would add, and skips a branch whose lower bound
+reaches the fewest found so far: no subset under it can be strictly
+better, so the answer is the one a full scan gives.  The bound is the
+counts so far plus the smallest additions still to come, which only
+grow, plus, for q >= 2 in 1D and through a line, the q-tuples the
+remaining picks must hold among themselves: bodies that t points pierce
+split into at most t groups that each share a point, so any m of them
+hold at least the q-tuples of t near-equal cliques (C(., q) is convex).
+Those tuples have no member in the prefix, so the other terms never
+count them.  Any upper bound on t serves, and a body that misses the
+line is a group of its own; for q = 1 the additions already count each
+pick's singleton, so nothing is added.
 The 1D degeneracy level is one sweep over the sorted endpoint ranks; the
 2D scan stops at the first candidate point as deep as the largest pair
 degree allows.
@@ -206,6 +209,7 @@ class _Ranks:
         present = [i for i, lo in enumerate(self.lo) if lo is not None]
         self.by_lo = sorted(present, key=self.lo.__getitem__)  # stable: ties by index
         self.by_hi = sorted(present, key=lambda i: (self.hi[i], self.lo[i]))
+        self._links: dict[int, tuple[list[int], list[dict]]] = {}
 
     def stabs(self, start: int = 0) -> list[int]:
         """A minimum piercing set, as ranks, of the intervals with index at
@@ -220,6 +224,49 @@ class _Ranks:
                 last = self.hi[i]
                 points.append(last)
         return points
+
+    @cached_property
+    def adj(self) -> list[int]:
+        """``adj[i]`` has bit j set when intervals i != j meet, read off
+        the ``earlier`` lists of :func:`_interval_sweep`."""
+        adj = [0] * len(self.lo)
+        for i, earlier in _interval_sweep(self):
+            for j in earlier:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+        return adj
+
+    def links(self, q: int) -> tuple[list[int], list[dict]]:
+        """The meeting q-tuples as the links :func:`_fewest_flagged`
+        searches, built on first use and kept per q."""
+        if q not in self._links:
+            self._links[q] = self._make_links(q)
+        return self._links[q]
+
+    def _make_links(self, q: int) -> tuple[list[int], list[dict]]:
+        """By Helly a set of intervals meets exactly when each pair does,
+        so the tuples whose last two members are the meeting pair j < j'
+        are j, j' and a (q-2)-clique of ``adj`` among the intervals below
+        j that meet both: their mask for q = 3, the list of the cliques'
+        masks for q >= 4.  A pair with no such clique gets no entry."""
+        root = [0] * len(self.lo)
+        later: list[dict] = [{} for _ in self.lo]
+        if q == 1:
+            for j in self.by_lo:
+                root[j] = 1
+            return root, later
+        adj = self.adj
+        for i, earlier in _interval_sweep(self):
+            for k in earlier:
+                j, last = min(i, k), max(i, k)
+                if q == 2:
+                    later[j][last] = 1
+                    continue
+                common = adj[j] & adj[last] & ((1 << j) - 1)
+                link = common if q == 3 else _clique_masks(adj, common, q - 2)
+                if link:
+                    later[j][last] = link
+        return root, later
 
     @cached_property
     def taus(self) -> list[int]:
@@ -251,19 +298,52 @@ def _interval_sweep(ranks: _Ranks):
         active = active + [i]
 
 
-def _swept_qtuples(ranks: _Ranks, q: int) -> frozenset[tuple[int, ...]]:
-    """Index tuples of the q-subsets of the ranked intervals that meet."""
-    return frozenset(tuple(sorted(others + (i,)))
-                     for i, earlier in _interval_sweep(ranks)
-                     for others in itertools.combinations(earlier, q - 1))
+def _clique_masks(adj: list[int], cand: int, k: int) -> list[int]:
+    """The masks of the k-cliques of the graph ``adj`` inside the vertex
+    mask ``cand``, each grown from its largest member down, with an
+    explicit stack because k may exceed the recursion limit."""
+    masks = []
+    stack = [(0, cand, k)]
+    while stack:
+        mask, cand, k = stack.pop()
+        if not k:
+            masks.append(mask)
+            continue
+        while cand.bit_count() >= k:
+            top = cand.bit_length() - 1
+            cand ^= 1 << top
+            stack.append((mask | 1 << top, cand & adj[top], k - 1))
+    return masks
 
 
 @lru_cache(maxsize=8)
 def _intersecting_qtuples(F: Family, q: int) -> frozenset[tuple[int, ...]]:
-    """Index tuples of the q-subsets with nonempty common intersection."""
-    if F.dimension == 1:
-        return _swept_qtuples(F._nerve.ranks, q)
+    """Index tuples of the q-subsets with nonempty common intersection,
+    from the nerve's walk; only the 2D paths ask for them."""
     return frozenset(F._nerve.walk(q, q))
+
+
+def _grouped(tuples, n: int, q: int) -> tuple[list[int], list[dict]]:
+    """Sorted index q-tuples of an n-member family as links: ``root[j]``
+    is 1 when (j,) is one of them (q = 1), and ``later[j]`` maps j' > j to
+    the link of the tuples whose last two members are j and j': 1 (q = 2),
+    the mask of their first members (q = 3), or the list of those masks
+    (q >= 4)."""
+    root = [0] * n
+    later: list[dict] = [{} for _ in range(n)]
+    if q == 1:
+        for (j,) in tuples:
+            root[j] = 1
+    elif q == 2:
+        for j, last in tuples:
+            later[j][last] = 1
+    elif q == 3:
+        for i, j, last in tuples:
+            later[j][last] = later[j].get(last, 0) | 1 << i
+    else:
+        for *rest, j, last in tuples:
+            later[j].setdefault(last, []).append(sum(1 << i for i in rest))
+    return root, later
 
 
 def count_intersecting_qtuples(F: Family, q: int) -> int:
@@ -299,13 +379,15 @@ def _cliques(m: int, t: int, q: int) -> int:
     return big * comb(size + 1, q) + (t - big) * comb(size, q)
 
 
-def _fewest_flagged(F: Family, p: int, q: int, flagged, floor: int, what: str,
+def _fewest_flagged(F: Family, p: int, q: int, links, floor: int, what: str,
                     ranks: _Ranks | None = None) -> tuple[int, tuple[int, ...]]:
     """The lexicographically first p-subset of F holding the fewest
-    q-tuples of ``flagged()``, as (count, subset).  The scan stops at the
-    first subset whose count falls below ``floor`` (r, at least 1);
-    ``flagged`` is called only once the C(n,p) * C(p,q) + C(n,q) steps
-    are found within DEFAULT_WORK_BUDGET, read once per call.
+    flagged q-tuples, as (count, subset).  ``links()`` gives the flagged
+    tuples as (root, later), in the shape of :func:`_grouped`; neither is
+    changed.  The scan stops at the first subset whose count falls below
+    ``floor`` (r, at least 1); ``links`` is called only once the
+    C(n,p) * C(p,q) + C(n,q) steps are found within DEFAULT_WORK_BUDGET,
+    read once per call.
 
     Depth-first over p-subsets in lexicographic order, with an explicit
     stack because p may exceed the recursion limit.  A flagged q-tuple is
@@ -354,30 +436,18 @@ def _fewest_flagged(F: Family, p: int, q: int, flagged, floor: int, what: str,
     if work > DEFAULT_WORK_BUDGET:
         raise BudgetExceededError(
             f"{what} enumeration needs {work} steps, budget is {DEFAULT_WORK_BUDGET}")
-    root = [0] * n
-    # later[j] maps j' > j to the link of the flagged tuples whose last two
-    # members are j and j': the mask of their first members (q = 3), the
-    # list of those masks (q >= 4), or 1 (q = 2)
-    later: list[dict] = [{} for _ in range(n)]
-    if q == 1:
-        for (j,) in flagged():
-            root[j] = 1
-    elif q == 2:
-        for j, last in flagged():
-            later[j][last] = 1
-    elif q == 3:
-        for i, j, last in flagged():
-            later[j][last] = later[j].get(last, 0) | 1 << i
-    else:
-        for *rest, j, last in flagged():
-            later[j].setdefault(last, []).append(sum(1 << i for i in rest))
+    # root is the increments of the empty prefix; the search copies it
+    # before any update
+    root, later = links()
     # cliques[need][j]: the flagged q-tuples that need picks from index j
-    # on hold among themselves, where a bound applies
+    # on hold among themselves, where a bound applies; need = 1 is the
+    # leaf branch, so only rows need >= 2 are read
     cliques = [[0] * n] * (p + 1)
     if ranks is not None and q >= 2:
         taus = ranks.taus
-        rows = ({t: _cliques(need, t, q) for t in set(taus)} for need in range(p + 1))
-        cliques = [[row[t] for t in taus] for row in rows]
+        for need in range(2, p + 1):
+            row = {t: _cliques(need, t, q) for t in set(taus)}
+            cliques[need] = [row[t] for t in taus]
     best = comb(p, q) + 1  # above every count, so the first subset replaces it
     best_mask = 0
     # (lower bound, prefix size, prefix mask, its count, last index, the
@@ -429,18 +499,24 @@ def _ranks_1d(F: Family) -> _Ranks | None:
     return F._nerve.ranks if F.dimension == 1 else None
 
 
+def _links(F: Family, q: int) -> tuple[list[int], list[dict]]:
+    """The links of F's meeting q-tuples: kept per q on the endpoint ranks
+    in 1D, regrouped from the memoised tuple set in 2D."""
+    if F.dimension == 1:
+        return F._nerve.ranks.links(q)
+    return _grouped(_intersecting_qtuples(F, q), len(F), q)
+
+
 def max_r(F: Family, p: int, q: int) -> PQRReport:
     """The largest r such that every p-subset of F contains at least r
     intersecting q-tuples (0 means the plain (p,q) property fails)."""
-    best, witness = _fewest_flagged(F, p, q, lambda: _intersecting_qtuples(F, q), 1, "max_r",
-                                    _ranks_1d(F))
+    best, witness = _fewest_flagged(F, p, q, lambda: _links(F, q), 1, "max_r", _ranks_1d(F))
     return PQRReport(p=p, q=q, max_r=best, witness_subset=witness)
 
 
 def satisfies_pqr(F: Family, p: int, q: int, r: int) -> bool:
     """Whether among any p members at least r of the q-tuples intersect."""
-    best, _ = _fewest_flagged(F, p, q, lambda: _intersecting_qtuples(F, q), r, "max_r",
-                              _ranks_1d(F))
+    best, _ = _fewest_flagged(F, p, q, lambda: _links(F, q), r, "max_r", _ranks_1d(F))
     return best >= r
 
 
@@ -449,14 +525,15 @@ def satisfies_pqr_through_line(F: Family, line: Line, p: int, q: int, r: int) ->
     given line, i.e. their common region meets it."""
     if F.dimension != 2:
         raise DimensionMismatchError("through-line property is 2D only")
-    return _satisfies_pqr_on_traces(F, [line_trace(body, line) for body in F.bodies], p, q, r)
+    return _satisfies_pqr_on_traces(F, _Ranks([line_trace(body, line) for body in F.bodies]),
+                                    p, q, r)
 
 
-def _satisfies_pqr_on_traces(F: Family, traces, p: int, q: int, r: int) -> bool:
-    """The through-line property from ``traces[i]``, body i's trace on the
-    line or None: members meet on the line exactly when their traces do."""
-    ranks = _Ranks(traces)
-    best, _ = _fewest_flagged(F, p, q, lambda: _swept_qtuples(ranks, q), r, "through-line", ranks)
+def _satisfies_pqr_on_traces(F: Family, ranks: _Ranks, p: int, q: int, r: int) -> bool:
+    """The through-line property from the ranks of the bodies' traces on
+    the line, None for a body that misses it: members meet on the line
+    exactly when their traces do."""
+    best, _ = _fewest_flagged(F, p, q, lambda: ranks.links(q), r, "through-line", ranks)
     return best >= r
 
 

@@ -332,17 +332,18 @@ def line_pierce(F: Family, line: Line, p: int, k: int) -> PiercingSet:
     the tight 1D threshold r0, within the bound :func:`bounds.dim1_threshold`
     certifies there.
 
-    Each body is traced on the line once.  The traces decide the
-    through-line premise; bodies whose trace is empty miss the line and
-    are pierced at their lexmax, and the rest of the traces are solved by
-    the exact 1D sweep.  :func:`bounds.dim1_threshold` checks the range
-    of (p, k).
+    Each body is traced on the line once and the traces ranked once.  The
+    ranks decide the through-line premise; bodies whose trace is empty
+    miss the line and are pierced at their lexmax, and the rest of the
+    traces are stabbed by the exact 1D sweep on the same ranks.
+    :func:`bounds.dim1_threshold` checks the range of (p, k).
     """
     if F.dimension != 2:
         raise DimensionMismatchError("line piercing is 2D only")
     bound = dim1_threshold(p, 2, k)
     traces = [line_trace(body, line) for body in F.bodies]
-    if not familymod._satisfies_pqr_on_traces(F, traces, p, 2, bound.threshold_r):
+    ranks = familymod._Ranks(traces)
+    if not familymod._satisfies_pqr_on_traces(F, ranks, p, 2, bound.threshold_r):
         raise PremiseViolationError(
             f"family does not satisfy the (p,2)_{bound.threshold_r} property through the line"
         )
@@ -353,12 +354,10 @@ def line_pierce(F: Family, line: Line, p: int, k: int) -> PiercingSet:
             witness=tuple(missing),
         )
     points: list[Point] = [lexmax_body(F.bodies[i]) for i in missing]
-
-    traces = [trace for trace in traces if trace is not None]
-    if traces:
-        solved = sweep_piercing_1d(Family(1, tuple(traces)))
+    stabs = ranks.stabs()
+    if stabs:
         base, direction = line.some_point(), line.direction()
-        points.extend(base + direction.scaled(t) for t in solved.points)
+        points.extend(base + direction.scaled(ranks.values[t]) for t in stabs)
     if len(points) > bound.pierce_bound:
         raise AssertionError(f"construction produced {len(points)} > {bound.pierce_bound} points")
     return _certified(F, points)

@@ -274,6 +274,25 @@ def fraction_interval_sweep(bodies):
         active = active + [i]
 
 
+def swept_qtuples(ranks, q: int) -> frozenset[tuple[int, ...]]:
+    """Index tuples of the q-subsets of the ranked intervals that meet:
+    every interval with each (q-1)-subset of its ``earlier`` list.  The
+    tuple set the 1D search regrouped before it read its links off the
+    pair masks, kept as the oracle for ``family._Ranks.links``."""
+    return frozenset(tuple(sorted(others + (i,)))
+                     for i, earlier in familymod._interval_sweep(ranks)
+                     for others in itertools.combinations(earlier, q - 1))
+
+
+def canonical_links(links):
+    """``(root, later)`` with each q >= 4 list of link masks sorted, so
+    that two link tables compare equal exactly when they hold the same
+    tuples."""
+    root, later = links
+    return root, [{j: sorted(link) if isinstance(link, list) else link for j, link in row.items()}
+                  for row in later]
+
+
 def fraction_degeneracy_1d(F: Family):
     """The 1D degeneracy level and point as they were computed on
     ``Fraction`` endpoints, kept verbatim as the oracle for the ranked

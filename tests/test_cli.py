@@ -27,7 +27,8 @@ from pqpierce.cli import (
     main,
 )
 from pqpierce.errors import BudgetExceededError, ParseError
-from pqpierce.family import DEFAULT_WORK_BUDGET, _intersecting_qtuples
+from pqpierce import family as familymod
+from pqpierce.family import DEFAULT_WORK_BUDGET
 from pqpierce.generators import GeneratorSpec, extremal_dim1, random_family
 
 from conftest import fraction_document_to_family
@@ -579,18 +580,26 @@ class TestExperimentCommand:
         for row in rows:
             assert int(row["max_r"]) <= int(row["r_threshold"])
 
-    def test_thm5_walks_each_family_once_per_q(self, tmp_path, capsys):
-        # 12 seeds x 3 q values overflow the memo's 8 entries; with the
-        # seeds outermost every (family, q) pair is still walked only once
+    def test_thm5_walks_each_family_once_per_q(self, tmp_path, capsys, monkeypatch):
+        # with n = 6 >= p, both p of a seed share one family, whose ranks
+        # keep its links per q: 12 seeds x 3 q values build 36 links, not
+        # one per (seed, p, q) query
+        built = []
+        make = familymod._Ranks._make_links
+
+        def counting(ranks, q):
+            built.append(q)
+            return make(ranks, q)
+
+        monkeypatch.setattr(familymod._Ranks, "_make_links", counting)
         config = tmp_path / "config.json"
         config.write_text(
             json.dumps({"theorem": "thm5", "dimension": 1, "n": 6, "seeds": 12,
                         "grid": {"p": [3, 4]}})
         )
-        _intersecting_qtuples.cache_clear()
         code, _ = run_cli("experiment", str(config), capsys=capsys)
         assert code == EXIT_OK
-        assert _intersecting_qtuples.cache_info().misses == 12 * 3
+        assert sorted(built) == [2] * 12 + [3] * 12 + [4] * 12
 
     @pytest.mark.parametrize("field", [
         {"seeds": "x"}, {"seeds": [0, "1"]}, {"seeds": True},

@@ -18,10 +18,10 @@ from pqpierce.family import (
     Family,
     _Ranks,
     _fewest_flagged,
+    _grouped,
     _interval_sweep,
     _intersecting_qtuples,
     _satisfies_pqr_on_traces,
-    _swept_qtuples,
     count_intersecting_qtuples,
     degeneracy_level,
     f_vector,
@@ -47,11 +47,13 @@ from conftest import (
     LINES,
     TIED_INTERVALS,
     box,
+    canonical_links,
     fraction_degeneracy_1d,
     fraction_interval_sweep,
     fraction_sweep_piercing_1d,
     intervals,
     polygon_families,
+    swept_qtuples,
     tied_families,
 )
 
@@ -142,12 +144,12 @@ def stack_fewest(flags, n, p, q, floor):
 
 
 def fewest(F, flags, p, q, floor):
-    return _fewest_flagged(F, p, q, lambda: flags, floor, "test")
+    return _fewest_flagged(F, p, q, lambda: _grouped(flags, len(F), q), floor, "test")
 
 
 def bounded_fewest(F, flags, p, q, floor, ranks):
     """The search with the suffix piercing bound of ``ranks``."""
-    return _fewest_flagged(F, p, q, lambda: flags, floor, "test", ranks)
+    return _fewest_flagged(F, p, q, lambda: _grouped(flags, len(F), q), floor, "test", ranks)
 
 
 def assert_floor_matches_scan(F, flags, p, q, floor):
@@ -214,7 +216,7 @@ class TestPrunedScanAgainstOracle:
         for n in range(10, 19, 2):
             F = random_family(GeneratorSpec("random_intervals", n=n, seed=n, span=18, extent=6))
             for q in range(1, 6):
-                flags = _intersecting_qtuples(F, q)
+                flags = swept_qtuples(F._nerve.ranks, q)
                 for p in range(q, n + 1):
                     for floor in (1, 2, 3, comb(p, q), comb(p, q) + 1):
                         got = fewest(F, flags, p, q, floor)
@@ -306,13 +308,13 @@ class TestPiercingBound:
         ranks = _Ranks(traces)
         for q in range(1, min(n, 5) + 1):
             flags = sweep_flags(traces, q)
-            assert _swept_qtuples(ranks, q) == flags
+            assert swept_qtuples(ranks, q) == flags
             for p in range(q, n + 1):
                 for r in (1, 2, 3, comb(p, q)):
                     got = bounded_fewest(F, flags, p, q, r, ranks)
                     assert got == scan_fewest(flags, n, p, q, r)
                     assert got == stack_fewest(flags, n, p, q, r)
-                    assert _satisfies_pqr_on_traces(F, traces, p, q, r) == (got[0] >= r)
+                    assert _satisfies_pqr_on_traces(F, ranks, p, q, r) == (got[0] >= r)
 
 
 class TestRanks:
@@ -342,6 +344,30 @@ class TestRanks:
         pierced = min_piercing(F)
         assert pierced == fraction_sweep_piercing_1d(F)
         assert all(type(x) is Fraction for x in pierced.points)
+
+    @settings(max_examples=150, deadline=None)
+    @given(TRACES)
+    def test_links_match_the_swept_tuples(self, traces):
+        ranks = _Ranks(traces)
+        n = len(traces)
+        for a, b in itertools.combinations(range(n), 2):
+            meet = (traces[a] is not None and traces[b] is not None
+                    and intersect_bodies([traces[a], traces[b]]) is not None)
+            assert (ranks.adj[a] >> b & 1, ranks.adj[b] >> a & 1) == (meet, meet)
+        for q in range(1, n + 1):
+            want = canonical_links(_grouped(swept_qtuples(ranks, q), n, q))
+            assert canonical_links(ranks.links(q)) == want
+            assert ranks.links(q) is ranks.links(q)  # built once per q
+
+    def test_searches_leave_the_shared_links_unchanged(self):
+        F = random_family(GeneratorSpec("random_intervals", n=12, seed=5, span=6))
+        for p, q in ((6, 1), (6, 2), (7, 3), (8, 4), (8, 5)):
+            kept = copy.deepcopy(F._nerve.ranks.links(q))
+            first = max_r(F, p, q)
+            for r in (1, 2, first.max_r, first.max_r + 1):
+                satisfies_pqr(F, p, q, r)
+            assert max_r(F, p, q) == first
+            assert F._nerve.ranks.links(q) == kept
 
     def test_memo_leaves_equality_hashing_vars_and_pickle(self):
         F = random_family(GeneratorSpec("random_intervals", n=8, seed=3))
@@ -433,7 +459,7 @@ def remapped_trace_flags(F, line, q):
               if (trace := line_trace(body, line)) is not None}
     ids = list(traces)
     return {tuple(ids[k] for k in indices)
-            for indices in _swept_qtuples(_Ranks(list(traces.values())), q)}
+            for indices in swept_qtuples(_Ranks(list(traces.values())), q)}
 
 
 class TestThroughLine:
@@ -461,7 +487,7 @@ class TestThroughLine:
     def test_sweep_skips_missing_traces(self, F, line):
         traces = [line_trace(body, line) for body in F.bodies]
         for q in range(1, len(F) + 1):
-            assert _swept_qtuples(_Ranks(traces), q) == remapped_trace_flags(F, line, q)
+            assert swept_qtuples(_Ranks(traces), q) == remapped_trace_flags(F, line, q)
 
 
 def scan_degeneracy(F):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from pqpierce.family import (
     Family,
     _fewest_flagged,
+    _grouped,
     _intersecting_qtuples,
     count_intersecting_qtuples,
     degeneracy_level,
@@ -39,7 +40,7 @@ def walk_through_line(F, line, p, q, r):
         return {indices for indices, region in intersecting_subfamilies(F, range(q, q + 1))
                 if line_meets_body(line, region)}
 
-    best, _ = _fewest_flagged(F, p, q, on_line, r, "through-line")
+    best, _ = _fewest_flagged(F, p, q, lambda: _grouped(on_line(), len(F), q), r, "through-line")
     return best >= r
 
 

@@ -435,6 +435,27 @@ class TestLinePierce:
         line_pierce(F, self.AXIS, 3, 1)
         assert calls == list(F.bodies)
 
+    def test_traces_ranked_once(self, monkeypatch):
+        # the premise and the stabs read one ranking of the traces
+        built = []
+
+        class Counting(familymod._Ranks):
+            def __init__(self, intervals):
+                built.append(intervals)
+                super().__init__(intervals)
+
+        monkeypatch.setattr(familymod, "_Ranks", Counting)
+        F = Family.of(
+            [box(0, -1, 2, 1), box(1, -1, 3, 1), box(0, -2, 3, 2), box(5, 5, 6, 6)]
+        )
+        for k in (0, 1):
+            built.clear()
+            try:
+                line_pierce(F, self.AXIS, 3, k)
+            except PremiseViolationError:
+                assert k == 0  # one body misses the line
+            assert len(built) == 1
+
 
 class TestPairLemma:
     def test_lexmax_of_subfamily_equals_some_pair(self):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from pqpierce.family import (
     Family,
+    _grouped,
     _intersecting_qtuples,
     count_intersecting_qtuples,
     degeneracy_level,
@@ -21,7 +22,7 @@ from pqpierce.generators import GeneratorSpec, random_family
 from pqpierce.geometry import Interval, Line, intersect_bodies, lexmax_body, line_meets_body
 from pqpierce.piercing import candidate_points, min_piercing
 
-from conftest import box, brute_pair_regions, intersecting_subfamilies, intervals
+from conftest import box, brute_pair_regions, canonical_links, intersecting_subfamilies, intervals
 
 LINES = (Line(0, 1, 0), Line(1, 1, 4), Line(1, -2, 1))
 
@@ -162,7 +163,8 @@ class TestIntervalSweep:
             walk = [frozenset(idx for idx, _ in intersecting_subfamilies(F, range(q, q + 1)))
                     for q in range(1, n + 1)]
             for q in range(1, n + 1):
-                assert _intersecting_qtuples(F, q) == walk[q - 1]
+                want = canonical_links(_grouped(walk[q - 1], n, q))
+                assert canonical_links(F._nerve.ranks.links(q)) == want
             assert f_vector(F) == tuple(len(tuples) for tuples in walk)
 
     def test_candidate_points(self):
