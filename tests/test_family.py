@@ -359,6 +359,17 @@ class TestRanks:
             assert canonical_links(ranks.links(q)) == want
             assert ranks.links(q) is ranks.links(q)  # built once per q
 
+    def test_links_on_seeded_families(self):
+        # wide intervals over narrow ones: members that meet a pair need
+        # not meet each other, which the q >= 4 cliques must respect
+        for seed in range(12):
+            F = random_family(GeneratorSpec("random_intervals", n=6 + seed % 6, seed=seed,
+                                            span=10, extent=6))
+            ranks, n = F._nerve.ranks, len(F)
+            for q in range(1, n + 1):
+                want = canonical_links(_grouped(swept_qtuples(ranks, q), n, q))
+                assert canonical_links(ranks.links(q)) == want
+
     def test_searches_leave_the_shared_links_unchanged(self):
         F = random_family(GeneratorSpec("random_intervals", n=12, seed=5, span=6))
         for p, q in ((6, 1), (6, 2), (7, 3), (8, 4), (8, 5)):
