@@ -5,10 +5,10 @@ distinct members (index identity), which the extremal constructions rely
 on.  Each family holds one lazy nerve, one memo of pair and triple flags,
 Helly cliques.  A pair is clipped when first asked for and its region
 kept (:attr:`Family.pair_regions` is the all-pairs view); a triple's flag
-is one clip of a kept pair region with the third body.  By Helly's
-theorem a subfamily of three or more planar bodies meets exactly when
-each of its triples does, so every larger subfamily is read off the
-memoised flags, with no geometry.  In 1D every answer depends only on
+is the meet test of a kept pair region with the third body, which clips
+but builds no region.  By Helly's theorem a subfamily of three or more
+planar bodies meets exactly when each of its triples does, so every
+larger subfamily is read off the memoised flags, with no geometry.  In 1D every answer depends only on
 the order of the endpoints, so the nerve ranks them once, on first use,
 and the sweeps run on those ints, mapping back to ``Fraction`` only for
 the points they return.  One sweep over the intervals sorted by left
@@ -17,10 +17,11 @@ Helly a set of intervals meets exactly when its pairs do; the
 through-line property is that sweep over the bodies' traces on the line.
 The meeting q-tuples reach the search as links, grouped by their last
 two members: in 1D they are read off one table of pair masks on the
-ranks and kept there per q, and in 2D regrouped from the memoised tuple
-set of the nerve's walk.  They are aggregated by a depth-first search
-over p-subsets, with the fixed work cap DEFAULT_WORK_BUDGET instead of
-silent truncation.  The search carries, for every later index, the
+ranks and kept there for q <= 3 (past that they grow with the meeting
+q-tuples and are built per call), and in 2D regrouped from the memoised
+tuple set of the nerve's walk.  They are aggregated by a depth-first
+search over p-subsets, with the fixed work cap DEFAULT_WORK_BUDGET
+instead of silent truncation.  The search carries, for every later index, the
 count a pick of it would add, and skips a branch whose lower bound
 reaches the fewest found so far: no subset under it can be strictly
 better, so the answer is the one a full scan gives.  The bound is the
@@ -33,9 +34,12 @@ Those tuples have no member in the prefix, so the other terms never
 count them.  Any upper bound on t serves, and a body that misses the
 line is a group of its own; for q = 1 the additions already count each
 pick's singleton, so nothing is added.
-The 1D degeneracy level is one sweep over the sorted endpoint ranks; the
-2D scan stops at the first candidate point as deep as the largest pair
-degree allows.
+The 1D degeneracy level is one sweep over the sorted endpoint ranks.  In
+2D the candidate points (the lexmax of each body and each pair region)
+are primitive integer triples, deduplicated as triples and sorted as
+integer pairs over one common denominator; the degeneracy scan tests
+them against each body's integer halfplanes, stops at the first one as
+deep as the largest pair degree allows, and makes a Point only of it.
 """
 
 from __future__ import annotations
@@ -48,17 +52,18 @@ from functools import cached_property, lru_cache
 from math import comb, lcm
 
 from .errors import ArityError, BudgetExceededError, DimensionMismatchError
-from .geometry import ConvexBody, Line, body_contains_point, intersect_bodies, line_trace
+from .geometry import (ConvexBody, Line, _contains_hom, _lexmax, _point, bodies_meet, intersect_bodies,
+                       line_trace)
 
 #: Hard cap on C(n,p) * C(p,q) aggregation work per query.
 DEFAULT_WORK_BUDGET = 5_000_000
 
 
 class _Nerve:
-    """The pair and triple flags of one family, each clipped once, when
-    first asked for, in one memo: ``memo[i, j]`` holds the region of the
-    pair i < j, or None when it misses, and ``memo[i, j, k]`` the flag of
-    the triple i < j < k, which clips that pair's region with body k."""
+    """The pair regions and triple flags of one family, each asked of the
+    kernel once, when first needed, in one memo: ``memo[i, j]`` holds the
+    region of the pair i < j, or None when it misses, and ``memo[i, j, k]``
+    whether that pair's region meets body k, i < j < k."""
 
     def __init__(self, bodies):
         self.bodies = bodies
@@ -79,8 +84,7 @@ class _Nerve:
             return False
         for i, j in itertools.combinations(chosen, 2):
             if (i, j, k) not in self.memo:
-                region = intersect_bodies([self.pair(i, j), self.bodies[k]])
-                self.memo[i, j, k] = region is not None
+                self.memo[i, j, k] = bodies_meet([self.pair(i, j), self.bodies[k]])
             if not self.memo[i, j, k]:
                 return False
         return True
@@ -238,7 +242,11 @@ class _Ranks:
 
     def links(self, q: int) -> tuple[list[int], list[dict]]:
         """The meeting q-tuples as the links :func:`_fewest_flagged`
-        searches, built on first use and kept per q."""
+        searches.  Those of q <= 3 take O(n^2) space and are kept per q,
+        built on first use; those of q >= 4 hold a mask per meeting
+        q-tuple and are built on every call."""
+        if q >= 4:
+            return self._make_links(q)
         if q not in self._links:
             self._links[q] = self._make_links(q)
         return self._links[q]
@@ -537,6 +545,16 @@ def _satisfies_pqr_on_traces(F: Family, ranks: _Ranks, p: int, q: int, r: int) -
     return best >= r
 
 
+def _candidates(F: Family) -> list[tuple[int, int, int]]:
+    """The 2D candidate points, as primitive vertex triples: the lexmax of
+    every body and of every meeting pair's region, each once (a point has
+    one primitive triple), in the lexicographic order of the points, which
+    is the order of the integer pairs (X, Y) over the lcm of every W."""
+    triples = {_lexmax(region._hom) for region in (*F.bodies, *F.pair_regions.values())}
+    scale = lcm(*(W for _, _, W in triples))
+    return sorted(triples, key=lambda v: (v[0] * (scale // v[2]), v[1] * (scale // v[2])))
+
+
 def degeneracy_level(F: Family):
     """Smallest t such that one point pierces all but t members, with a
     point attaining it.  Decided over the finite candidate-point set,
@@ -546,9 +564,10 @@ def degeneracy_level(F: Family):
     In 1D the candidates are the right endpoints, and the depth of x is
     the number of left endpoints at most x less the number of right
     endpoints below it, read off the two sorted lists of endpoint ranks.
-    In 2D no point lies in more bodies than one body meets, itself
-    included, so the scan stops at the first candidate that reaches that
-    count."""
+    In 2D the candidates are scanned as integer triples against each
+    body's halfplanes, and only the winner becomes a Point; no point lies
+    in more bodies than one body meets, itself included, so the scan stops
+    at the first candidate that reaches that count."""
     if F.dimension == 1:
         ranks = F._nerve.ranks
         los, his = sorted(ranks.lo), sorted(ranks.hi)
@@ -558,18 +577,16 @@ def degeneracy_level(F: Family):
 
         point = max(his, key=depth)  # max keeps the first of equal depths
         return len(F) - depth(point), ranks.values[point]
-    from .piercing import candidate_points
-
     # a point lies in no more bodies than one of them meets, itself included
     bound = 1 + max(Counter(itertools.chain.from_iterable(F.pair_regions)).values(), default=0)
-    best_count, best_point = -1, None
-    for point in candidate_points(F):
-        count = sum(1 for body in F.bodies if body_contains_point(body, point))
+    best_count, best = -1, None
+    for v in _candidates(F):
+        count = sum(1 for body in F.bodies if _contains_hom(body, v))
         if count > best_count:
-            best_count, best_point = count, point
+            best_count, best = count, v
             if count == bound:  # no later candidate can be deeper
                 break
-    return len(F) - best_count, best_point
+    return len(F) - best_count, _point(best)
 
 
 def is_t_degenerate(F: Family, t: int):

@@ -19,6 +19,13 @@ document gives them) never passes through `Fraction`.  Each new vertex of
 a clip is the primitive form of the meeting point of two input edge
 lines, so coordinates do not grow along a chain of clips.
 
+A caller asks only for what it reads.  `intersect_bodies` returns the
+common region; `bodies_meet` runs the same chain of clips and only says
+whether it ends nonempty, so a yes-or-no question builds no polygon.  A
+polygon's lexmax (`_lexmax`) and membership (`_contains_hom`) also work
+on vertex triples, so the 2D candidate-point scan of the layers above
+makes a `Point` only for the point it returns.
+
 Degenerate convex polygons are first class: a single point has one vertex,
 a segment has two.  Intersections clip one halfplane at a time in a single
 order-preserving walk (Sutherland and Hodgman 1974).  Everything is
@@ -269,10 +276,8 @@ class ConvexPolygon:
                 _primitive(dx * wW, dy * wW, dx * wX + dy * wY))
 
     def contains(self, p: Point) -> bool:
-        # (X, Y, W) need not be primitive for a sign test
         xn, xd, yn, yd = p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator
-        X, Y, W = xn * yd, yn * xd, xd * yd
-        return all(a * X + b * Y <= c * W for a, b, c in self._planes)
+        return _contains_hom(self, (xn * yd, yn * xd, xd * yd))
 
 
 ConvexBody = Union[Interval, ConvexPolygon]
@@ -363,6 +368,29 @@ def clip_polygon(body: ConvexPolygon, a, b, c) -> Optional[ConvexPolygon]:
     return None if verts is None else ConvexPolygon._from_hom(verts)
 
 
+def _dimension(bodies: Sequence[ConvexBody]) -> int:
+    """The one dimension the bodies share; raises if there is none."""
+    if not bodies:
+        raise ValueError("need at least one body")
+    dims = {body.dimension for body in bodies}
+    if len(dims) != 1:
+        raise DimensionMismatchError(f"mixed dimensions: {sorted(dims)}")
+    return dims.pop()
+
+
+def _clip_chain(bodies: Sequence[ConvexPolygon]) -> Optional[tuple[Homogeneous, ...]]:
+    """The vertex triples of the common part of the polygons, or None when
+    it is empty: the first body clipped with every supporting halfplane of
+    the others, stopping at the first empty clip."""
+    verts = bodies[0]._hom
+    for body in bodies[1:]:
+        for a, b, c in body._planes:
+            verts = _clip_halfplane(verts, a, b, c)
+            if verts is None:
+                return None
+    return verts
+
+
 def intersect_bodies(bodies: Sequence[ConvexBody]) -> Optional[ConvexBody]:
     """Exact common intersection of the bodies, or None when empty.
 
@@ -371,22 +399,30 @@ def intersect_bodies(bodies: Sequence[ConvexBody]) -> Optional[ConvexBody]:
     of the others.
     """
     bodies = list(bodies)
-    if not bodies:
-        raise ValueError("need at least one body")
-    dims = {body.dimension for body in bodies}
-    if len(dims) != 1:
-        raise DimensionMismatchError(f"mixed dimensions: {sorted(dims)}")
-    if dims == {1}:
+    if _dimension(bodies) == 1:
         lo = max(body.lo for body in bodies)
         hi = min(body.hi for body in bodies)
         return Interval(lo, hi) if lo <= hi else None
-    verts = bodies[0]._hom
-    for body in bodies[1:]:
-        for a, b, c in body._planes:
-            verts = _clip_halfplane(verts, a, b, c)
-            if verts is None:
-                return None
-    return ConvexPolygon._from_hom(verts)
+    verts = _clip_chain(bodies)
+    return None if verts is None else ConvexPolygon._from_hom(verts)
+
+
+def bodies_meet(bodies: Sequence[ConvexBody]) -> bool:
+    """Whether the bodies share a point: ``intersect_bodies(bodies) is not
+    None``, decided by the same clips but with no region built."""
+    bodies = list(bodies)
+    if _dimension(bodies) == 1:
+        return max(body.lo for body in bodies) <= min(body.hi for body in bodies)
+    return _clip_chain(bodies) is not None
+
+
+def _lexmax(hom: tuple[Homogeneous, ...]) -> Homogeneous:
+    """The lexicographically largest of the vertex triples."""
+    best = hom[0]
+    for v in hom[1:]:
+        if _lex_less(best, v):
+            best = v
+    return best
 
 
 def lexmax_body(body: ConvexBody):
@@ -397,11 +433,14 @@ def lexmax_body(body: ConvexBody):
     """
     if body.dimension == 1:
         return body.hi
-    best = body._hom[0]
-    for v in body._hom[1:]:
-        if _lex_less(best, v):
-            best = v
-    return _point(best)
+    return _point(_lexmax(body._hom))
+
+
+def _contains_hom(body: ConvexPolygon, v: Homogeneous) -> bool:
+    """Whether the polygon contains the point (X/W, Y/W), W > 0; the
+    triple need not be primitive."""
+    X, Y, W = v
+    return all(a * X + b * Y <= c * W for a, b, c in body._planes)
 
 
 def body_contains_point(body: ConvexBody, p) -> bool:

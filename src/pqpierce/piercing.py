@@ -38,6 +38,8 @@ from .geometry import (
     ConvexPolygon,
     Line,
     Point,
+    _point,
+    bodies_meet,
     body_contains_point,
     clip_polygon,
     intersect_bodies,
@@ -87,9 +89,12 @@ def _certified(F: Family, points: Sequence) -> PiercingSet:
 
 def candidate_points(F: Family) -> list:
     """Lexmax of every body and of every intersecting pair, deduplicated
-    and sorted; sufficient for exact minimum piercing.  In 1D a pair's
+    and sorted; sufficient for exact minimum piercing.  In 2D they are
+    found on integer triples and made Points at the end; in 1D a pair's
     lexmax is min(hi_i, hi_j), already a body's, so these are the
     distinct right endpoints."""
+    if F.dimension == 2:
+        return [_point(v) for v in familymod._candidates(F)]
     return sorted({lexmax_body(region) for region in (*F.bodies, *F.pair_regions.values())})
 
 
@@ -227,7 +232,7 @@ def hd_pierce(F: Family, p: int, q: int) -> PiercingSet:
         points.append(x0)
         survivors = [i for i in active if not body_contains_point(F.bodies[i], x0)]
         for i in survivors:
-            if intersect_bodies([F.bodies[i], a_region]) is not None:
+            if bodies_meet([F.bodies[i], a_region]):
                 raise AssertionError(
                     "body missing x0 still meets the minimizing tuple's intersection"
                 )

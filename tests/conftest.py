@@ -1,6 +1,7 @@
 """Shared builders for the test suite."""
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from typing import Optional
 
@@ -12,11 +13,13 @@ from pqpierce import geometry
 from pqpierce import piercing as piercingmod
 from pqpierce.errors import BudgetExceededError
 from pqpierce.family import Family
+from pqpierce.generators import GeneratorSpec, random_family
 from pqpierce.geometry import (
     ConvexPolygon,
     Interval,
     Line,
     Point,
+    bodies_meet,
     body_contains_point,
     intersect_bodies,
     lexmax_body,
@@ -152,6 +155,37 @@ def exhaustive_candidate_points(F: Family) -> list:
     unreduced candidate set used to validate the pair reduction."""
     walk = intersecting_subfamilies(F, range(1, len(F) + 1))
     return sorted({lexmax_body(region) for _, region in walk})
+
+
+def point_candidate_points(F: Family) -> list:
+    """The candidate points as Points, deduplicated and sorted as Points:
+    the oracle for ``candidate_points``, which finds them on integer
+    triples."""
+    return sorted({lexmax_body(region) for region in (*F.bodies, *F.pair_regions.values())})
+
+
+def point_degeneracy_2d(F: Family):
+    """The 2D degeneracy scan on Points, stopping at the largest pair
+    degree: the oracle for ``degeneracy_level``, which scans integer
+    triples."""
+    bound = 1 + max(Counter(itertools.chain.from_iterable(F.pair_regions)).values(), default=0)
+    best_count, best_point = -1, None
+    for point in point_candidate_points(F):
+        count = sum(1 for body in F.bodies if body_contains_point(body, point))
+        if count > best_count:
+            best_count, best_point = count, point
+            if count == bound:
+                break
+    return len(F) - best_count, best_point
+
+
+def seeded_polygon_families():
+    """Seeded random polygon families, dense and sparse, on grids of
+    halves and thirds: their pair regions have rational vertices over
+    many denominators."""
+    for seed in range(24):
+        yield random_family(GeneratorSpec("random_polygons", n=4 + seed % 6, seed=seed,
+                                          span=2 + seed % 5, grid=1 + seed % 3))
 
 
 def _pairwise_disjoint_lower_bound(
@@ -368,16 +402,21 @@ def polygon_families(draw, max_size=8):
 
 @pytest.fixture
 def clip_calls(monkeypatch):
-    """Every intersect_bodies call made through the names the program
-    imports, counted."""
+    """Every intersect_bodies and bodies_meet call made through the names
+    the program imports, counted: the geometry questions asked, whether
+    the answer is a region or a flag."""
     calls = []
 
-    def counting(bodies):
-        calls.append(len(bodies))
-        return intersect_bodies(bodies)
+    def counting(kernel):
+        def counted(bodies):
+            calls.append(len(bodies))
+            return kernel(bodies)
+        return counted
 
     for module in (geometry, familymod, piercingmod):
-        monkeypatch.setattr(module, "intersect_bodies", counting)
+        for kernel in (intersect_bodies, bodies_meet):
+            if hasattr(module, kernel.__name__):
+                monkeypatch.setattr(module, kernel.__name__, counting(kernel))
     return calls
 
 

@@ -4,6 +4,7 @@ import copy
 import itertools
 import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -35,6 +36,8 @@ from pqpierce.geometry import (
     ConvexPolygon,
     Interval,
     Line,
+    Point,
+    _contains_hom,
     body_contains_point,
     intersect_bodies,
     line_meets_body,
@@ -52,7 +55,9 @@ from conftest import (
     fraction_interval_sweep,
     fraction_sweep_piercing_1d,
     intervals,
+    point_degeneracy_2d,
     polygon_families,
+    seeded_polygon_families,
     swept_qtuples,
     tied_families,
 )
@@ -357,7 +362,8 @@ class TestRanks:
         for q in range(1, n + 1):
             want = canonical_links(_grouped(swept_qtuples(ranks, q), n, q))
             assert canonical_links(ranks.links(q)) == want
-            assert ranks.links(q) is ranks.links(q)  # built once per q
+            # kept per q up to 3, built per call past it
+            assert (ranks.links(q) is ranks.links(q)) == (q <= 3)
 
     def test_links_on_seeded_families(self):
         # wide intervals over narrow ones: members that meet a pair need
@@ -379,6 +385,21 @@ class TestRanks:
                 satisfies_pqr(F, p, q, r)
             assert max_r(F, p, q) == first
             assert F._nerve.ranks.links(q) == kept
+
+    def test_links_past_q_3_are_not_kept(self):
+        # on 20 nested intervals every q-tuple meets, so the links of
+        # q = 10 alone hold C(20, 10) masks; keeping every q held 41.9 MB
+        # after this loop, and the q <= 3 links take well under 1 MB
+        F = Family.of([Interval(-i, i) for i in range(1, 21)])
+        tracemalloc.start()
+        try:
+            for q in range(1, 21):
+                assert max_r(F, 20, q).max_r == comb(20, q)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept < 1_000_000
+        assert sorted(F._nerve.ranks._links) == [1, 2, 3]
 
     def test_memo_leaves_equality_hashing_vars_and_pickle(self):
         F = random_family(GeneratorSpec("random_intervals", n=8, seed=3))
@@ -529,6 +550,17 @@ class TestDegeneracy:
     def test_2d_early_stop_matches_scan(self, F):
         assert degeneracy_level(F) == scan_degeneracy(F)
 
+    @settings(max_examples=100, deadline=None)
+    @given(polygon_families())
+    def test_2d_integer_scan_matches_the_point_scan(self, F):
+        level, point = degeneracy_level(F)
+        assert (level, point) == point_degeneracy_2d(F)
+        assert type(point) is Point and type(point.x) is type(point.y) is Fraction
+
+    def test_2d_integer_scan_on_seeded_families(self):
+        for F in seeded_polygon_families():
+            assert degeneracy_level(F) == point_degeneracy_2d(F)
+
     def test_2d_degenerate_families(self):
         hull = ConvexPolygon.from_points
         point, cross = hull([pt(1, 1)]), hull([pt(0, 2), pt(2, 0)])
@@ -536,17 +568,17 @@ class TestDegeneracy:
                        [cross, cross, box(3, 3, 4, 4), box(3, 3, 4, 4)],
                        [hull([pt(0, 0), pt(1, 0)]), hull([pt(1, 0), pt(2, 0)]), hull([pt(2, 0), pt(3, 0)])]):
             F = Family.of(bodies)
-            assert degeneracy_level(F) == scan_degeneracy(F)
+            assert degeneracy_level(F) == scan_degeneracy(F) == point_degeneracy_2d(F)
 
     def test_2d_scan_stops_at_the_pair_degree_bound(self, monkeypatch):
         # every pair of nested boxes meets, and the first candidate (1, 1)
         # lies in all of them, so no other candidate is tested
         F = Family.of([box(-i - 1, -i - 1, i + 1, i + 1) for i in range(8)])
         calls = []
-        monkeypatch.setattr(familymod, "body_contains_point",
-                            lambda body, point: calls.append(point) or body_contains_point(body, point))
+        monkeypatch.setattr(familymod, "_contains_hom",
+                            lambda body, v: calls.append(v) or _contains_hom(body, v))
         assert degeneracy_level(F) == (0, pt(1, 1))
-        assert calls == [pt(1, 1)] * 8
+        assert calls == [(1, 1, 1)] * 8
 
     def test_copies_zero_degenerate(self):
         F = Family.of([Interval(0, 1)] * 5)

@@ -17,6 +17,7 @@ from pqpierce.geometry import (
     Line,
     Point,
     _homogeneous,
+    bodies_meet,
     clip_polygon,
     convex_hull,
     intersect_bodies,
@@ -107,8 +108,11 @@ class TestIntersection:
                 assert out.contains(p) == (t1.contains(p) and t2.contains(p))
 
     def test_mixed_dimensions_rejected(self):
-        with pytest.raises(DimensionMismatchError):
-            intersect_bodies([Interval(0, 1), box(0, 0, 1, 1)])
+        for kernel in (intersect_bodies, bodies_meet):
+            with pytest.raises(DimensionMismatchError):
+                kernel([Interval(0, 1), box(0, 0, 1, 1)])
+            with pytest.raises(ValueError, match="at least one body"):
+                kernel([])
 
     @given(polygons(), polygons(), polygons())
     @settings(max_examples=60, deadline=None)
@@ -683,6 +687,40 @@ class TestIntegerKernelAgainstFractionOracles:
                 assert str(got.value) == str(oracle)
             else:
                 assert ConvexPolygon(verts).vertices == verts
+
+
+class TestBodiesMeet:
+    """``bodies_meet`` answers what ``intersect_bodies`` would, with no
+    region built."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_polygons_points_and_segments(self, data):
+        kind = data.draw(st.sampled_from(KINDS))
+        bodies = [ConvexPolygon(data.draw(hull_of(kind))) for _ in range(data.draw(st.integers(1, 3)))]
+        # a part of a body cut off through one of its vertices meets it
+        cut = clip_polygon(bodies[0], *data.draw(halfplane_for(bodies[0].vertices, kind)))
+        bodies += [cut] if cut is not None else []
+        bodies += data.draw(st.lists(st.sampled_from(bodies), max_size=2))
+        bodies = data.draw(st.permutations(bodies))
+        assert bodies_meet(bodies) == (intersect_bodies(bodies) is not None)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_intervals(self, data):
+        kind = data.draw(st.sampled_from(KINDS))
+        ends = st.tuples(kind, kind).map(sorted)
+        bodies = [Interval(lo, hi) for lo, hi in data.draw(st.lists(ends, min_size=1, max_size=4))]
+        bodies += data.draw(st.lists(st.sampled_from(bodies), max_size=2))
+        assert bodies_meet(bodies) == (intersect_bodies(bodies) is not None)
+
+    def test_touching_and_missing(self):
+        square, point = box(0, 0, 1, 1), ConvexPolygon.from_points([pt(2, 1)])
+        segment = ConvexPolygon.from_points([pt(1, 1), pt(2, 1)])
+        assert bodies_meet([square, segment]) and bodies_meet([segment, point])
+        assert not bodies_meet([square, point]) and not bodies_meet([square, segment, point])
+        assert bodies_meet([Interval(0, 1), Interval(1, 2)])
+        assert not bodies_meet([Interval(0, 1), Interval(Fraction(3, 2), 2)])
 
 
 def assert_primitive_form(body):

@@ -43,9 +43,11 @@ from conftest import (
     exhaustive_candidate_points,
     frozenset_branch_and_bound,
     intervals,
+    point_candidate_points,
     polygon_families,
     refiltering_sweep,
     ring_caps,
+    seeded_polygon_families,
 )
 
 
@@ -76,6 +78,17 @@ class TestCandidatePoints:
         F = Family.of([box(0, 0, 2, 2), box(1, 1, 3, 3)])
         points = candidate_points(F)
         assert pt(2, 2) in points and pt(3, 3) in points
+
+    @settings(max_examples=100, deadline=None)
+    @given(polygon_families())
+    def test_integer_candidates_match_the_point_oracle(self, F):
+        got, want = candidate_points(F), point_candidate_points(F)
+        assert (got, repr(got)) == (want, repr(want))
+
+    def test_integer_candidates_on_seeded_families(self):
+        for F in seeded_polygon_families():
+            got, want = candidate_points(F), point_candidate_points(F)
+            assert (got, repr(got)) == (want, repr(want))
 
     def test_replacement_property_exhaustive(self):
         # restricted candidates solve as well as all subfamily lexmaxes
