@@ -548,13 +548,8 @@ class TestDegeneracy:
     @settings(max_examples=80, deadline=None)
     @given(polygon_families())
     def test_2d_early_stop_matches_scan(self, F):
-        assert degeneracy_level(F) == scan_degeneracy(F)
-
-    @settings(max_examples=100, deadline=None)
-    @given(polygon_families())
-    def test_2d_integer_scan_matches_the_point_scan(self, F):
         level, point = degeneracy_level(F)
-        assert (level, point) == point_degeneracy_2d(F)
+        assert (level, point) == scan_degeneracy(F) == point_degeneracy_2d(F)
         assert type(point) is Point and type(point.x) is type(point.y) is Fraction
 
     def test_2d_integer_scan_on_seeded_families(self):

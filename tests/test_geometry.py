@@ -694,7 +694,7 @@ class TestBodiesMeet:
     region built."""
 
     @given(st.data())
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=120, deadline=None)
     def test_polygons_points_and_segments(self, data):
         kind = data.draw(st.sampled_from(KINDS))
         bodies = [ConvexPolygon(data.draw(hull_of(kind))) for _ in range(data.draw(st.integers(1, 3)))]

@@ -20,6 +20,7 @@ def test_every_traced_name_resolves_and_is_put_back():
     layertrace = load_layertrace()
     wanted = [(owner, attr) for owners in layertrace.TARGETS.values() for owner, attr in owners]
     before = [owner.__dict__.get(attr) for owner, attr in wanted]
+    assert None not in before
     tracer = layertrace.Tracer()
     try:
         tracer.install()  # raises AttributeError on a name the program lacks
@@ -28,6 +29,5 @@ def test_every_traced_name_resolves_and_is_put_back():
                    for (owner, attr), original in zip(wanted, before))
     finally:
         tracer.uninstall()
-    assert None not in before
     assert [owner.__dict__.get(attr) for owner, attr in wanted] == before
     layertrace.clear_caches()  # the memo it empties still exists
