@@ -2,38 +2,40 @@
 
 A family is an ordered multiset of same-dimension bodies; duplicates are
 distinct members (index identity), which the extremal constructions rely
-on.  Each family holds one lazy nerve, one memo of pair and triple flags,
-Helly cliques.  A pair is clipped when first asked for and its region
-kept (:attr:`Family.pair_regions` is the all-pairs view); a triple's flag
-is the meet test of a kept pair region with the third body, which clips
-but builds no region.  By Helly's theorem a subfamily of three or more
-planar bodies meets exactly when each of its triples does, so every
-larger subfamily is read off the memoised flags, with no geometry.  In 1D every answer depends only on
-the order of the endpoints, so the nerve ranks them once, on first use,
-and the sweeps run on those ints, mapping back to ``Fraction`` only for
-the points they return.  One sweep over the intervals sorted by left
-endpoint gives the intersecting subfamilies in closed form, because by
-Helly a set of intervals meets exactly when its pairs do; the
-through-line property is that sweep over the bodies' traces on the line.
-The meeting q-tuples reach the search as links, grouped by their last
-two members: in 1D they are read off one table of pair masks on the
-ranks and kept there for q <= 3 (past that they grow with the meeting
-q-tuples and are built per call), and in 2D regrouped from the memoised
-tuple set of the nerve's walk.  They are aggregated by a depth-first
-search over p-subsets, with the fixed work cap DEFAULT_WORK_BUDGET
-instead of silent truncation.  The search carries, for every later index, the
-count a pick of it would add, and skips a branch whose lower bound
-reaches the fewest found so far: no subset under it can be strictly
-better, so the answer is the one a full scan gives.  The bound is the
-counts so far plus the smallest additions still to come, which only
-grow, plus, for q >= 2 in 1D and through a line, the q-tuples the
-remaining picks must hold among themselves: bodies that t points pierce
-split into at most t groups that each share a point, so any m of them
-hold at least the q-tuples of t near-equal cliques (C(., q) is convex).
-Those tuples have no member in the prefix, so the other terms never
-count them.  Any upper bound on t serves, and a body that misses the
-line is a group of its own; for q = 1 the additions already count each
-pick's singleton, so nothing is added.
+on.  Each family holds one lazy nerve, one memo of pair and triple
+flags, Helly cliques.  A pair is clipped when first asked for and its
+region kept (:attr:`Family.pair_regions` is the all-pairs view); a
+triple's flag is the meet test of a kept pair region with the third
+body, which clips but builds no region.  By Helly's theorem a subfamily
+of three or more planar bodies meets exactly when each of its triples
+does, so every larger subfamily is read off the memoised flags, with no
+geometry.  In 1D every answer depends only on the order of the
+endpoints, so the nerve ranks them once, on first use, and the sweeps
+run on those ints, mapping back to ``Fraction`` only for the points they
+return.  One sweep over the intervals sorted by left endpoint gives the
+intersecting subfamilies in closed form, because by Helly a set of
+intervals meets exactly when its pairs do; the through-line property is
+that sweep over the bodies' traces on the line.  Both nerves answer one
+depth-first walk over index masks, which gives each intersecting prefix
+the mask of the members that extend it: the ranks from their pair masks,
+the 2D nerve from its triple flags.  The 2D q-tuple counts and f-vector
+are bit counts of those masks, and the meeting q-tuples reach the search
+as links, grouped by their last two members and read off the walk (for
+q = 3, one mask per pair), kept per q <= 3 on the ranks and for the last
+few queries in 2D.  They are aggregated by a depth-first search over
+p-subsets, with the fixed work cap DEFAULT_WORK_BUDGET instead of silent
+truncation.  The search carries, for every later index, the count a pick
+of it would add, and skips a branch whose lower bound reaches the fewest
+found so far: no subset under it can be strictly better, so the answer
+is the one a full scan gives.  The bound is the counts so far plus the
+smallest additions still to come, which only grow, plus, for q >= 2 in
+1D and through a line, the q-tuples the remaining picks must hold among
+themselves: bodies that t points pierce split into at most t groups that
+each share a point, so any m of them hold at least the q-tuples of t
+near-equal cliques (C(., q) is convex).  Those tuples have no member in
+the prefix, so the other terms never count them.  Any upper bound on t
+serves, and a body that misses the line is a group of its own; for q = 1
+the additions already count each pick's singleton, so nothing is added.
 The 1D degeneracy level is one sweep over the sorted endpoint ranks.  In
 2D the candidate points (the lexmax of each body and each pair region)
 are primitive integer triples, deduplicated as triples and sorted as
@@ -63,10 +65,11 @@ class _Nerve:
     """The pair regions and triple flags of one family, each asked of the
     kernel once, when first needed, in one memo: ``memo[i, j]`` holds the
     region of the pair i < j, or None when it misses, and ``memo[i, j, k]``
-    whether that pair's region meets body k, i < j < k."""
+    whether that pair's region meets body k, i < j < k.  ``root`` is the
+    mask of the n bodies, each of which meets on its own."""
 
     def __init__(self, bodies):
-        self.bodies = bodies
+        self.bodies, self.n, self.root = bodies, len(bodies), (1 << len(bodies)) - 1
         self.memo: dict[tuple[int, ...], object] = {}
 
     def pair(self, i: int, j: int):
@@ -99,24 +102,16 @@ class _Nerve:
         """The endpoint ranks of a 1D family, built on first use."""
         return _Ranks(self.bodies)
 
-    def walk(self, lo: int, hi: int):
-        """Yield, in lexicographic order, the index tuples of the
-        intersecting subfamilies with lo <= size <= hi, for 1 <= lo <= n.
-        A prefix is extended only by the indices k from which size lo can
-        still be reached and that it fits, so a query asks only for the
-        flags it needs."""
-        n = len(self.bodies)
-        stack = [()]
-        while stack:
-            chosen = stack.pop()
-            if len(chosen) >= lo:
-                yield chosen
-            if len(chosen) < hi:
-                after = chosen[-1] + 1 if chosen else 0
-                stop = n - max(lo - len(chosen) - 1, 0)
-                # children last index first, so the smallest pops next
-                stack.extend(chosen + (k,) for k in range(stop - 1, after - 1, -1)
-                             if self.fits(chosen, k))
+    def extend(self, chosen: tuple[int, ...], within: int, stop: int) -> int:
+        """The mask of the k < stop past chosen's last member that chosen
+        fits, each asked of :meth:`fits`.  ``within`` (what chosen's parent
+        fits) is not read, so a query asks what the tuple walk asked."""
+        return sum(1 << k for k in range(stop - 1, chosen[-1], -1) if self.fits(chosen, k))
+
+    def low(self, j: int, k: int) -> int:
+        """The mask of the i < j whose pair with j meets and that fit k: the
+        questions a walk for q = 3 asks."""
+        return sum(1 << i for i in range(j) if self.pair(i, j) is not None and self.fits((i, j), k))
 
 
 @dataclass(frozen=True)
@@ -193,7 +188,7 @@ class _Ranks:
     (None for a None entry).  Ranks keep every comparison of endpoints,
     ties included, so a sweep on them gives the answer it gives on the
     values.  ``by_lo`` and ``by_hi`` hold the indices of the intervals in
-    (lo, index) and (hi, lo, index) order."""
+    (lo, index) and (hi, lo, index) order, and ``root`` is their mask."""
 
     def __init__(self, intervals):
         ends = [x for body in intervals if body is not None for x in (body.lo, body.hi)]
@@ -213,6 +208,7 @@ class _Ranks:
         present = [i for i, lo in enumerate(self.lo) if lo is not None]
         self.by_lo = sorted(present, key=self.lo.__getitem__)  # stable: ties by index
         self.by_hi = sorted(present, key=lambda i: (self.hi[i], self.lo[i]))
+        self.n, self.root = len(self.lo), sum(1 << i for i in present)
         self._links: dict[int, tuple[list[int], list[dict]]] = {}
 
     def stabs(self, start: int = 0) -> list[int]:
@@ -240,41 +236,29 @@ class _Ranks:
                 adj[j] |= 1 << i
         return adj
 
-    def links(self, q: int) -> tuple[list[int], list[dict]]:
-        """The meeting q-tuples as the links :func:`_fewest_flagged`
-        searches.  Those of q <= 3 take O(n^2) space and are kept per q,
-        built on first use; those of q >= 4 hold a mask per meeting
-        q-tuple and are built on every call."""
-        if q >= 4:
-            return self._make_links(q)
-        if q not in self._links:
-            self._links[q] = self._make_links(q)
-        return self._links[q]
+    def extend(self, chosen: tuple[int, ...], within: int, stop: int) -> int:
+        """The mask of the k past chosen's last member j that chosen fits:
+        by Helly, those in ``within``, what chosen's parent fits, that meet j."""
+        return within & self.above[chosen[-1]]
 
-    def _make_links(self, q: int) -> tuple[list[int], list[dict]]:
-        """By Helly a set of intervals meets exactly when each pair does,
-        so the tuples whose last two members are the meeting pair j < j'
-        are j, j' and a (q-2)-clique of ``adj`` among the intervals below
-        j that meet both: their mask for q = 3, the list of the cliques'
-        masks for q >= 4.  A pair with no such clique gets no entry."""
-        root = [0] * len(self.lo)
-        later: list[dict] = [{} for _ in self.lo]
-        if q == 1:
-            for j in self.by_lo:
-                root[j] = 1
-            return root, later
-        adj = self.adj
-        for i, earlier in _interval_sweep(self):
-            for k in earlier:
-                j, last = min(i, k), max(i, k)
-                if q == 2:
-                    later[j][last] = 1
-                    continue
-                common = adj[j] & adj[last] & ((1 << j) - 1)
-                link = common if q == 3 else _clique_masks(adj, common, q - 2)
-                if link:
-                    later[j][last] = link
-        return root, later
+    @cached_property
+    def above(self) -> list[int]:
+        """``above[j]``: the bits of ``adj[j]`` past j."""
+        return [mask >> j + 1 << j + 1 for j, mask in enumerate(self.adj)]
+
+    def low(self, j: int, k: int) -> int:
+        """The mask of the i < j for which intervals i, j and k meet: by
+        Helly, those that meet both when j and k meet."""
+        return self.adj[j] & self.adj[k] & ((1 << j) - 1) if self.adj[j] >> k & 1 else 0
+
+    def links(self, q: int) -> tuple[list[int], list[dict]]:
+        """The links of the meeting q-tuples, kept per q <= 3 (O(n^2) space)
+        and built per call past that (a mask per meeting q-tuple)."""
+        if q >= 4:
+            return _build_links(self, q)
+        if q not in self._links:
+            self._links[q] = _build_links(self, q)
+        return self._links[q]
 
     @cached_property
     def taus(self) -> list[int]:
@@ -306,52 +290,71 @@ def _interval_sweep(ranks: _Ranks):
         active = active + [i]
 
 
-def _clique_masks(adj: list[int], cand: int, k: int) -> list[int]:
-    """The masks of the k-cliques of the graph ``adj`` inside the vertex
-    mask ``cand``, each grown from its largest member down, with an
-    explicit stack because k may exceed the recursion limit."""
-    masks = []
-    stack = [(0, cand, k)]
+def _walk(nerve, lo: int, hi: int):
+    """Yield (chosen, rest, ext), in lexicographic order, for every
+    intersecting index tuple ``chosen`` with lo - 1 <= len(chosen) < hi:
+    ``rest`` masks its members but the last, and ``ext`` the k past them
+    for which chosen + (k,) meets, so each intersecting subfamily of size
+    lo..hi is one chosen + (k,).  Depth-first with an explicit stack (hi
+    may exceed the recursion limit), from ``nerve.root``, the ext of the
+    empty tuple; a child's ext is ``nerve.extend(child, ext, stop)``.  A
+    tuple of size s is extended only by the k < n - max(lo - s - 1, 0),
+    from which size lo can still be reached."""
+    n, extend = nerve.n, nerve.extend
+    bit = [1 << k for k in range(n)]  # made once, not one new int per child
+    stops = [n - max(lo - size - 1, 0) for size in range(hi + 1)]
+    limits = [(1 << stop) - 1 for stop in stops]
+    stack = [((), 0, nerve.root)]
     while stack:
-        mask, cand, k = stack.pop()
-        if not k:
-            masks.append(mask)
-            continue
-        while cand.bit_count() >= k:
-            top = cand.bit_length() - 1
-            cand ^= 1 << top
-            stack.append((mask | 1 << top, cand & adj[top], k - 1))
-    return masks
+        node = chosen, rest, ext = stack.pop()
+        size = len(chosen)
+        if size < hi - 1:
+            mask = rest | bit[chosen[-1]] if chosen else 0
+            stop, todo = stops[size + 1], ext & limits[size]
+            # children last index first, so the smallest pops next
+            while todo:
+                k = todo.bit_length() - 1
+                todo ^= bit[k]
+                child = chosen + (k,)
+                stack.append((child, mask, extend(child, ext, stop)))
+        if size >= lo - 1:
+            yield node
+
+
+def _build_links(nerve, q: int) -> tuple[list[int], list[dict]]:
+    """The nerve's meeting q-tuples as links, read off :func:`_walk` (for
+    q = 3 off the nerve's ``low``, one mask per pair): ``root[j]`` is 1
+    when (j,) is one of them (q = 1), and ``later[j]`` maps j' > j to the
+    link of those whose last two members are j and j', if any: 1 (q = 2),
+    the mask of their first members (q = 3) or the list of the masks of
+    their first q - 2 members (q >= 4)."""
+    n = nerve.n
+    root, later = [0] * n, [{} for _ in range(n)]
+    if q >= 4:
+        bit = [1 << k for k in range(n)]
+        for chosen, rest, ext in _walk(nerve, q, q):
+            row = later[chosen[-1]]
+            while ext:
+                k = ext.bit_length() - 1
+                ext ^= bit[k]
+                if k in row:
+                    row[k].append(rest)
+                else:
+                    row[k] = [rest]
+    elif q == 3:
+        later = [{k: link for k in range(j + 1, n) if (link := nerve.low(j, k))} for j in range(n)]
+    elif q == 2:
+        for (j,), _, ext in _walk(nerve, 2, 2):
+            later[j] = {k: 1 for k in range(j + 1, n) if ext >> k & 1}
+    else:
+        root = [nerve.root >> j & 1 for j in range(n)]
+    return root, later
 
 
 @lru_cache(maxsize=8)
-def _intersecting_qtuples(F: Family, q: int) -> frozenset[tuple[int, ...]]:
-    """Index tuples of the q-subsets with nonempty common intersection,
-    from the nerve's walk; only the 2D paths ask for them."""
-    return frozenset(F._nerve.walk(q, q))
-
-
-def _grouped(tuples, n: int, q: int) -> tuple[list[int], list[dict]]:
-    """Sorted index q-tuples of an n-member family as links: ``root[j]``
-    is 1 when (j,) is one of them (q = 1), and ``later[j]`` maps j' > j to
-    the link of the tuples whose last two members are j and j': 1 (q = 2),
-    the mask of their first members (q = 3), or the list of those masks
-    (q >= 4)."""
-    root = [0] * n
-    later: list[dict] = [{} for _ in range(n)]
-    if q == 1:
-        for (j,) in tuples:
-            root[j] = 1
-    elif q == 2:
-        for j, last in tuples:
-            later[j][last] = 1
-    elif q == 3:
-        for i, j, last in tuples:
-            later[j][last] = later[j].get(last, 0) | 1 << i
-    else:
-        for *rest, j, last in tuples:
-            later[j].setdefault(last, []).append(sum(1 << i for i in rest))
-    return root, later
+def _intersecting_qtuples(F: Family, q: int) -> tuple[list[int], list[dict]]:
+    """The links of a 2D family's meeting q-tuples, for the last few asked."""
+    return _build_links(F._nerve, q)
 
 
 def count_intersecting_qtuples(F: Family, q: int) -> int:
@@ -362,7 +365,7 @@ def count_intersecting_qtuples(F: Family, q: int) -> int:
         raise ArityError(f"q={q} exceeds family size {len(F)}")
     if F.dimension == 1:  # i closes C(d_i, q-1) of them, as in f_vector
         return sum(comb(len(earlier), q - 1) for _, earlier in _interval_sweep(F._nerve.ranks))
-    return len(_intersecting_qtuples(F, q))
+    return sum(ext.bit_count() for _, _, ext in _walk(F._nerve, q, q))
 
 
 def f_vector(F: Family) -> tuple[int, ...]:
@@ -374,8 +377,8 @@ def f_vector(F: Family) -> tuple[int, ...]:
         degrees = [len(earlier) for _, earlier in _interval_sweep(F._nerve.ranks)]
         return tuple(sum(comb(d, j) for d in degrees) for j in range(len(F)))
     counts = [0] * len(F)
-    for indices in F._nerve.walk(1, len(F)):
-        counts[len(indices) - 1] += 1
+    for chosen, _, ext in _walk(F._nerve, 1, len(F)):
+        counts[len(chosen)] += ext.bit_count()
     return tuple(counts)
 
 
@@ -391,11 +394,11 @@ def _fewest_flagged(F: Family, p: int, q: int, links, floor: int, what: str,
                     ranks: _Ranks | None = None) -> tuple[int, tuple[int, ...]]:
     """The lexicographically first p-subset of F holding the fewest
     flagged q-tuples, as (count, subset).  ``links()`` gives the flagged
-    tuples as (root, later), in the shape of :func:`_grouped`; neither is
-    changed.  The scan stops at the first subset whose count falls below
-    ``floor`` (r, at least 1); ``links`` is called only once the
-    C(n,p) * C(p,q) + C(n,q) steps are found within DEFAULT_WORK_BUDGET,
-    read once per call.
+    tuples as (root, later), in the shape that :func:`_build_links` reads
+    off the subfamily walk; neither is changed.  The scan stops at the
+    first subset whose count falls below ``floor`` (r, at least 1);
+    ``links`` is called only once the C(n,p) * C(p,q) + C(n,q) steps are
+    found within DEFAULT_WORK_BUDGET, read once per call.
 
     Depth-first over p-subsets in lexicographic order, with an explicit
     stack because p may exceed the recursion limit.  A flagged q-tuple is
@@ -501,31 +504,26 @@ def _fewest_flagged(F: Family, p: int, q: int, links, floor: int, what: str,
     return best, tuple(j for j in range(n) if best_mask >> j & 1)
 
 
-def _ranks_1d(F: Family) -> _Ranks | None:
-    """The ranks behind the piercing bound: 1D only, since a 2D family
-    has no cheap piercing number."""
-    return F._nerve.ranks if F.dimension == 1 else None
-
-
-def _links(F: Family, q: int) -> tuple[list[int], list[dict]]:
-    """The links of F's meeting q-tuples: kept per q on the endpoint ranks
-    in 1D, regrouped from the memoised tuple set in 2D."""
+def _fewest_meeting(F: Family, p: int, q: int, floor: int) -> tuple[int, tuple[int, ...]]:
+    """:func:`_fewest_flagged` on F's meeting q-tuples: in 1D on the links
+    kept per q on the endpoint ranks, with their piercing bound; in 2D,
+    which has no cheap piercing number, on the memo of the last few links."""
     if F.dimension == 1:
-        return F._nerve.ranks.links(q)
-    return _grouped(_intersecting_qtuples(F, q), len(F), q)
+        ranks = F._nerve.ranks
+        return _fewest_flagged(F, p, q, lambda: ranks.links(q), floor, "max_r", ranks)
+    return _fewest_flagged(F, p, q, lambda: _intersecting_qtuples(F, q), floor, "max_r")
 
 
 def max_r(F: Family, p: int, q: int) -> PQRReport:
     """The largest r such that every p-subset of F contains at least r
     intersecting q-tuples (0 means the plain (p,q) property fails)."""
-    best, witness = _fewest_flagged(F, p, q, lambda: _links(F, q), 1, "max_r", _ranks_1d(F))
+    best, witness = _fewest_meeting(F, p, q, 1)
     return PQRReport(p=p, q=q, max_r=best, witness_subset=witness)
 
 
 def satisfies_pqr(F: Family, p: int, q: int, r: int) -> bool:
     """Whether among any p members at least r of the q-tuples intersect."""
-    best, _ = _fewest_flagged(F, p, q, lambda: _links(F, q), r, "max_r", _ranks_1d(F))
-    return best >= r
+    return _fewest_meeting(F, p, q, r)[0] >= r
 
 
 def satisfies_pqr_through_line(F: Family, line: Line, p: int, q: int, r: int) -> bool:

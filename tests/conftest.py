@@ -318,6 +318,63 @@ def swept_qtuples(ranks, q: int) -> frozenset[tuple[int, ...]]:
                      for others in itertools.combinations(earlier, q - 1))
 
 
+def tuple_walk(F: Family, lo: int, hi: int):
+    """Yield, in lexicographic order, the index tuples of the
+    intersecting subfamilies of F with lo <= size <= hi, for 1 <= lo <= n.
+    A prefix is extended only by the indices k from which size lo can
+    still be reached and that it fits, so a query asks only for the
+    flags it needs.
+
+    The nerve's walk as it was before it moved to index masks, kept
+    verbatim as the oracle for ``family._walk``: it asks the nerve's
+    ``fits`` the same questions."""
+    nerve = F._nerve
+    n = len(F)
+    stack = [()]
+    while stack:
+        chosen = stack.pop()
+        if len(chosen) >= lo:
+            yield chosen
+        if len(chosen) < hi:
+            after = chosen[-1] + 1 if chosen else 0
+            stop = n - max(lo - len(chosen) - 1, 0)
+            # children last index first, so the smallest pops next
+            stack.extend(chosen + (k,) for k in range(stop - 1, after - 1, -1)
+                         if nerve.fits(chosen, k))
+
+
+def walked_qtuples(F: Family, q: int) -> frozenset[tuple[int, ...]]:
+    """The index tuples of F's intersecting q-subsets, from the tuple
+    walk: the set the 2D search regrouped before it read links off the
+    mask walk."""
+    return frozenset(tuple_walk(F, q, q))
+
+
+def grouped(tuples, n: int, q: int) -> tuple[list[int], list[dict]]:
+    """Sorted index q-tuples of an n-member family as links: ``root[j]``
+    is 1 when (j,) is one of them (q = 1), and ``later[j]`` maps j' > j to
+    the link of the tuples whose last two members are j and j': 1 (q = 2),
+    the mask of their first members (q = 3), or the list of those masks
+    (q >= 4).  The regrouping of tuple sets the search read before the
+    links came off the mask walk, kept as the oracle for
+    ``family._build_links``."""
+    root = [0] * n
+    later: list[dict] = [{} for _ in range(n)]
+    if q == 1:
+        for (j,) in tuples:
+            root[j] = 1
+    elif q == 2:
+        for j, last in tuples:
+            later[j][last] = 1
+    elif q == 3:
+        for i, j, last in tuples:
+            later[j][last] = later[j].get(last, 0) | 1 << i
+    else:
+        for *rest, j, last in tuples:
+            later[j].setdefault(last, []).append(sum(1 << i for i in rest))
+    return root, later
+
+
 def canonical_links(links):
     """``(root, later)`` with each q >= 4 list of link masks sorted, so
     that two link tables compare equal exactly when they hold the same
@@ -325,6 +382,59 @@ def canonical_links(links):
     root, later = links
     return root, [{j: sorted(link) if isinstance(link, list) else link for j, link in row.items()}
                   for row in later]
+
+
+def scan_fewest(flags, n, p, q, floor):
+    """Oracle for the pruned p-subset search: every p-subset in
+    lexicographic order, each counted in full, stopping at the first count
+    below floor; (fewest count, first subset attaining it)."""
+    best, witness = None, ()
+    for subset in itertools.combinations(range(n), p):
+        count = sum(1 for tup in itertools.combinations(subset, q) if tup in flags)
+        if best is None or count < best:
+            best, witness = count, subset
+            if best < floor:
+                break
+    return best, witness
+
+
+def matched_families(n: int):
+    """Every family of n intervals, up to relabelling: one per perfect
+    matching of the 2n endpoint positions 0..2n-1, (2n-1)!! in all.
+    Every 1D answer depends only on the intersection graph, and every
+    interval graph has a representation with distinct endpoints."""
+    def matchings(free):
+        if not free:
+            yield ()
+            return
+        for i in range(1, len(free)):
+            for rest in matchings(free[1:i] + free[i + 1:]):
+                yield ((free[0], free[i]),) + rest
+
+    for pairs in matchings(tuple(range(2 * n))):
+        yield intervals(*pairs)
+
+
+def assert_1d_search_matches_scan(F: Family) -> None:
+    """On an interval family: the links of every q are the regrouped
+    meeting q-tuples, found by brute force on the endpoints, and for every
+    1 <= q <= p <= n, max_r and the search satisfies_pqr runs (floor r,
+    with the piercing bound) give the full scan's count and witness."""
+    n = len(F)
+    ends = [(body.lo, body.hi) for body in F.bodies]
+    ranks = F._nerve.ranks
+    for q in range(1, n + 1):
+        flags = frozenset(tup for tup in itertools.combinations(range(n), q)
+                          if max(ends[i][0] for i in tup) <= min(ends[i][1] for i in tup))
+        assert canonical_links(ranks.links(q)) == canonical_links(grouped(flags, n, q))
+        for p in range(q, n + 1):
+            want = scan_fewest(flags, n, p, q, 1)
+            report = familymod.max_r(F, p, q)
+            assert (report.max_r, report.witness_subset) == want
+            for r in {max(want[0], 1), want[0] + 1}:
+                got = familymod._fewest_flagged(F, p, q, lambda: ranks.links(q), r, "test", ranks)
+                assert got == scan_fewest(flags, n, p, q, r)
+                assert familymod.satisfies_pqr(F, p, q, r) == (want[0] >= r)
 
 
 def fraction_degeneracy_1d(F: Family):

@@ -585,13 +585,13 @@ class TestExperimentCommand:
         # keep its links per q: 12 seeds x 3 q values build 36 links, not
         # one per (seed, p, q) query
         built = []
-        make = familymod._Ranks._make_links
+        make = familymod._build_links
 
-        def counting(ranks, q):
+        def counting(nerve, q):
             built.append(q)
-            return make(ranks, q)
+            return make(nerve, q)
 
-        monkeypatch.setattr(familymod._Ranks, "_make_links", counting)
+        monkeypatch.setattr(familymod, "_build_links", counting)
         config = tmp_path / "config.json"
         config.write_text(
             json.dumps({"theorem": "thm5", "dimension": 1, "n": 6, "seeds": 12,

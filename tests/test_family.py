@@ -6,7 +6,7 @@ import pickle
 import random
 import tracemalloc
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings
@@ -19,9 +19,7 @@ from pqpierce.family import (
     Family,
     _Ranks,
     _fewest_flagged,
-    _grouped,
     _interval_sweep,
-    _intersecting_qtuples,
     _satisfies_pqr_on_traces,
     count_intersecting_qtuples,
     degeneracy_level,
@@ -49,17 +47,22 @@ from pqpierce.piercing import candidate_points, min_piercing
 from conftest import (
     LINES,
     TIED_INTERVALS,
+    assert_1d_search_matches_scan,
     box,
     canonical_links,
     fraction_degeneracy_1d,
     fraction_interval_sweep,
     fraction_sweep_piercing_1d,
+    grouped,
     intervals,
+    matched_families,
     point_degeneracy_2d,
     polygon_families,
+    scan_fewest,
     seeded_polygon_families,
     swept_qtuples,
     tied_families,
+    walked_qtuples,
 )
 
 
@@ -103,20 +106,6 @@ class TestCounting:
             count_intersecting_qtuples(intervals((0, 1)), 2)
 
 
-def scan_fewest(flags, n, p, q, floor):
-    """Oracle for the pruned p-subset search: every p-subset in
-    lexicographic order, each counted in full, stopping at the first count
-    below floor; (fewest count, first subset attaining it)."""
-    best, witness = None, ()
-    for subset in itertools.combinations(range(n), p):
-        count = sum(1 for tup in itertools.combinations(subset, q) if tup in flags)
-        if best is None or count < best:
-            best, witness = count, subset
-            if best < floor:
-                break
-    return best, witness
-
-
 def stack_fewest(flags, n, p, q, floor):
     """Oracle: the previous p-subset search, which counts one q-tuple at a
     time.  Each flagged q-tuple is the mask of its first q-1 indices under
@@ -149,12 +138,12 @@ def stack_fewest(flags, n, p, q, floor):
 
 
 def fewest(F, flags, p, q, floor):
-    return _fewest_flagged(F, p, q, lambda: _grouped(flags, len(F), q), floor, "test")
+    return _fewest_flagged(F, p, q, lambda: grouped(flags, len(F), q), floor, "test")
 
 
 def bounded_fewest(F, flags, p, q, floor, ranks):
     """The search with the suffix piercing bound of ``ranks``."""
-    return _fewest_flagged(F, p, q, lambda: _grouped(flags, len(F), q), floor, "test", ranks)
+    return _fewest_flagged(F, p, q, lambda: grouped(flags, len(F), q), floor, "test", ranks)
 
 
 def assert_floor_matches_scan(F, flags, p, q, floor):
@@ -183,7 +172,7 @@ class TestPrunedScanAgainstOracle:
         for F in seeded_families():
             n = len(F)
             for q in range(1, n + 1):
-                flags = _intersecting_qtuples(F, q)
+                flags = walked_qtuples(F, q)
                 for p in range(q, n + 1):
                     want = scan_fewest(flags, n, p, q, 1)
                     report = max_r(F, p, q)
@@ -253,6 +242,19 @@ class TestPrunedScanAgainstOracle:
         report = max_r(F, 1200, 1)
         assert report.max_r == 1200
         assert report.witness_subset == tuple(range(1200))
+
+
+class TestEveryIntervalFamily:
+    def test_up_to_five_members(self):
+        # 1 + 3 + 15 + 105 + 945 families: the links and the pruned
+        # search on every input shape of that size, not on a sample;
+        # tests/exhaustive_1d.py runs six members by hand
+        for n in range(1, 6):
+            count = 0
+            for F in matched_families(n):
+                assert_1d_search_matches_scan(F)
+                count += 1
+            assert count == prod(range(1, 2 * n, 2))
 
 
 #: trace lists: TIED_INTERVALS, with None for a body that misses the line
@@ -360,7 +362,7 @@ class TestRanks:
                     and intersect_bodies([traces[a], traces[b]]) is not None)
             assert (ranks.adj[a] >> b & 1, ranks.adj[b] >> a & 1) == (meet, meet)
         for q in range(1, n + 1):
-            want = canonical_links(_grouped(swept_qtuples(ranks, q), n, q))
+            want = canonical_links(grouped(swept_qtuples(ranks, q), n, q))
             assert canonical_links(ranks.links(q)) == want
             # kept per q up to 3, built per call past it
             assert (ranks.links(q) is ranks.links(q)) == (q <= 3)
@@ -373,7 +375,7 @@ class TestRanks:
                                             span=10, extent=6))
             ranks, n = F._nerve.ranks, len(F)
             for q in range(1, n + 1):
-                want = canonical_links(_grouped(swept_qtuples(ranks, q), n, q))
+                want = canonical_links(grouped(swept_qtuples(ranks, q), n, q))
                 assert canonical_links(ranks.links(q)) == want
 
     def test_searches_leave_the_shared_links_unchanged(self):

@@ -1,6 +1,7 @@
 """The lazy nerve of a family (memoised pair and triple flags, Helly
 cliques for larger subfamilies), checked against the region walk it
-replaced, which stays here as the oracle."""
+replaced and the tuple walk that the mask walk replaced, which stay as
+oracles."""
 
 import pickle
 import random
@@ -13,7 +14,6 @@ from hypothesis import strategies as st
 from pqpierce.family import (
     Family,
     _fewest_flagged,
-    _grouped,
     _intersecting_qtuples,
     count_intersecting_qtuples,
     degeneracy_level,
@@ -23,10 +23,11 @@ from pqpierce.family import (
     satisfies_pqr_through_line,
 )
 from pqpierce.generators import GeneratorSpec, random_family
-from pqpierce.geometry import Line, line_meets_body
+from pqpierce.geometry import ConvexPolygon, Line, line_meets_body, pt
 from pqpierce.piercing import candidate_points, min_piercing, ms_line
 
-from conftest import LINES, box, intersecting_subfamilies, polygon_families
+from conftest import (LINES, box, canonical_links, grouped, intersecting_subfamilies, polygon_families,
+                      tied_families, tuple_walk, walked_qtuples)
 
 
 def walked(F, q):
@@ -40,7 +41,7 @@ def walk_through_line(F, line, p, q, r):
         return {indices for indices, region in intersecting_subfamilies(F, range(q, q + 1))
                 if line_meets_body(line, region)}
 
-    best, _ = _fewest_flagged(F, p, q, lambda: _grouped(on_line(), len(F), q), r, "through-line")
+    best, _ = _fewest_flagged(F, p, q, lambda: grouped(on_line(), len(F), q), r, "through-line")
     return best >= r
 
 
@@ -50,9 +51,48 @@ def test_qtuples_counts_and_f_vector_match_the_walk(F):
     n = len(F)
     want = [walked(F, q) for q in range(1, n + 1)]
     for q in range(1, n + 1):
-        assert _intersecting_qtuples(F, q) == want[q - 1]
+        assert walked_qtuples(F, q) == want[q - 1]
+        links = canonical_links(_intersecting_qtuples(F, q))
+        assert links == canonical_links(grouped(want[q - 1], n, q))
         assert count_intersecting_qtuples(F, q) == len(want[q - 1])
     assert f_vector(F) == tuple(len(tuples) for tuples in want)
+
+
+def asked(query, F):
+    """The pair and triple questions a query asks of a fresh copy of F."""
+    G = Family(F.dimension, F.bodies)
+    _intersecting_qtuples.cache_clear()  # keyed on equality, not on the object
+    query(G)
+    return set(G._nerve.memo)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polygon_families())
+def test_mask_walk_asks_what_the_tuple_walk_asked(F):
+    n = len(F)
+    assert asked(f_vector, F) == asked(lambda G: list(tuple_walk(G, 1, n)), F)
+    for q in range(1, n + 1):
+        walk = asked(lambda G: list(tuple_walk(G, q, q)), F)
+        assert asked(lambda G: count_intersecting_qtuples(G, q), F) == walk
+        assert asked(lambda G: _intersecting_qtuples(G, q), F) == walk
+
+
+@settings(max_examples=60, deadline=None)
+@given(tied_families(max_size=7))
+def test_intervals_and_their_lifted_segments_agree(F):
+    """An interval family and the same intervals as segments on y = 0 (a
+    point interval as a one-vertex polygon) have one nerve, answered by
+    the pair masks in 1D and by the triple flags in 2D through the one
+    walk: links, counts, f-vector and every max_r agree."""
+    n = len(F)
+    G = Family.of([ConvexPolygon.from_points([pt(body.lo, 0), pt(body.hi, 0)]) for body in F.bodies])
+    assert [len(body.vertices) for body in G.bodies] == [1 + (body.lo < body.hi) for body in F.bodies]
+    assert f_vector(G) == f_vector(F)
+    for q in range(1, n + 1):
+        assert canonical_links(_intersecting_qtuples(G, q)) == canonical_links(F._nerve.ranks.links(q))
+        assert count_intersecting_qtuples(G, q) == count_intersecting_qtuples(F, q)
+        for p in range(q, n + 1):
+            assert max_r(G, p, q) == max_r(F, p, q)
 
 
 @settings(max_examples=40, deadline=None)

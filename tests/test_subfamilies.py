@@ -8,9 +8,9 @@ import sys
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pqpierce import family as familymod
 from pqpierce.family import (
     Family,
-    _grouped,
     _intersecting_qtuples,
     count_intersecting_qtuples,
     degeneracy_level,
@@ -22,7 +22,7 @@ from pqpierce.generators import GeneratorSpec, random_family
 from pqpierce.geometry import Interval, Line, intersect_bodies, lexmax_body, line_meets_body
 from pqpierce.piercing import candidate_points, min_piercing
 
-from conftest import box, brute_pair_regions, canonical_links, intersecting_subfamilies, intervals
+from conftest import box, brute_pair_regions, canonical_links, grouped, intersecting_subfamilies, intervals
 
 LINES = (Line(0, 1, 0), Line(1, 1, 4), Line(1, -2, 1))
 
@@ -103,11 +103,17 @@ class TestPairRegions:
             assert "ranks" in vars(F._memo)
         assert clip_calls == []
 
-    def test_1d_count_in_closed_form(self):
-        # 20 nested intervals: every 10-subset meets, C(20, 10) of them
+    def test_1d_count_in_closed_form(self, monkeypatch):
+        # 20 nested intervals: every 10-subset meets, C(20, 10) of them,
+        # counted off the sweep with neither the 2D links memo nor the walk
+        def walk(*args):
+            raise AssertionError("a 1D count walked the subfamilies")
+
+        monkeypatch.setattr(familymod, "_walk", walk)
         F = Family.of([Interval(i, 40 - i) for i in range(20)])
         misses = _intersecting_qtuples.cache_info().misses
         assert count_intersecting_qtuples(F, 10) == 184756
+        assert f_vector(F)[9] == 184756
         assert _intersecting_qtuples.cache_info().misses == misses
 
 
@@ -163,7 +169,7 @@ class TestIntervalSweep:
             walk = [frozenset(idx for idx, _ in intersecting_subfamilies(F, range(q, q + 1)))
                     for q in range(1, n + 1)]
             for q in range(1, n + 1):
-                want = canonical_links(_grouped(walk[q - 1], n, q))
+                want = canonical_links(grouped(walk[q - 1], n, q))
                 assert canonical_links(F._nerve.ranks.links(q)) == want
             assert f_vector(F) == tuple(len(tuples) for tuples in walk)
 
