@@ -177,7 +177,7 @@ def _read_json(path: str):
             return json.load(handle)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    except ValueError as exc:  # a JSONDecodeError, or an int past the int-to-str limit
+    except (ValueError, RecursionError) as exc:  # bad JSON, an int past the str limit, deep nesting
         raise ParseError(f"invalid JSON in {path}: {exc}") from None
 
 
@@ -300,7 +300,7 @@ def _spec_from_args(args) -> genmod.GeneratorSpec:
     if args.spec_json is not None:
         try:
             raw = json.loads(args.spec_json)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # as in _read_json
             raise ParseError(f"invalid spec JSON: {exc}") from None
         if not isinstance(raw, dict) or "kind" not in raw:
             raise ParseError("spec JSON must be an object with a 'kind'")

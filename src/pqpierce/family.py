@@ -39,9 +39,10 @@ the additions already count each pick's singleton, so nothing is added.
 The 1D degeneracy level is one sweep over the sorted endpoint ranks.  In
 2D the candidate points (the lexmax of each body and each pair region)
 are primitive integer triples, deduplicated as triples and sorted as
-integer pairs over one common denominator; the degeneracy scan tests
-them against each body's integer halfplanes, stops at the first one as
-deep as the largest pair degree allows, and makes a Point only of it.
+integer pairs over one common denominator.  One lazy builder masks the
+bodies whose integer halfplanes hold each: the exact solver reads these
+covers, and the degeneracy scan their bit counts, up to the first as deep
+as the largest pair degree allows, which alone becomes a Point.
 """
 
 from __future__ import annotations
@@ -553,6 +554,13 @@ def _candidates(F: Family) -> list[tuple[int, int, int]]:
     return sorted(triples, key=lambda v: (v[0] * (scale // v[2]), v[1] * (scale // v[2])))
 
 
+def _covers(F: Family):
+    """Yield (triple, mask) for each of :func:`_candidates`, in order and
+    lazily: bit i is set when body i's integer halfplanes hold the point."""
+    for v in _candidates(F):
+        yield v, sum(1 << i for i, body in enumerate(F.bodies) if _contains_hom(body, v))
+
+
 def degeneracy_level(F: Family):
     """Smallest t such that one point pierces all but t members, with a
     point attaining it.  Decided over the finite candidate-point set,
@@ -562,10 +570,10 @@ def degeneracy_level(F: Family):
     In 1D the candidates are the right endpoints, and the depth of x is
     the number of left endpoints at most x less the number of right
     endpoints below it, read off the two sorted lists of endpoint ranks.
-    In 2D the candidates are scanned as integer triples against each
-    body's halfplanes, and only the winner becomes a Point; no point lies
-    in more bodies than one body meets, itself included, so the scan stops
-    at the first candidate that reaches that count."""
+    In 2D the depths are the bit counts of :func:`_covers`' masks, and
+    only the winner becomes a Point; no point lies in more bodies than one
+    body meets, itself included, so the scan stops at the first candidate
+    that reaches that count."""
     if F.dimension == 1:
         ranks = F._nerve.ranks
         los, his = sorted(ranks.lo), sorted(ranks.hi)
@@ -575,14 +583,12 @@ def degeneracy_level(F: Family):
 
         point = max(his, key=depth)  # max keeps the first of equal depths
         return len(F) - depth(point), ranks.values[point]
-    # a point lies in no more bodies than one of them meets, itself included
     bound = 1 + max(Counter(itertools.chain.from_iterable(F.pair_regions)).values(), default=0)
     best_count, best = -1, None
-    for v in _candidates(F):
-        count = sum(1 for body in F.bodies if _contains_hom(body, v))
-        if count > best_count:
-            best_count, best = count, v
-            if count == bound:  # no later candidate can be deeper
+    for v, mask in _covers(F):
+        if mask.bit_count() > best_count:
+            best_count, best = mask.bit_count(), v
+            if best_count == bound:  # no later candidate can be deeper
                 break
     return len(F) - best_count, _point(best)
 

@@ -92,10 +92,10 @@ def candidate_points(F: Family) -> list:
     and sorted; sufficient for exact minimum piercing.  In 2D they are
     found on integer triples and made Points at the end; in 1D a pair's
     lexmax is min(hi_i, hi_j), already a body's, so these are the
-    distinct right endpoints."""
+    distinct right endpoints and no pair is clipped."""
     if F.dimension == 2:
         return [_point(v) for v in familymod._candidates(F)]
-    return sorted({lexmax_body(region) for region in (*F.bodies, *F.pair_regions.values())})
+    return sorted({body.hi for body in F.bodies})
 
 
 def sweep_piercing_1d(F: Family) -> PiercingSet:
@@ -108,9 +108,9 @@ def sweep_piercing_1d(F: Family) -> PiercingSet:
     return _certified(F, [ranks.values[point] for point in ranks.stabs()])
 
 
-def branch_and_bound_piercing(F: Family, candidates: Optional[list] = None) -> PiercingSet:
-    """Exact minimum piercing via branch-and-bound set cover over a
-    sufficient candidate-point set (works in 1D and 2D).
+def branch_and_bound_piercing(F: Family) -> PiercingSet:
+    """Exact minimum piercing of a 2D family via branch-and-bound set
+    cover over the candidate points' covers from :func:`family._covers`.
 
     Sets of bodies are int bitmasks: each candidate's cover, the bodies
     left uncovered, and each body's meet mask from
@@ -118,22 +118,17 @@ def branch_and_bound_piercing(F: Family, candidates: Optional[list] = None) -> P
     greedy packing of pairwise-disjoint uncovered bodies, each needing its
     own point, reach the best cover so far; otherwise it branches on the
     covers of the uncovered body that the fewest covers hold."""
+    if F.dimension != 2:
+        raise DimensionMismatchError("branch-and-bound solver is 2D only")
     n = len(F)
     budget = DEFAULT_NODE_BUDGET
-    if candidates is None:
-        candidates = candidate_points(F)
-    covers = []
-    for point in candidates:
-        mask = sum(1 << i for i, body in enumerate(F.bodies) if body_contains_point(body, point))
-        if mask:
-            covers.append((point, mask))
-    # drop candidates whose coverage is dominated by an earlier one
-    covers.sort(key=lambda pm: (-pm[1].bit_count(), pm[0]))
-    kept: list[tuple] = []
-    for point, mask in covers:
-        if not any(mask | other == other for _, other in kept):
-            kept.append((point, mask))
-    masks = [mask for _, mask in kept]
+    # drop candidates whose coverage is dominated by an earlier one; the
+    # sort is stable, so equal counts stay in candidate order, point order
+    triples, masks = [], []
+    for v, mask in sorted(familymod._covers(F), key=lambda vm: -vm[1].bit_count()):
+        if not any(mask | other == other for other in masks):
+            triples.append(v)
+            masks.append(mask)
     holders = [sum(mask >> i & 1 for mask in masks) for i in range(n)]
     if 0 in holders:
         raise AssertionError("candidate points fail to cover some body")
@@ -173,7 +168,7 @@ def branch_and_bound_piercing(F: Family, candidates: Optional[list] = None) -> P
                 search(chosen + [ci], uncovered & ~mask)
 
     search([], (1 << n) - 1)
-    return _certified(F, [kept[ci][0] for ci in best])
+    return _certified(F, [_point(triples[ci]) for ci in best])
 
 
 def min_piercing(F: Family) -> PiercingSet:

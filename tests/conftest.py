@@ -210,7 +210,9 @@ def frozenset_branch_and_bound(
 
     The solver as it was before it moved to bitmasks, kept verbatim as
     the oracle for ``piercing.branch_and_bound_piercing``: both must give
-    the same points and visit the same nodes."""
+    the same points and visit the same nodes.  It is also the solver the
+    1D sweep and the restricted candidates are checked against, since it
+    takes intervals and any candidate list."""
     n = len(F)
     if candidates is None:
         candidates = candidate_points(F)

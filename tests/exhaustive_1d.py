@@ -2,7 +2,7 @@
 scan on every family of n interval members, up to relabelling: the
 (2n-1)!! perfect matchings of 2n endpoint positions (10,395 families for
 n = 6).  Tier-1 runs n <= 5 (``TestEveryIntervalFamily``); this script
-runs a larger n by hand, and pytest does not collect it.
+runs a larger n, by hand or in CI (n = 6), and pytest does not collect it.
 
     PYTHONPATH=src python tests/exhaustive_1d.py [n]
 """

@@ -37,7 +37,12 @@ from pqpierce.piercing import (
     sweep_piercing_1d,
 )
 
-from conftest import exhaustive_candidate_points, intersecting_subfamilies, ring_caps
+from conftest import (
+    exhaustive_candidate_points,
+    frozenset_branch_and_bound,
+    intersecting_subfamilies,
+    ring_caps,
+)
 
 
 def report(criterion: str, detail: str, started: float) -> None:
@@ -293,12 +298,12 @@ def test_criterion_10_solver_cross_validation():
     for seed in range(200):
         n = 5 + seed % 6
         F = random_family(GeneratorSpec("random_intervals", n=n, seed=90_000 + seed))
-        assert len(sweep_piercing_1d(F)) == len(branch_and_bound_piercing(F))
+        assert len(sweep_piercing_1d(F)) == len(frozenset_branch_and_bound(F))
     for seed in range(100):
         n = 5 + seed % 4
         F = random_family(GeneratorSpec("random_polygons", n=n, seed=95_000 + seed))
         restricted = branch_and_bound_piercing(F)
-        exhaustive = branch_and_bound_piercing(
+        exhaustive = frozenset_branch_and_bound(
             F, candidates=exhaustive_candidate_points(F)
         )
         assert len(restricted) == len(exhaustive)

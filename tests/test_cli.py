@@ -40,6 +40,17 @@ def run_cli(*argv, capsys=None):
     return code, out
 
 
+#: JSON nested past the recursion limit, which the decoder refuses with
+#: RecursionError
+DEEP_JSON = "[" * 3000 + "]" * 3000
+
+
+def assert_parse_error(code, out, prefix):
+    assert code == EXIT_INPUT
+    error = json.loads(out)["error"]
+    assert error["type"] == "ParseError" and error["message"].startswith(prefix)
+
+
 class TestDocumentRoundTrip:
     def test_intervals_exact(self):
         F = random_family(GeneratorSpec("random_intervals", n=7, seed=3))
@@ -106,6 +117,12 @@ class TestDocumentRoundTrip:
         error = json.loads(out)["error"]
         assert error["type"] == "ParseError"
         assert error["message"].startswith(f"invalid JSON in {path}: ")
+
+    def test_deeply_nested_document_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text(DEEP_JSON)
+        code, out = run_cli("analyze", str(path), "--p", "1", "--q", "1", capsys=capsys)
+        assert_parse_error(code, out, f"invalid JSON in {path}: ")
 
 
 def rational_or_error(value, where="body 0"):
@@ -438,6 +455,10 @@ class TestGenerateCommand:
         )
         assert code == EXIT_OK and len(json.loads(out)["bodies"]) == 4
 
+    def test_deeply_nested_spec_json_exit_2(self, capsys):
+        code, out = run_cli("generate", "--spec-json", DEEP_JSON, capsys=capsys)
+        assert_parse_error(code, out, "invalid spec JSON: ")
+
     @pytest.mark.parametrize("argv", [
         ["--spec-json", '{"kind": "random_polygons", "n": 2, "seed": 3, '
                         '"min_vertices": 1, "max_vertices": 2}'],
@@ -515,6 +536,12 @@ class TestGenerateCommand:
 
 
 class TestExperimentCommand:
+    def test_deeply_nested_config_exit_2(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(DEEP_JSON)
+        code, out = run_cli("experiment", str(config), capsys=capsys)
+        assert_parse_error(code, out, f"invalid JSON in {config}: ")
+
     def test_prop_dim1_grid(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"theorem": "prop-dim1", "grid": {"p": [5, 6]}}))

@@ -12,13 +12,15 @@ from hypothesis import strategies as st
 from pqpierce import family as familymod
 from pqpierce import geometry
 from pqpierce import piercing as piercingmod
-from pqpierce.errors import ArityError, BudgetExceededError, PremiseViolationError
+from pqpierce.errors import (ArityError, BudgetExceededError, DimensionMismatchError,
+                             PremiseViolationError)
 from pqpierce.family import Family, degeneracy_level, satisfies_pqr
 from pqpierce.generators import GeneratorSpec, extremal_dim1, random_family
 from pqpierce.geometry import (
     ConvexPolygon,
     Interval,
     Line,
+    _homogeneous,
     body_contains_point,
     intersect_bodies,
     lexmax_body,
@@ -95,22 +97,27 @@ class TestCandidatePoints:
         for seed in range(25):
             F = random_family(GeneratorSpec("random_polygons", n=5, seed=seed))
             a = branch_and_bound_piercing(F)
-            b = branch_and_bound_piercing(F, candidates=exhaustive_candidate_points(F))
+            b = frozenset_branch_and_bound(F, candidates=exhaustive_candidate_points(F))
             assert len(a) == len(b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(polygon_families())
+    def test_covers_match_the_point_oracle(self, F):
+        want = [(_homogeneous(point), sum(1 << i for i, body in enumerate(F.bodies)
+                                          if body_contains_point(body, point)))
+                for point in point_candidate_points(F)]
+        assert list(familymod._covers(F)) == want
 
 
 def oracle_families():
-    """Seeded 1D and 2D families, and tie-heavy ones: duplicated bodies,
+    """Seeded polygon families, and tie-heavy ones: duplicated bodies,
     nested boxes and squares that touch at a corner or along an edge."""
     for seed in range(24):
         for n, span in ((6, 3), (9, 4), (9, 5), (8, 12)):
             yield random_family(GeneratorSpec("random_polygons", n=n, seed=seed, span=span))
-        yield random_family(GeneratorSpec("random_intervals", n=7 + seed % 3, seed=seed))
     for seed in range(4):
         F = random_family(GeneratorSpec("random_polygons", n=5, seed=seed, span=4))
         yield Family.of(F.bodies + F.bodies[1:4])
-        G = random_family(GeneratorSpec("random_intervals", n=5, seed=seed))
-        yield Family.of(G.bodies + G.bodies[:2])
     yield Family.of([box(-i, -i, i + 1, i + 1) for i in range(6)])
     yield Family.of([box(i, 0, i + 4, 2 + i) for i in range(5)] + [box(1, 1, 2, 2)])
     yield Family.of([box(i, j, i + 1, j + 1) for i in range(3) for j in range(3)])
@@ -148,16 +155,6 @@ class TestBranchAndBoundOracle:
         for F in oracle_families():
             assert branch_and_bound_piercing(F) == frozenset_branch_and_bound(F)
             assert nodes_needed(bitmask, F) == nodes_needed(reference, F)
-
-    def test_same_points_on_exhaustive_candidates(self):
-        for F in oracle_families():
-            if len(F) > 8:  # every subfamily's lexmax: keep the walk small
-                continue
-            candidates = exhaustive_candidate_points(F)
-            # in the order given, too: the domination filter sorts them
-            for order in (candidates, candidates[::-1]):
-                assert (branch_and_bound_piercing(F, candidates=order)
-                        == frozenset_branch_and_bound(F, candidates=order))
 
     @settings(max_examples=60, deadline=None)
     @given(polygon_families())
@@ -204,7 +201,15 @@ class TestMinPiercing:
     def test_greedy_matches_bnb(self):
         for seed in range(50):
             F = random_family(GeneratorSpec("random_intervals", n=9, seed=seed))
-            assert len(sweep_piercing_1d(F)) == len(branch_and_bound_piercing(F))
+            assert len(sweep_piercing_1d(F)) == len(frozenset_branch_and_bound(F))
+
+    def test_bnb_refuses_intervals(self):
+        # min_piercing sends 1D to the sweep, which in turn refuses 2D
+        F = intervals((0, 1), (2, 3))
+        with pytest.raises(DimensionMismatchError, match="2D only"):
+            branch_and_bound_piercing(F)
+        with pytest.raises(DimensionMismatchError, match="1D only"):
+            sweep_piercing_1d(Family.of([box(0, 0, 1, 1)]))
 
 
 class TestSweepOracle:
