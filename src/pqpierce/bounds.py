@@ -135,6 +135,13 @@ def ceil_power(p: int, exponent: Fraction) -> int:
     return root if root**den == target else root + 1
 
 
+def _regime_m(p: int, d: int, epsilon) -> int:
+    """M = ceil(p^((d-1)/d + epsilon)), the edge of Theorem 2's regime."""
+    if (epsilon := Fraction(epsilon)) <= 0:
+        raise ArityError(f"epsilon must be positive, got {epsilon}")
+    return ceil_power(p, Fraction(d - 1, d) + epsilon)
+
+
 def remark_threshold(p: int, q: int, d: int, f: int,
                      epsilon: Fraction | None = None) -> BoundResult:
     """Kalai-count threshold certifying piercing by f points:
@@ -148,10 +155,7 @@ def remark_threshold(p: int, q: int, d: int, f: int,
     if f < 1:
         raise ArityError(f"need f >= 1, got f={f}")
     if epsilon is not None:
-        epsilon = Fraction(epsilon)
-        if epsilon <= 0:
-            raise ArityError(f"epsilon must be positive, got {epsilon}")
-        m = ceil_power(p, Fraction(d - 1, d) + epsilon)
+        m = _regime_m(p, d, epsilon)
         if f > p - m + 2:
             raise ArityError(f"need f <= p - ceil(p^((d-1)/d+eps)) + 2 = {p - m + 2}, got {f}")
     return BoundResult(
@@ -168,11 +172,7 @@ def thm2_threshold(p: int, q: int, d: int, epsilon: Fraction) -> BoundResult:
     Valid only for p beyond an unknown p0(epsilon), recorded as a caveat.
     """
     check_standing(p, q, d)
-    epsilon = Fraction(epsilon)
-    if epsilon <= 0:
-        raise ArityError(f"epsilon must be positive, got {epsilon}")
-    m = ceil_power(p, Fraction(d - 1, d) + epsilon)
-    if m > p + 1:
+    if (m := _regime_m(p, d, epsilon)) > p + 1:
         raise ArityError(f"need M = ceil(p^((d-1)/d+eps)) <= p+1, got M={m}, p={p}")
     return remark_threshold(p, q, d, p - q + 1 if q > m else p - m + 2)
 

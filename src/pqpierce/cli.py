@@ -337,30 +337,36 @@ def _int_list(value) -> bool:
     return type(value) is list and all(type(item) is int for item in value)
 
 
+def _shown(value) -> str:
+    """A rejected config value in a message: a list or an object by its
+    type, which keeps the message short, a scalar by its repr."""
+    return type(value).__name__ if isinstance(value, (list, dict)) else repr(value)
+
+
 def _experiment_rows(config):
     """Check the whole config, then yield (row, family, violation or None)."""
     if not isinstance(config, dict):
-        raise ParseError(f"experiment config must be a JSON object, got {config!r}")
+        raise ParseError(f"experiment config must be a JSON object, got {_shown(config)}")
     seeds = config.get("seeds", 20)
     if type(seeds) is int and seeds >= 0:
         seeds = list(range(seeds))
     elif not _int_list(seeds):
-        raise ParseError(f"seeds must be a nonnegative int or a list of ints, got {seeds!r}")
+        raise ParseError(f"seeds must be a nonnegative int or a list of ints, got {_shown(seeds)}")
     dimension = config.get("dimension", 1)
     if type(dimension) is not int or dimension not in (1, 2):
-        raise ParseError(f"dimension must be 1 or 2, got {dimension!r}")
+        raise ParseError(f"dimension must be 1 or 2, got {_shown(dimension)}")
     tag = config.get("theorem")
     if tag not in ("thm5", "prop-dim1", "kalai"):
-        raise ParseError(f"unknown experiment theorem {tag!r}")
+        raise ParseError(f"unknown experiment theorem {_shown(tag)}")
     n = config.get("n", 8)
     if type(n) is not int:
-        raise ParseError(f"n must be an int, got {n!r}")
+        raise ParseError(f"n must be an int, got {_shown(n)}")
     grid = config.get("grid", {})
     if type(grid) is not dict:
-        raise ParseError(f"grid must be an object, got {grid!r}")
+        raise ParseError(f"grid must be an object, got {_shown(grid)}")
     for key in ("p", "q", "k"):
         if key in grid and not _int_list(grid[key]):
-            raise ParseError(f"grid {key} must be a list of ints, got {grid[key]!r}")
+            raise ParseError(f"grid {key} must be a list of ints, got {_shown(grid[key])}")
     kind = "random_intervals" if dimension == 1 else "random_polygons"
     pierced = functools.cache(lambda F: len(piercingmod.min_piercing(F)))  # once per family
     if tag == "thm5":
@@ -379,8 +385,8 @@ def _experiment_rows(config):
                                      f"got p={p}, q={q}, d={dimension}")
             queries.append((p, claims))
         # one family per (seed, size): every p of a seed with the same
-        # max(n, p) shares one Family, so its memo (the 1D links per q, the
-        # 2D pair regions) serves all of that seed's queries
+        # max(n, p) shares one Family, so its nerve (the links of q <= 3,
+        # the 2D pair regions) serves all of that seed's queries
         for seed in seeds:
             drawn: dict[int, Family] = {}
             for p, claims in queries:

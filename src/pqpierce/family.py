@@ -21,8 +21,8 @@ the mask of the members that extend it: the ranks from their pair masks,
 the 2D nerve from its triple flags.  The 2D q-tuple counts and f-vector
 are bit counts of those masks, and the meeting q-tuples reach the search
 as links, grouped by their last two members and read off the walk (for
-q = 3, one mask per pair), kept per q <= 3 on the ranks and for the last
-few queries in 2D.  They are aggregated by a depth-first search over
+q = 3, one mask per pair), one memo keeping those of q <= 3 for the
+last few nerves asked.  They are aggregated by a depth-first search over
 p-subsets, with the fixed work cap DEFAULT_WORK_BUDGET instead of silent
 truncation.  The search carries, for every later index, the count a pick
 of it would add, and skips a branch whose lower bound reaches the fewest
@@ -210,7 +210,6 @@ class _Ranks:
         self.by_lo = sorted(present, key=self.lo.__getitem__)  # stable: ties by index
         self.by_hi = sorted(present, key=lambda i: (self.hi[i], self.lo[i]))
         self.n, self.root = len(self.lo), sum(1 << i for i in present)
-        self._links: dict[int, tuple[list[int], list[dict]]] = {}
 
     def stabs(self, start: int = 0) -> list[int]:
         """A minimum piercing set, as ranks, of the intervals with index at
@@ -251,15 +250,6 @@ class _Ranks:
         """The mask of the i < j for which intervals i, j and k meet: by
         Helly, those that meet both when j and k meet."""
         return self.adj[j] & self.adj[k] & ((1 << j) - 1) if self.adj[j] >> k & 1 else 0
-
-    def links(self, q: int) -> tuple[list[int], list[dict]]:
-        """The links of the meeting q-tuples, kept per q <= 3 (O(n^2) space)
-        and built per call past that (a mask per meeting q-tuple)."""
-        if q >= 4:
-            return _build_links(self, q)
-        if q not in self._links:
-            self._links[q] = _build_links(self, q)
-        return self._links[q]
 
     @cached_property
     def taus(self) -> list[int]:
@@ -353,9 +343,11 @@ def _build_links(nerve, q: int) -> tuple[list[int], list[dict]]:
 
 
 @lru_cache(maxsize=8)
-def _intersecting_qtuples(F: Family, q: int) -> tuple[list[int], list[dict]]:
-    """The links of a 2D family's meeting q-tuples, for the last few asked."""
-    return _build_links(F._nerve, q)
+def _intersecting_qtuples(nerve, q: int) -> tuple[list[int], list[dict]]:
+    """The links of a nerve's meeting q-tuples, for the last few asked: keyed
+    on the nerve object, and asked only for q <= 3 (O(n^2) space), since
+    past that a link holds a mask per meeting q-tuple."""
+    return _build_links(nerve, q)
 
 
 def count_intersecting_qtuples(F: Family, q: int) -> int:
@@ -506,13 +498,13 @@ def _fewest_flagged(F: Family, p: int, q: int, links, floor: int, what: str,
 
 
 def _fewest_meeting(F: Family, p: int, q: int, floor: int) -> tuple[int, tuple[int, ...]]:
-    """:func:`_fewest_flagged` on F's meeting q-tuples: in 1D on the links
-    kept per q on the endpoint ranks, with their piercing bound; in 2D,
-    which has no cheap piercing number, on the memo of the last few links."""
-    if F.dimension == 1:
-        ranks = F._nerve.ranks
-        return _fewest_flagged(F, p, q, lambda: ranks.links(q), floor, "max_r", ranks)
-    return _fewest_flagged(F, p, q, lambda: _intersecting_qtuples(F, q), floor, "max_r")
+    """:func:`_fewest_flagged` on the links of F's nerve, memoised for q <= 3:
+    in 1D the endpoint ranks, which also give the piercing bound; in 2D
+    the pair and triple flags, which give no cheap piercing number."""
+    ranks = F._nerve.ranks if F.dimension == 1 else None
+    nerve = F._nerve if ranks is None else ranks
+    build = _intersecting_qtuples if q <= 3 else _build_links
+    return _fewest_flagged(F, p, q, lambda: build(nerve, q), floor, "max_r", ranks)
 
 
 def max_r(F: Family, p: int, q: int) -> PQRReport:
@@ -540,7 +532,7 @@ def _satisfies_pqr_on_traces(F: Family, ranks: _Ranks, p: int, q: int, r: int) -
     """The through-line property from the ranks of the bodies' traces on
     the line, None for a body that misses it: members meet on the line
     exactly when their traces do."""
-    best, _ = _fewest_flagged(F, p, q, lambda: ranks.links(q), r, "through-line", ranks)
+    best, _ = _fewest_flagged(F, p, q, lambda: _build_links(ranks, q), r, "through-line", ranks)
     return best >= r
 
 

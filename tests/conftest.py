@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from pqpierce import family as familymod
 from pqpierce import geometry
 from pqpierce import piercing as piercingmod
+from pqpierce.bounds import dim1_threshold
 from pqpierce.errors import BudgetExceededError
 from pqpierce.family import Family
 from pqpierce.generators import GeneratorSpec, random_family
@@ -314,7 +315,7 @@ def swept_qtuples(ranks, q: int) -> frozenset[tuple[int, ...]]:
     """Index tuples of the q-subsets of the ranked intervals that meet:
     every interval with each (q-1)-subset of its ``earlier`` list.  The
     tuple set the 1D search regrouped before it read its links off the
-    pair masks, kept as the oracle for ``family._Ranks.links``."""
+    pair masks, kept as the oracle for ``family._build_links`` on ranks."""
     return frozenset(tuple(sorted(others + (i,)))
                      for i, earlier in familymod._interval_sweep(ranks)
                      for others in itertools.combinations(earlier, q - 1))
@@ -428,15 +429,55 @@ def assert_1d_search_matches_scan(F: Family) -> None:
     for q in range(1, n + 1):
         flags = frozenset(tup for tup in itertools.combinations(range(n), q)
                           if max(ends[i][0] for i in tup) <= min(ends[i][1] for i in tup))
-        assert canonical_links(ranks.links(q)) == canonical_links(grouped(flags, n, q))
+        links = familymod._build_links(ranks, q)
+        assert canonical_links(links) == canonical_links(grouped(flags, n, q))
         for p in range(q, n + 1):
             want = scan_fewest(flags, n, p, q, 1)
             report = familymod.max_r(F, p, q)
             assert (report.max_r, report.witness_subset) == want
             for r in {max(want[0], 1), want[0] + 1}:
-                got = familymod._fewest_flagged(F, p, q, lambda: ranks.links(q), r, "test", ranks)
+                got = familymod._fewest_flagged(F, p, q, lambda: links, r, "test", ranks)
                 assert got == scan_fewest(flags, n, p, q, r)
                 assert familymod.satisfies_pqr(F, p, q, r) == (want[0] >= r)
+
+
+def assert_memo_holds_q_up_to_3(nerve) -> None:
+    """After ``family._intersecting_qtuples.cache_clear()`` and searches on
+    one family: the links memo holds that family's q = 1, 2, 3 links,
+    keyed on its nerve, and nothing else."""
+    memo = familymod._intersecting_qtuples
+    info = memo.cache_info()
+    assert info.currsize == 3
+    for q in (1, 2, 3):
+        memo(nerve, q)
+    assert memo.cache_info().hits == info.hits + 3
+
+
+def dim1_claims(n: int) -> set[tuple[int, int, int]]:
+    """Every (p, q, k) that ``bounds.dim1_threshold`` answers for families
+    of at most n members with a k below p - q: 2 <= q < p <= n and
+    0 <= k < p - q."""
+    return {(p, q, k) for p in range(3, n + 1) for q in range(2, p) for k in range(p - q)}
+
+
+def check_1d_claims(F: Family, tight: set, at_r0: set) -> None:
+    """Assert the 1D claim on the interval family F: for each (p, q, k) of
+    :func:`dim1_claims`, max_r(F, p, q) at or above the threshold means
+    that k + 1 points pierce F.  Each (p, q, k) where F is below the
+    threshold and needs more points goes into ``tight``, and into
+    ``at_r0`` too when F is exactly one below it."""
+    pierced = len(piercingmod.min_piercing(F))
+    for p in range(3, len(F) + 1):
+        for q in range(2, p):
+            r = familymod.max_r(F, p, q).max_r
+            for k in range(p - q):
+                threshold = dim1_threshold(p, q, k).threshold_r
+                if r >= threshold:
+                    assert pierced <= k + 1, (F, p, q, k, r, pierced)
+                elif pierced > k + 1:
+                    tight.add((p, q, k))
+                    if r == threshold - 1:
+                        at_r0.add((p, q, k))
 
 
 def fraction_degeneracy_1d(F: Family):

@@ -608,9 +608,9 @@ class TestExperimentCommand:
             assert int(row["max_r"]) <= int(row["r_threshold"])
 
     def test_thm5_walks_each_family_once_per_q(self, tmp_path, capsys, monkeypatch):
-        # with n = 6 >= p, both p of a seed share one family, whose ranks
-        # keep its links per q: 12 seeds x 3 q values build 36 links, not
-        # one per (seed, p, q) query
+        # with n = 6 >= p, both p of a seed share one family, whose q <= 3
+        # links the memo keeps on its nerve: 12 seeds x 3 q values build 36
+        # links, not one per (seed, p, q) query
         built = []
         make = familymod._build_links
 
@@ -644,6 +644,23 @@ class TestExperimentCommand:
         assert json.loads(out)["error"]["type"] == "ParseError"
         named = next(iter(field)) if isinstance(field, dict) else "JSON object"
         assert named in json.loads(out)["error"]["message"]
+
+    @pytest.mark.parametrize("config, shown", [
+        (list(range(200_000)), "got list"),
+        ({"theorem": "thm5", "grid": list(range(100_000))}, "got list"),
+        ({"theorem": "thm5", "seeds": ["x"] * 100_000}, "got list"),
+        ({"theorem": "thm5", "grid": {"p": ["x"] * 100_000}}, "got list"),
+        ({"theorem": "thm5", "n": {str(i): i for i in range(100_000)}}, "got dict"),
+    ])
+    def test_malformed_config_names_a_container_by_type(self, config, shown, tmp_path, capsys):
+        # a rejected list or object is named, not echoed: the error line of
+        # a config holding a million-byte list stays short
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code, out = run_cli("experiment", str(path), capsys=capsys)
+        assert code == EXIT_INPUT
+        assert len(out.encode()) < 200
+        assert json.loads(out)["error"]["message"].endswith(shown)
 
 
 class TestExperimentClaims:

@@ -18,8 +18,10 @@ from pqpierce import family as familymod
 from pqpierce.family import (
     Family,
     _Ranks,
+    _build_links,
     _fewest_flagged,
     _interval_sweep,
+    _intersecting_qtuples,
     _satisfies_pqr_on_traces,
     count_intersecting_qtuples,
     degeneracy_level,
@@ -48,8 +50,11 @@ from conftest import (
     LINES,
     TIED_INTERVALS,
     assert_1d_search_matches_scan,
+    assert_memo_holds_q_up_to_3,
     box,
     canonical_links,
+    check_1d_claims,
+    dim1_claims,
     fraction_degeneracy_1d,
     fraction_interval_sweep,
     fraction_sweep_piercing_1d,
@@ -256,6 +261,19 @@ class TestEveryIntervalFamily:
                 count += 1
             assert count == prod(range(1, 2 * n, 2))
 
+    def test_claims_up_to_five_members(self):
+        # dim1_threshold's piercing claim on every family; tests/exhaustive_1d.py
+        # runs six members by hand
+        tight, at_r0 = set(), set()
+        for n in range(1, 6):
+            for F in matched_families(n):
+                check_1d_claims(F, tight, at_r0)
+        # some family below each threshold needs k + 2 points, and for
+        # q = 2 one at exactly r0 - 1 does
+        q2 = {claim for claim in tight if claim[1] == 2}
+        assert tight == dim1_claims(5) and len(tight) == 10
+        assert len(q2) == 6 and q2 <= at_r0
+
 
 #: trace lists: TIED_INTERVALS, with None for a body that misses the line
 TRACES = st.lists(st.one_of(st.none(), TIED_INTERVALS), min_size=1, max_size=8)
@@ -363,9 +381,10 @@ class TestRanks:
             assert (ranks.adj[a] >> b & 1, ranks.adj[b] >> a & 1) == (meet, meet)
         for q in range(1, n + 1):
             want = canonical_links(grouped(swept_qtuples(ranks, q), n, q))
-            assert canonical_links(ranks.links(q)) == want
-            # kept per q up to 3, built per call past it
-            assert (ranks.links(q) is ranks.links(q)) == (q <= 3)
+            assert canonical_links(_build_links(ranks, q)) == want
+            if q <= 3:  # the memo the search reads
+                assert _intersecting_qtuples(ranks, q) is _intersecting_qtuples(ranks, q)
+                assert canonical_links(_intersecting_qtuples(ranks, q)) == want
 
     def test_links_on_seeded_families(self):
         # wide intervals over narrow ones: members that meet a pair need
@@ -376,23 +395,27 @@ class TestRanks:
             ranks, n = F._nerve.ranks, len(F)
             for q in range(1, n + 1):
                 want = canonical_links(grouped(swept_qtuples(ranks, q), n, q))
-                assert canonical_links(ranks.links(q)) == want
+                assert canonical_links(_build_links(ranks, q)) == want
 
     def test_searches_leave_the_shared_links_unchanged(self):
-        F = random_family(GeneratorSpec("random_intervals", n=12, seed=5, span=6))
-        for p, q in ((6, 1), (6, 2), (7, 3), (8, 4), (8, 5)):
-            kept = copy.deepcopy(F._nerve.ranks.links(q))
-            first = max_r(F, p, q)
-            for r in (1, 2, first.max_r, first.max_r + 1):
-                satisfies_pqr(F, p, q, r)
-            assert max_r(F, p, q) == first
-            assert F._nerve.ranks.links(q) == kept
+        for F in (random_family(GeneratorSpec("random_intervals", n=12, seed=5, span=6)),
+                  random_family(GeneratorSpec("random_polygons", n=8, seed=5, span=4))):
+            nerve = F._nerve.ranks if F.dimension == 1 else F._nerve
+            for p, q in ((6, 1), (6, 2), (7, 3)):
+                shared = _intersecting_qtuples(nerve, q)
+                kept = copy.deepcopy(shared)
+                first = max_r(F, p, q)
+                for r in (1, 2, first.max_r, first.max_r + 1):
+                    satisfies_pqr(F, p, q, r)
+                assert max_r(F, p, q) == first
+                assert _intersecting_qtuples(nerve, q) is shared and shared == kept
 
     def test_links_past_q_3_are_not_kept(self):
         # on 20 nested intervals every q-tuple meets, so the links of
         # q = 10 alone hold C(20, 10) masks; keeping every q held 41.9 MB
         # after this loop, and the q <= 3 links take well under 1 MB
         F = Family.of([Interval(-i, i) for i in range(1, 21)])
+        _intersecting_qtuples.cache_clear()
         tracemalloc.start()
         try:
             for q in range(1, 21):
@@ -401,7 +424,7 @@ class TestRanks:
         finally:
             tracemalloc.stop()
         assert kept < 1_000_000
-        assert sorted(F._nerve.ranks._links) == [1, 2, 3]
+        assert_memo_holds_q_up_to_3(F._nerve.ranks)
 
     def test_memo_leaves_equality_hashing_vars_and_pickle(self):
         F = random_family(GeneratorSpec("random_intervals", n=8, seed=3))

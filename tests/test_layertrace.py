@@ -5,6 +5,10 @@ a rename fails here and not only in a traced benchmark run."""
 import importlib.util
 import os
 
+from pqpierce import family
+
+from conftest import intervals
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -31,3 +35,27 @@ def test_every_traced_name_resolves_and_is_put_back():
         tracer.uninstall()
     assert [owner.__dict__.get(attr) for owner, attr in wanted] == before
     layertrace.clear_caches()  # the memo it empties still exists
+
+
+def test_clear_caches_empties_the_links_memo(monkeypatch):
+    # the memo is keyed on the nerve, which a family keeps, so only
+    # clear_caches makes a traced pass build the links its untraced pass
+    # built for the same family object
+    built = []
+    make = family._build_links
+
+    def counting(nerve, q):
+        built.append(q)
+        return make(nerve, q)
+
+    monkeypatch.setattr(family, "_build_links", counting)
+    F = intervals((0, 2), (1, 3), (2, 4), (0, 4), (3, 5))
+    family._intersecting_qtuples.cache_clear()
+    for _ in range(2):
+        family.max_r(F, 4, 2)
+        family.max_r(F, 4, 3)
+    assert built == [2, 3]
+    load_layertrace().clear_caches()
+    family.max_r(F, 4, 2)
+    family.max_r(F, 4, 3)
+    assert built == [2, 3, 2, 3]

@@ -5,6 +5,7 @@ oracles."""
 
 import pickle
 import random
+from math import comb
 
 import pytest
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from pqpierce.family import (
     Family,
+    _build_links,
     _fewest_flagged,
     _intersecting_qtuples,
     count_intersecting_qtuples,
@@ -26,8 +28,9 @@ from pqpierce.generators import GeneratorSpec, random_family
 from pqpierce.geometry import ConvexPolygon, Line, line_meets_body, pt
 from pqpierce.piercing import candidate_points, min_piercing, ms_line
 
-from conftest import (LINES, box, canonical_links, grouped, intersecting_subfamilies, polygon_families,
-                      tied_families, tuple_walk, walked_qtuples)
+from conftest import (LINES, assert_memo_holds_q_up_to_3, box, canonical_links, grouped,
+                      intersecting_subfamilies, intervals, polygon_families, tied_families, tuple_walk,
+                      walked_qtuples)
 
 
 def walked(F, q):
@@ -52,7 +55,7 @@ def test_qtuples_counts_and_f_vector_match_the_walk(F):
     want = [walked(F, q) for q in range(1, n + 1)]
     for q in range(1, n + 1):
         assert walked_qtuples(F, q) == want[q - 1]
-        links = canonical_links(_intersecting_qtuples(F, q))
+        links = canonical_links(_build_links(F._nerve, q))
         assert links == canonical_links(grouped(want[q - 1], n, q))
         assert count_intersecting_qtuples(F, q) == len(want[q - 1])
     assert f_vector(F) == tuple(len(tuples) for tuples in want)
@@ -61,7 +64,6 @@ def test_qtuples_counts_and_f_vector_match_the_walk(F):
 def asked(query, F):
     """The pair and triple questions a query asks of a fresh copy of F."""
     G = Family(F.dimension, F.bodies)
-    _intersecting_qtuples.cache_clear()  # keyed on equality, not on the object
     query(G)
     return set(G._nerve.memo)
 
@@ -74,7 +76,29 @@ def test_mask_walk_asks_what_the_tuple_walk_asked(F):
     for q in range(1, n + 1):
         walk = asked(lambda G: list(tuple_walk(G, q, q)), F)
         assert asked(lambda G: count_intersecting_qtuples(G, q), F) == walk
-        assert asked(lambda G: _intersecting_qtuples(G, q), F) == walk
+        assert asked(lambda G: _build_links(G._nerve, q), F) == walk
+
+
+@pytest.mark.parametrize("F", [
+    intervals((0, 2), (1, 3), (2, 4), (0, 4), (3, 5)),
+    Family.of([box(0, 0, 2, 2), box(1, 1, 3, 3), box(2, 0, 4, 2), box(0, 1, 4, 2), box(3, 3, 5, 5)]),
+], ids=["1d", "2d"])
+def test_equal_families_do_not_share_links(F):
+    G = Family(F.dimension, F.bodies)
+    assert G == F and hash(G) == hash(F)
+    _intersecting_qtuples.cache_clear()
+    assert max_r(G, 4, 2) == max_r(F, 4, 2)
+    assert _intersecting_qtuples.cache_info().misses == 2  # one build per nerve
+
+
+def test_links_past_q_3_are_not_kept():
+    # 14 nested boxes: every q-tuple meets, so past q = 3 the links hold a
+    # mask per q-tuple; the search builds those per call and keeps none
+    F = Family.of([box(-i, -i, i, i) for i in range(1, 15)])
+    _intersecting_qtuples.cache_clear()
+    for q in range(1, 15):
+        assert max_r(F, 14, q).max_r == comb(14, q)
+    assert_memo_holds_q_up_to_3(F._nerve)
 
 
 @settings(max_examples=60, deadline=None)
@@ -89,7 +113,7 @@ def test_intervals_and_their_lifted_segments_agree(F):
     assert [len(body.vertices) for body in G.bodies] == [1 + (body.lo < body.hi) for body in F.bodies]
     assert f_vector(G) == f_vector(F)
     for q in range(1, n + 1):
-        assert canonical_links(_intersecting_qtuples(G, q)) == canonical_links(F._nerve.ranks.links(q))
+        assert canonical_links(_build_links(G._nerve, q)) == canonical_links(_build_links(F._nerve.ranks, q))
         assert count_intersecting_qtuples(G, q) == count_intersecting_qtuples(F, q)
         for p in range(q, n + 1):
             assert max_r(G, p, q) == max_r(F, p, q)
@@ -202,7 +226,6 @@ def test_clips_per_query_are_pinned(name, clip_calls):
     counts = []
     for seed in range(len(want)):
         F = make(seed)
-        _intersecting_qtuples.cache_clear()  # keyed on equality, not on the object
         clip_calls.clear()
         query(F)
         counts.append(len(clip_calls))

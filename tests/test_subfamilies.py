@@ -170,7 +170,7 @@ class TestIntervalSweep:
                     for q in range(1, n + 1)]
             for q in range(1, n + 1):
                 want = canonical_links(grouped(walk[q - 1], n, q))
-                assert canonical_links(F._nerve.ranks.links(q)) == want
+                assert canonical_links(familymod._build_links(F._nerve.ranks, q)) == want
             assert f_vector(F) == tuple(len(tuples) for tuples in walk)
 
     def test_candidate_points(self):
