@@ -385,8 +385,8 @@ def _experiment_rows(config):
                                      f"got p={p}, q={q}, d={dimension}")
             queries.append((p, claims))
         # one family per (seed, size): every p of a seed with the same
-        # max(n, p) shares one Family, so its nerve (the links of q <= 3,
-        # the 2D pair regions) serves all of that seed's queries
+        # max(n, p) shares one Family, so the links of q <= 3 memoised on
+        # its nerve, and its 2D pair regions, serve all of that seed's queries
         for seed in seeds:
             drawn: dict[int, Family] = {}
             for p, claims in queries:
