@@ -386,7 +386,8 @@ def _experiment_rows(config):
             queries.append((p, claims))
         # one family per (seed, size): every p of a seed with the same
         # max(n, p) shares one Family, so the links of q <= 3 memoised on
-        # its nerve, and its 2D pair regions, serve all of that seed's queries
+        # its nerve, and its 2D pair regions, serve all of that seed's
+        # queries; links past q = 3 are built again for each p that asks
         for seed in seeds:
             drawn: dict[int, Family] = {}
             for p, claims in queries:

@@ -607,10 +607,9 @@ class TestExperimentCommand:
         for row in rows:
             assert int(row["max_r"]) <= int(row["r_threshold"])
 
-    def test_thm5_walks_each_family_once_per_q(self, tmp_path, capsys, monkeypatch):
-        # with n = 6 >= p, both p of a seed share one family, whose q <= 3
-        # links the memo keeps on its nerve: 12 seeds x 3 q values build 36
-        # links, not one per (seed, p, q) query
+    @staticmethod
+    def _link_builds(config, tmp_path, capsys, monkeypatch):
+        """The q of every links build that `experiment` on config makes."""
         built = []
         make = familymod._build_links
 
@@ -619,14 +618,27 @@ class TestExperimentCommand:
             return make(nerve, q)
 
         monkeypatch.setattr(familymod, "_build_links", counting)
-        config = tmp_path / "config.json"
-        config.write_text(
-            json.dumps({"theorem": "thm5", "dimension": 1, "n": 6, "seeds": 12,
-                        "grid": {"p": [3, 4]}})
-        )
-        code, _ = run_cli("experiment", str(config), capsys=capsys)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code, _ = run_cli("experiment", str(path), capsys=capsys)
         assert code == EXIT_OK
-        assert sorted(built) == [2] * 12 + [3] * 12 + [4] * 12
+        return sorted(built)
+
+    def test_thm5_walks_each_family_once_per_q(self, tmp_path, capsys, monkeypatch):
+        # with n = 6 >= p, both p of a seed share one family, whose q <= 3
+        # links the memo keeps on its nerve: 12 seeds x 3 q values build 36
+        # links, not one per (seed, p, q) query
+        config = {"theorem": "thm5", "dimension": 1, "n": 6, "seeds": 12, "grid": {"p": [3, 4]}}
+        built = self._link_builds(config, tmp_path, capsys, monkeypatch)
+        assert built == [2] * 12 + [3] * 12 + [4] * 12
+
+    def test_thm5_2d_builds_links_past_q_3_per_query(self, tmp_path, capsys, monkeypatch):
+        # the default grid asks q = 4 under p = 4 and 5, and q = 5 under
+        # p = 5 and 6, of one shared family per seed: links past q = 3 are
+        # not memoised, so each of those is built twice per seed
+        config = {"theorem": "thm5", "dimension": 2, "n": 6, "seeds": 4}
+        built = self._link_builds(config, tmp_path, capsys, monkeypatch)
+        assert built == [3] * 4 + [4] * 8 + [5] * 8 + [6] * 4
 
     @pytest.mark.parametrize("field", [
         {"seeds": "x"}, {"seeds": [0, "1"]}, {"seeds": True},
