@@ -1,12 +1,17 @@
-"""The CLI's stdout and exit codes, byte for byte, against a recorded
-transcript.
+"""The CLI's stdout and exit codes, and the library's answers, byte for
+byte, against recorded transcripts.
 
 ``tests/golden/cli.jsonl`` holds one JSON object per call: its argv, in
 which ``{tmp}`` stands for a scratch directory, its exit code and its
 stdout.  The families are made by ``generate`` from fixed specs at the
 start of the transcript, and the hand-written documents in ``DOCUMENTS``
-are written next to them, so the replay needs no fixture files.  To
-record the transcript again after a deliberate change of output, run
+are written next to them, so the replay needs no fixture files.
+
+``tests/golden/library.jsonl`` holds one JSON object per library query on
+seeded families and the extremal constructors: the query and the repr of
+its answer, or the type and message of the error it raises.
+
+To record both again after a deliberate change of output, run
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
@@ -16,8 +21,15 @@ import json
 import pathlib
 
 from pqpierce.cli import main
+from pqpierce.errors import PQPierceError
+from pqpierce.family import (count_intersecting_qtuples, degeneracy_level, f_vector, max_r,
+                             satisfies_pqr, satisfies_pqr_through_line)
+from pqpierce.generators import GeneratorSpec, disjoint_plus_container, extremal_dim1, random_family
+from pqpierce.geometry import Line
+from pqpierce.piercing import candidate_points, hd_pierce, line_pierce, min_piercing, ms_line
 
 TRANSCRIPT = pathlib.Path(__file__).parent / "golden" / "cli.jsonl"
+LIBRARY = pathlib.Path(__file__).parent / "golden" / "library.jsonl"
 
 #: name -> generate options; polygons with a small span meet densely
 FAMILIES = {
@@ -162,12 +174,69 @@ def test_cli_transcript_is_unchanged(tmp_path):
         assert (code, stdout) == (record["exit"], record["stdout"]), record["argv"]
 
 
+def library_families():
+    """(name, family): seeded interval and polygon families, sparse and
+    dense, and the two extremal constructors."""
+    for seed in range(4):
+        for span in (4, 10):
+            yield f"ints{seed}-{span}", random_family(
+                GeneratorSpec("random_intervals", n=8, seed=seed, span=span))
+            yield f"polys{seed}-{span}", random_family(
+                GeneratorSpec("random_polygons", n=6, seed=seed, span=span // 2))
+    yield "extremal", extremal_dim1(7, 1)
+    for dimension in (1, 2):
+        yield f"container{dimension}", disjoint_plus_container(3, 2, dimension)
+
+
+def answer(query, *args) -> str:
+    """The repr of query(*args), or the type and message of its error."""
+    try:
+        return repr(query(*args))
+    except PQPierceError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def library_answers():
+    """Yield (query, answer) for every library query on every family."""
+    for name, F in library_families():
+        n = len(F)
+        for p in range(1, n + 1):
+            for q in range(1, p + 1):
+                report = max_r(F, p, q)
+                yield f"{name} max_r({p}, {q})", repr(report)
+                for r in (report.max_r, report.max_r + 1):
+                    yield f"{name} satisfies_pqr({p}, {q}, {r})", answer(satisfies_pqr, F, p, q, r)
+        for q in range(1, n + 1):
+            yield f"{name} count({q})", repr(count_intersecting_qtuples(F, q))
+        for query in (f_vector, degeneracy_level, candidate_points, min_piercing):
+            yield f"{name} {query.__name__}", repr(query(F))
+        for p, q in HD:
+            yield f"{name} hd_pierce({p}, {q})", answer(hd_pierce, F, p, q)
+        if F.dimension == 2:
+            yield f"{name} ms_line", repr(ms_line(F))
+            for line in (Line(1, -1, 0), Line(0, 1, 1), Line(1, 0, 2)):
+                for p, q, r in ((3, 2, 1), (4, 2, 2), (5, 3, 1), (n, 2, 3)):
+                    yield (f"{name} through {line} ({p}, {q}, {r})",
+                           answer(satisfies_pqr_through_line, F, line, p, q, r))
+                for p, k in ((5, 2), (6, 4)):
+                    yield f"{name} line_pierce {line} ({p}, {k})", answer(line_pierce, F, line, p, k)
+
+
+def test_library_answers_are_unchanged():
+    records = [json.loads(line) for line in LIBRARY.read_text().splitlines()]
+    assert [[record["query"], record["answer"]] for record in records] == \
+        [list(pair) for pair in library_answers()]
+
+
 def record(tmp) -> None:
     write_configs(tmp)
     with TRANSCRIPT.open("w") as handle:
         for argv in calls():
             code, stdout = run(argv, tmp)
             handle.write(json.dumps({"argv": argv, "exit": code, "stdout": stdout}) + "\n")
+    with LIBRARY.open("w") as handle:
+        for query, result in library_answers():
+            handle.write(json.dumps({"query": query, "answer": result}) + "\n")
 
 
 if __name__ == "__main__":
