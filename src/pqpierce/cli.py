@@ -80,11 +80,24 @@ def _rat_str(value) -> str:
     return str(Fraction(value))
 
 
+#: the most characters of a rejected value, or of a message that repeats
+#: it, that an error shows
+SHOWN = 50
+
+
+def _shown(value, show=repr) -> str:
+    """A rejected value in a message: a list or an object by its type,
+    anything else by ``show``, cut to SHOWN characters and "...", so that
+    the message stays short."""
+    text = type(value).__name__ if isinstance(value, (list, dict)) else show(value)
+    return text if len(text) <= SHOWN else text[:SHOWN] + "..."
+
+
 def _parse_rational(text, where: str) -> Fraction:
     try:
         return Fraction(str(text))
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational {text!r} in {where}: {exc}") from None
+        raise ParseError(f"bad rational {_shown(text)} in {where}: {_shown(exc, str)}") from None
 
 
 #: the forms every document this program writes uses
@@ -130,10 +143,10 @@ def document_to_family(doc: dict) -> Family:
         raise ParseError("family document must be a JSON object")
     version = doc.get("format_version", FORMAT_VERSION)
     if str(version) != FORMAT_VERSION:
-        raise ParseError(f"unsupported format_version {version!r}")
+        raise ParseError(f"unsupported format_version {_shown(version)}")
     dimension = doc.get("dimension")
     if type(dimension) is not int or dimension not in (1, 2):
-        raise ParseError(f"dimension must be 1 or 2, got {dimension!r}")
+        raise ParseError(f"dimension must be 1 or 2, got {_shown(dimension)}")
     raw_bodies = doc.get("bodies")
     if not isinstance(raw_bodies, list) or not raw_bodies:
         raise ParseError("bodies must be a nonempty list")
@@ -157,7 +170,7 @@ def document_to_family(doc: dict) -> Family:
                 body = ConvexPolygon._from_ratios(
                     [_parse_ratio(x, where) + _parse_ratio(y, where) for x, y in verts])
             else:
-                raise ParseError(f"{where}: unknown body type {kind!r}")
+                raise ParseError(f"{where}: unknown body type {_shown(kind)}")
         except ValueError as exc:
             raise ParseError(f"{where}: {exc}") from None
         bodies.append(body)
@@ -272,7 +285,7 @@ def cmd_analyze(args, out) -> int:
 def _parse_line(text: str) -> Line:
     parts = text.split(",")
     if len(parts) != 3:
-        raise ParseError(f"--line expects 'a,b,c', got {text!r}")
+        raise ParseError(f"--line expects 'a,b,c', got {_shown(text)}")
     a, b, c = (_parse_rational(part.strip(), "--line") for part in parts)
     try:
         return Line(a, b, c)
@@ -310,7 +323,7 @@ def _spec_from_args(args) -> genmod.GeneratorSpec:
             raise ParseError(f"unknown spec fields: {sorted(unknown)}")
         for name, value in raw.items():
             if name != "kind" and type(value) is not int:
-                raise ParseError(f"spec field {name} must be an int, got {value!r}")
+                raise ParseError(f"spec field {name} must be an int, got {_shown(value)}")
         return genmod.GeneratorSpec(**raw)
     if args.kind is None:
         raise ArityError("generate requires a kind or --spec-json")
@@ -335,12 +348,6 @@ def cmd_generate(args, out) -> int:
 
 def _int_list(value) -> bool:
     return type(value) is list and all(type(item) is int for item in value)
-
-
-def _shown(value) -> str:
-    """A rejected config value in a message: a list or an object by its
-    type, which keeps the message short, a scalar by its repr."""
-    return type(value).__name__ if isinstance(value, (list, dict)) else repr(value)
 
 
 def _experiment_rows(config):
@@ -369,6 +376,12 @@ def _experiment_rows(config):
             raise ParseError(f"grid {key} must be a list of ints, got {_shown(grid[key])}")
     kind = "random_intervals" if dimension == 1 else "random_polygons"
     pierced = functools.cache(lambda F: len(piercingmod.min_piercing(F)))  # once per family
+    # one family per (seed, size): every p of a seed with the same max(n, p)
+    # shares one Family, kept for the run, so the links of q <= 3 memoised
+    # on its nerve, and its 2D pair regions, serve all of that seed's
+    # queries; links past q = 3 are built again for each p that asks
+    draw = functools.cache(lambda seed, size: genmod.random_family(
+        genmod.GeneratorSpec(kind, n=size, seed=seed)))
     if tag == "thm5":
         queries = []  # (p, [(q, claimed)]); every grid q is checked before any row
         for p in grid.get("p", [3, 4, 5, 6]):
@@ -384,18 +397,9 @@ def _experiment_rows(config):
                     raise ArityError(f"thm5 needs q in the Hadwiger-Debrunner regime, "
                                      f"got p={p}, q={q}, d={dimension}")
             queries.append((p, claims))
-        # one family per (seed, size): every p of a seed with the same
-        # max(n, p) shares one Family, so the links of q <= 3 memoised on
-        # its nerve, and its 2D pair regions, serve all of that seed's
-        # queries; links past q = 3 are built again for each p that asks
         for seed in seeds:
-            drawn: dict[int, Family] = {}
             for p, claims in queries:
-                size = max(n, p)
-                if size not in drawn:
-                    spec = genmod.GeneratorSpec(kind, n=size, seed=seed)
-                    drawn[size] = genmod.random_family(spec)
-                F = drawn[size]
+                F = draw(seed, max(n, p))
                 for q, claimed in claims:
                     yield _finish_row(tag, seed, F, p, q, 1, claimed, pierced)
     elif tag == "prop-dim1":
@@ -417,44 +421,33 @@ def _experiment_rows(config):
                 for q in range(1, len(F) + 1):
                     bound = boundsmod.kalai_bound(len(F), q, s, dimension)
                     observed = fvec[q - 1]
-                    row = {
-                        "seed": seed,
-                        "n": len(F),
-                        "p": len(F),
-                        "q": q,
-                        "r_threshold": bound,
-                        "max_r": observed,
-                        "theorem_tag": tag,
-                        "pierce_bound_claimed": len(F),
-                        "status": "ok",
-                    }
-                    violation = (
-                        f"f_(q-1)={observed} exceeds bound {bound} (seed {seed}, q={q}, s={s})"
-                        if observed > bound
-                        else None
-                    )
-                    yield row, F, violation
+                    row = _row(tag, seed, F, len(F), q, bound, len(F), max_r=observed, status="ok")
+                    violation = f"f_(q-1)={observed} exceeds bound {bound} (seed {seed}, q={q}, s={s})"
+                    yield row, F, violation if observed > bound else None
                 break  # smallest s dominates; one row set per seed and q
+
+
+def _row(tag: str, seed: int, F: Family, p: int, q: int, r, claimed: int, **columns) -> dict:
+    """The columns every theorem's row fills, then ``columns``."""
+    return {"seed": seed, "n": len(F), "p": p, "q": q, "r_threshold": r,
+            "theorem_tag": tag, "pierce_bound_claimed": claimed, **columns}
 
 
 def _finish_row(tag: str, seed: int, F: Family, p: int, q: int, r, claimed: int, pierced) -> tuple:
     """The row of one (p, q) query on F, with the family and a violation
     of the claimed piercing bound or None; pierced(F) is F's piercing number."""
-    row = {"seed": seed, "n": len(F), "p": p, "q": q, "r_threshold": r,
-           "theorem_tag": tag, "pierce_bound_claimed": claimed}
+    row = _row(tag, seed, F, p, q, r, claimed)
     try:
-        report = familymod.max_r(F, p, q)
-        row["max_r"] = report.max_r
-        actual = pierced(F)
-        row["pierce_actual"] = actual
-        row["status"] = "ok"
-        violation = None
-        if report.max_r >= r and actual > claimed:
-            violation = f"pierced by {actual} > claimed {claimed} (seed {seed}, p={p}, q={q})"
-        return row, F, violation
+        row["max_r"] = found = familymod.max_r(F, p, q).max_r
+        row["pierce_actual"] = actual = pierced(F)
     except BudgetExceededError:  # the CSV writer leaves unset columns empty
         row["status"] = "budget_exceeded"
         return row, F, None
+    row["status"] = "ok"
+    violation = None
+    if found >= r and actual > claimed:
+        violation = f"pierced by {actual} > claimed {claimed} (seed {seed}, p={p}, q={q})"
+    return row, F, violation
 
 
 def cmd_experiment(args, out) -> int:

@@ -15,14 +15,15 @@ run on those ints, mapping back to ``Fraction`` only for the points they
 return.  One sweep over the intervals sorted by left endpoint gives the
 intersecting subfamilies in closed form, because by Helly a set of
 intervals meets exactly when its pairs do; the through-line property is
-that sweep over the bodies' traces on the line.  Both nerves answer one
-depth-first walk over index masks, which gives each intersecting prefix
-the mask of the members that extend it: the ranks from their pair masks,
-the 2D nerve from its triple flags.  The 2D q-tuple counts and f-vector
-are bit counts of those masks, and the meeting q-tuples reach the search
-as links, grouped by their last two members and read off the walk (for
-q = 3, one mask per pair), one memo keeping those of q <= 3 for the
-last few nerves asked.  They are aggregated by a depth-first search over
+that sweep over the bodies' traces on the line.  Both nerves keep one
+table of pair masks, ``adj``, and answer one depth-first walk over index
+masks, which gives each intersecting prefix the mask of the members that
+extend it: the ranks from their pair masks, the 2D nerve from its triple
+flags.  The 2D q-tuple counts and f-vector are bit counts of those
+masks.  The meeting q-tuples reach the search as links grouped by their
+last two members (for q <= 3 one mask of first members per pair, for
+q = 2 off ``adj``), one memo keeping those of q <= 3 for the last few
+nerves asked.  They are aggregated by a depth-first search over
 p-subsets, with the fixed work cap DEFAULT_WORK_BUDGET instead of silent
 truncation.  The search carries, for every later index, the count a pick
 of it would add, and skips a branch whose lower bound reaches the fewest
@@ -41,15 +42,14 @@ The 1D degeneracy level is one sweep over the sorted endpoint ranks.  In
 are primitive integer triples, deduplicated as triples and sorted as
 integer pairs over one common denominator.  One lazy builder masks the
 bodies whose integer halfplanes hold each: the exact solver reads these
-covers, and the degeneracy scan their bit counts, up to the first as deep
-as the largest pair degree allows, which alone becomes a Point.
+covers, and the degeneracy scan their bit counts, up to the first as
+deep as the largest pair degree allows, which alone becomes a Point.
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right, insort
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb, lcm
@@ -99,6 +99,15 @@ class _Nerve:
                 if (region := self.pair(*ij)) is not None}
 
     @cached_property
+    def adj(self) -> list[int]:
+        """``adj[i]`` has bit j set when bodies i != j meet: :attr:`all_pairs`."""
+        adj = [0] * self.n
+        for i, j in self.all_pairs:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+        return adj
+
+    @cached_property
     def ranks(self) -> _Ranks:
         """The endpoint ranks of a 1D family, built on first use."""
         return _Ranks(self.bodies)
@@ -144,10 +153,8 @@ class Family:
 
     @classmethod
     def of(cls, bodies) -> "Family":
-        bodies = tuple(bodies)
-        if not bodies:
-            raise ValueError("family must contain at least one body")
-        return cls(bodies[0].dimension, bodies)
+        bodies = tuple(bodies)  # no body: __post_init__ refuses it
+        return cls(bodies[0].dimension if bodies else 1, bodies)
 
     def __len__(self) -> int:
         return len(self.bodies)
@@ -313,12 +320,12 @@ def _walk(nerve, lo: int, hi: int):
 
 
 def _build_links(nerve, q: int) -> tuple[list[int], list[dict]]:
-    """The nerve's meeting q-tuples as links, read off :func:`_walk` (for
-    q = 3 off the nerve's ``low``, one mask per pair): ``root[j]`` is 1
-    when (j,) is one of them (q = 1), and ``later[j]`` maps j' > j to the
-    link of those whose last two members are j and j', if any: 1 (q = 2),
-    the mask of their first members (q = 3) or the list of the masks of
-    their first q - 2 members (q >= 4)."""
+    """The nerve's meeting q-tuples as links: ``root[j]`` is 1 when (j,) is
+    one of them (q = 1), and ``later[j]`` maps j' > j to the link of those
+    whose last two members are j and j', if any.  For q = 2 and 3 a link
+    is the mask of their first members, 1 << j off the pair masks ``adj``
+    (q = 2) and the nerve's ``low`` (q = 3); past that, the list of the
+    masks of their first q - 2 members, read off :func:`_walk`."""
     n = nerve.n
     root, later = [0] * n, [{} for _ in range(n)]
     if q >= 4:
@@ -332,11 +339,9 @@ def _build_links(nerve, q: int) -> tuple[list[int], list[dict]]:
                     row[k].append(rest)
                 else:
                     row[k] = [rest]
-    elif q == 3:
-        later = [{k: link for k in range(j + 1, n) if (link := nerve.low(j, k))} for j in range(n)]
-    elif q == 2:
-        for (j,), _, ext in _walk(nerve, 2, 2):
-            later[j] = {k: 1 for k in range(j + 1, n) if ext >> k & 1}
+    elif q >= 2:
+        link = nerve.low if q == 3 else lambda j, k: nerve.adj[j] >> k & 1 and 1 << j
+        later = [{k: mask for k in range(j + 1, n) if (mask := link(j, k))} for j in range(n)]
     else:
         root = [nerve.root >> j & 1 for j in range(n)]
     return root, later
@@ -399,9 +404,9 @@ def _fewest_flagged(F: Family, p: int, q: int, links, floor: int, what: str,
     j, inc(j, P): the flagged q-tuples whose last index is j and whose
     other members lie in P.  Adding j to P then adds inc(j, P), and the
     child's increments are the parent's plus the tuples whose last two
-    members are j and j' and whose rest lies in P: always 1 for q = 2, a
-    bit count of the link mask of (j, j') against P for q = 3, a test of
-    each member mask for q >= 4, and none for q = 1.
+    members are j and j' and whose rest lies in P: a bit count of the link
+    mask of (j, j') against P for q = 2 and 3, a test of each member mask
+    for q >= 4, and none for q = 1.
 
     Increments only grow as the prefix grows, so a leaf under child j
     holds at least count(P) + inc(j, P) plus the sum of the ``need - 1``
@@ -463,10 +468,7 @@ def _fewest_flagged(F: Family, p: int, q: int, links, floor: int, what: str,
             continue
         if last >= 0 and later[last]:
             inc = inc.copy()
-            if q == 2:
-                for j in later[last]:
-                    inc[j] += 1
-            elif q == 3:
+            if q <= 3:
                 for j, link in later[last].items():
                     inc[j] += (link & mask).bit_count()
             else:
@@ -575,7 +577,7 @@ def degeneracy_level(F: Family):
 
         point = max(his, key=depth)  # max keeps the first of equal depths
         return len(F) - depth(point), ranks.values[point]
-    bound = 1 + max(Counter(itertools.chain.from_iterable(F.pair_regions)).values(), default=0)
+    bound = 1 + max(map(int.bit_count, F._nerve.adj))
     best_count, best = -1, None
     for v, mask in _covers(F):
         if mask.bit_count() > best_count:

@@ -113,8 +113,8 @@ def branch_and_bound_piercing(F: Family) -> PiercingSet:
     cover over the candidate points' covers from :func:`family._covers`.
 
     Sets of bodies are int bitmasks: each candidate's cover, the bodies
-    left uncovered, and each body's meet mask from
-    :attr:`Family.pair_regions`.  A node is pruned when its points plus a
+    left uncovered, and each body's meet mask, its pair mask in the
+    nerve's ``adj`` and itself.  A node is pruned when its points plus a
     greedy packing of pairwise-disjoint uncovered bodies, each needing its
     own point, reach the best cover so far; otherwise it branches on the
     covers of the uncovered body that the fewest covers hold."""
@@ -132,10 +132,7 @@ def branch_and_bound_piercing(F: Family) -> PiercingSet:
     holders = [sum(mask >> i & 1 for mask in masks) for i in range(n)]
     if 0 in holders:
         raise AssertionError("candidate points fail to cover some body")
-    meets = [1 << i for i in range(n)]
-    for i, j in F.pair_regions:
-        meets[i] |= 1 << j
-        meets[j] |= 1 << i
+    meets = [adj | 1 << i for i, adj in enumerate(F._nerve.adj)]
 
     # greedy cover for an initial upper bound
     best: list[int] = []

@@ -356,22 +356,19 @@ def walked_qtuples(F: Family, q: int) -> frozenset[tuple[int, ...]]:
 def grouped(tuples, n: int, q: int) -> tuple[list[int], list[dict]]:
     """Sorted index q-tuples of an n-member family as links: ``root[j]``
     is 1 when (j,) is one of them (q = 1), and ``later[j]`` maps j' > j to
-    the link of the tuples whose last two members are j and j': 1 (q = 2),
-    the mask of their first members (q = 3), or the list of those masks
-    (q >= 4).  The regrouping of tuple sets the search read before the
-    links came off the mask walk, kept as the oracle for
+    the link of the tuples whose last two members are j and j': the mask of
+    their first members (q = 2 and 3), or the list of the masks of their
+    first q - 2 members (q >= 4).  The regrouping of tuple sets the search
+    read before the links came off the mask walk, kept as the oracle for
     ``family._build_links``."""
     root = [0] * n
     later: list[dict] = [{} for _ in range(n)]
     if q == 1:
         for (j,) in tuples:
             root[j] = 1
-    elif q == 2:
-        for j, last in tuples:
-            later[j][last] = 1
-    elif q == 3:
-        for i, j, last in tuples:
-            later[j][last] = later[j].get(last, 0) | 1 << i
+    elif q <= 3:
+        for tup in tuples:
+            later[tup[-2]][tup[-1]] = later[tup[-2]].get(tup[-1], 0) | 1 << tup[0]
     else:
         for *rest, j, last in tuples:
             later[j].setdefault(last, []).append(sum(1 << i for i in rest))

@@ -127,11 +127,12 @@ class TestDocumentRoundTrip:
 
 def rational_or_error(value, where="body 0"):
     """What the document path made of a coordinate before it parsed to
-    ints: the Fraction, or the message of its ParseError."""
+    ints: the Fraction, or the message of its ParseError, which cuts the
+    value's repr and Fraction's message as ``cli._shown`` does."""
     try:
         return Fraction(str(value))
     except (ValueError, ZeroDivisionError) as exc:
-        return f"bad rational {value!r} in {where}: {exc}"
+        return f"bad rational {cli._shown(value)} in {where}: {cli._shown(exc, str)}"
 
 
 #: JSON values a coordinate may hold: strings near the plain grammar, ints
@@ -204,6 +205,64 @@ class TestIntegerDocumentPath:
         with pytest.raises(ParseError) as got:
             document_to_family(doc)
         assert str(got.value) == rational_or_error("2/0")
+
+
+LONG = "x" * 5000
+
+
+def cut(text):
+    return text[:cli.SHOWN] + "..."
+
+
+#: how a long rejected value, and Fraction's message that repeats it, show
+CUT, FRACTION_CUT = cut(repr(LONG)), cut("Invalid literal for Fraction: " + repr(LONG))
+
+
+def document(**fields):
+    """A one-interval family document with ``fields`` replaced."""
+    return {"format_version": "1", "dimension": 1,
+            "bodies": [{"type": "interval", "lo": "0", "hi": "1"}], **fields}
+
+
+class TestLongRejectedValues:
+    """A long rejected value is cut, or a container named by its type, so
+    the error line stays short; a short value is shown whole (the golden
+    transcript pins those messages)."""
+
+    @pytest.mark.parametrize("doc, shown", [
+        (document(dimension=list(range(1000))), "got list"),
+        (document(format_version=LONG), "format_version " + CUT),
+        (document(bodies=[{"type": LONG}]), "unknown body type " + CUT),
+        (document(bodies=[{"type": "interval", "lo": LONG, "hi": "1"}]),
+         f"bad rational {CUT} in body 0: {FRACTION_CUT}"),
+    ], ids=["dimension", "format-version", "body-type", "interval-lo"])
+    def test_document(self, doc, shown, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        self.check(run_cli("analyze", str(path), "--p", "1", "--q", "1", capsys=capsys), shown)
+
+    @pytest.mark.parametrize("argv, shown", [
+        (["generate", "--spec-json", json.dumps({"kind": "random_intervals", "n": list(range(1000))})],
+         "spec field n must be an int, got list"),
+        (["bounds", "thm2", "--p", "6", "--q", "3", "--epsilon", LONG],
+         f"bad rational {CUT} in --epsilon: {FRACTION_CUT}"),
+        (["pierce", "{doc}", "--strategy", "line", "--p", "5", "--k", "2", "--line", LONG],
+         "--line expects 'a,b,c', got " + CUT),
+        (["pierce", "{doc}", "--strategy", "line", "--p", "5", "--k", "2", "--line", "1,1," + LONG],
+         f"bad rational {CUT} in --line: {FRACTION_CUT}"),
+    ], ids=["spec-json", "epsilon", "line", "line-part"])
+    def test_option(self, argv, shown, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"format_version": "1", "dimension": 2,
+                                    "bodies": [{"type": "polygon", "vertices": [[0, 0]]}]}))
+        self.check(run_cli(*(arg.replace("{doc}", str(path)) for arg in argv), capsys=capsys), shown)
+
+    @staticmethod
+    def check(result, shown):
+        code, out = result
+        assert code == EXIT_INPUT and len(out.encode()) < 200
+        error = json.loads(out)["error"]
+        assert error["type"] == "ParseError" and error["message"].endswith(shown)
 
 
 class TestBoundsCommand:
@@ -663,6 +722,7 @@ class TestExperimentCommand:
         ({"theorem": "thm5", "seeds": ["x"] * 100_000}, "got list"),
         ({"theorem": "thm5", "grid": {"p": ["x"] * 100_000}}, "got list"),
         ({"theorem": "thm5", "n": {str(i): i for i in range(100_000)}}, "got dict"),
+        ({"theorem": "x" * 5000}, "theorem '" + "x" * (cli.SHOWN - 1) + "..."),
     ])
     def test_malformed_config_names_a_container_by_type(self, config, shown, tmp_path, capsys):
         # a rejected list or object is named, not echoed: the error line of

@@ -411,19 +411,19 @@ class TestRanks:
                 assert _intersecting_qtuples(nerve, q) is shared and shared == kept
 
     def test_links_past_q_3_are_not_kept(self):
-        # on 20 nested intervals every q-tuple meets, so the links of
-        # q = 10 alone hold C(20, 10) masks; keeping every q held 41.9 MB
-        # after this loop, and the q <= 3 links take well under 1 MB
-        F = Family.of([Interval(-i, i) for i in range(1, 21)])
+        # on 16 nested intervals every q-tuple meets, so the links of
+        # q = 8 alone hold C(16, 8) masks; keeping every q held 1.16 MB
+        # after this loop, and the q <= 3 links about 25 KB
+        F = Family.of([Interval(-i, i) for i in range(1, 17)])
         _intersecting_qtuples.cache_clear()
         tracemalloc.start()
         try:
-            for q in range(1, 21):
-                assert max_r(F, 20, q).max_r == comb(20, q)
+            for q in range(1, 17):
+                assert max_r(F, 16, q).max_r == comb(16, q)
             kept, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert kept < 1_000_000
+        assert kept < 250_000
         assert_memo_holds_q_up_to_3(F._nerve.ranks)
 
     def test_memo_leaves_equality_hashing_vars_and_pickle(self):

@@ -28,9 +28,9 @@ from pqpierce.generators import GeneratorSpec, random_family
 from pqpierce.geometry import ConvexPolygon, Line, line_meets_body, pt
 from pqpierce.piercing import candidate_points, min_piercing, ms_line
 
-from conftest import (LINES, assert_memo_holds_q_up_to_3, box, canonical_links, grouped,
-                      intersecting_subfamilies, intervals, polygon_families, tied_families, tuple_walk,
-                      walked_qtuples)
+from conftest import (LINES, assert_memo_holds_q_up_to_3, box, brute_pair_regions, canonical_links,
+                      grouped, intersecting_subfamilies, intervals, polygon_families,
+                      seeded_polygon_families, tied_families, tuple_walk, walked_qtuples)
 
 
 def walked(F, q):
@@ -99,6 +99,37 @@ def test_links_past_q_3_are_not_kept():
     for q in range(1, 15):
         assert max_r(F, 14, q).max_r == comb(14, q)
     assert_memo_holds_q_up_to_3(F._nerve)
+
+
+def brute_pair_masks(F):
+    """Bit j of entry i set when bodies i != j meet, each pair clipped
+    afresh: the oracle for the nerve's ``adj``."""
+    masks = [0] * len(F)
+    for i, j in brute_pair_regions(F):
+        masks[i] |= 1 << j
+        masks[j] |= 1 << i
+    return masks
+
+
+@settings(max_examples=80, deadline=None)
+@given(polygon_families())
+def test_pair_masks_match_brute_force(F):
+    assert F._nerve.adj == brute_pair_masks(F)
+
+
+def test_pair_masks_on_seeded_families():
+    for F in seeded_polygon_families():
+        assert F._nerve.adj == brute_pair_masks(F)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tied_families(max_size=7))
+def test_intervals_and_their_thin_boxes_share_pair_masks(F):
+    """Intervals lifted to boxes of height 1 meet as the intervals do: the
+    2D nerve's pair masks and q = 2 links are the ranks'."""
+    G = Family.of([box(body.lo, 0, body.hi, 1) for body in F.bodies])
+    assert G._nerve.adj == F._nerve.ranks.adj
+    assert _build_links(G._nerve, 2) == _build_links(F._nerve.ranks, 2)
 
 
 @settings(max_examples=60, deadline=None)
