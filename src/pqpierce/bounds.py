@@ -129,8 +129,8 @@ def ceil_power(p: int, exponent: Fraction) -> int:
     # when it has at most twice the budget's bits
     if num * (p.bit_length() - 1) >= POWER_BIT_BUDGET or (
             target := p**num).bit_length() > POWER_BIT_BUDGET:
-        raise BudgetExceededError(
-            f"ceil_power needs {p}^{num}, past the budget of {POWER_BIT_BUDGET} bits")
+        raise BudgetExceededError(f"ceil_power needs p^a with p of {p.bit_length()} bits and a of "
+                                  f"{num.bit_length()} bits, past the budget of {POWER_BIT_BUDGET} bits")
     root = _floor_root(target, den)
     return root if root**den == target else root + 1
 

@@ -76,10 +76,6 @@ CSV_COLUMNS = [
 # FamilyDocument serialization
 # ---------------------------------------------------------------------------
 
-def _rat_str(value) -> str:
-    return str(Fraction(value))
-
-
 #: the most characters of a rejected value, or of a message that repeats
 #: it, that an error shows
 SHOWN = 50
@@ -93,7 +89,19 @@ def _shown(value, show=repr) -> str:
     return text if len(text) <= SHOWN else text[:SHOWN] + "..."
 
 
+#: the most digits of a value read by Fraction, CPython's limit on plain
+#: numerals; Fraction's exponent form (integer digits, fraction digits,
+#: exponent) escapes it, as Fraction builds 10^exponent before any check
+MAX_DIGITS = 4300
+_EXPONENT_FORM = re.compile(
+    r"\s*[-+]?(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:\.(\d*|\d+(?:_\d+)*))?[eE][-+]?(\d+(?:_\d+)*)\s*")
+
+
 def _parse_rational(text, where: str) -> Fraction:
+    if form := _EXPONENT_FORM.fullmatch(str(text)):  # its digit counts bound the value's
+        whole, part, exponent = (digits.replace("_", "") for digits in form.groups(""))
+        if len(exponent) > MAX_DIGITS or len(whole) + len(part) + int(exponent) > MAX_DIGITS:
+            raise ParseError(f"bad rational {_shown(text)} in {where}: more than {MAX_DIGITS} digits")
     try:
         return Fraction(str(text))
     except (ValueError, ZeroDivisionError) as exc:
@@ -124,12 +132,9 @@ def _parse_ratio(value, where: str) -> tuple[int, int]:
 
 
 def family_to_document(F: Family, metadata: dict | None = None) -> dict:
-    bodies = []
-    for body in F.bodies:
-        if F.dimension == 1:
-            bodies.append({"type": "interval", "lo": _rat_str(body.lo), "hi": _rat_str(body.hi)})
-        else:
-            bodies.append({"type": "polygon", "vertices": [_serialize_point(v) for v in body.vertices]})
+    bodies = [{"type": "interval", "lo": str(body.lo), "hi": str(body.hi)} if F.dimension == 1
+              else {"type": "polygon", "vertices": [_serialize_point(v) for v in body.vertices]}
+              for body in F.bodies]
     return {
         "format_version": FORMAT_VERSION,
         "dimension": F.dimension,
@@ -199,9 +204,7 @@ def load_family(path: str) -> Family:
 
 
 def _serialize_point(p) -> object:
-    if isinstance(p, Point):
-        return [_rat_str(p.x), _rat_str(p.y)]
-    return _rat_str(p)
+    return [str(p.x), str(p.y)] if isinstance(p, Point) else str(p)
 
 
 def _piercing_json(ps: piercingmod.PiercingSet, strategy: str) -> dict:
@@ -320,10 +323,12 @@ def _spec_from_args(args) -> genmod.GeneratorSpec:
         allowed = set(genmod.GeneratorSpec.__dataclass_fields__)
         unknown = set(raw) - allowed
         if unknown:
-            raise ParseError(f"unknown spec fields: {sorted(unknown)}")
+            raise ParseError(f"unknown spec fields: {_shown(str(sorted(unknown)), str)}")
         for name, value in raw.items():
             if name != "kind" and type(value) is not int:
                 raise ParseError(f"spec field {name} must be an int, got {_shown(value)}")
+        if type(raw["kind"]) is not str or raw["kind"] not in genmod.KINDS:
+            raise ArityError(f"unknown generator kind {_shown(raw['kind'])}")
         return genmod.GeneratorSpec(**raw)
     if args.kind is None:
         raise ArityError("generate requires a kind or --spec-json")

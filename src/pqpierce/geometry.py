@@ -22,9 +22,10 @@ lines, so coordinates do not grow along a chain of clips.
 A caller asks only for what it reads.  `intersect_bodies` returns the
 common region; `bodies_meet` runs the same chain of clips and only says
 whether it ends nonempty, so a yes-or-no question builds no polygon.  A
-polygon's lexmax (`_lexmax`) and membership (`_contains_hom`) also work
-on vertex triples, so the 2D candidate-point scan of the layers above
-makes a `Point` only for the point it returns.
+polygon's lexmax (`_lexmax`), membership (`_contains_hom`) and one
+halfplane clip (`_clip_halfplane`) also work on vertex triples, so the
+2D candidate-point scan and the line lemma's witness search of the
+layers above make a `Point` only for the point they return.
 
 Degenerate convex polygons are first class: a single point has one vertex,
 a segment has two.  Intersections clip one halfplane at a time in a single
@@ -104,6 +105,8 @@ def _primitive(a: int, b: int, c: int) -> Homogeneous:
 
 def _integer_plane(a, b, c) -> Homogeneous:
     """Rational coefficients scaled to their primitive integer triple."""
+    if type(a) is type(b) is type(c) is int:
+        return _primitive(a, b, c)
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
     m = lcm(a.denominator, b.denominator, c.denominator)
     return _primitive(a.numerator * (m // a.denominator), b.numerator * (m // b.denominator),
@@ -304,12 +307,6 @@ class Line:
             ia, ib, ic = -ia, -ib, -ic
         self.__dict__.update(a=ia, b=ib, c=ic)
 
-    @classmethod
-    def from_point_direction(cls, p: Point, d: Point) -> "Line":
-        if d.x == 0 and d.y == 0:
-            raise ValueError("zero direction")
-        return cls(d.y, -d.x, d.y * p.x - d.x * p.y)
-
     def side(self, p: Point) -> Fraction:
         """Exact signed evaluation a*x + b*y - c (0 means on the line)."""
         return self.a * p.x + self.b * p.y - self.c
@@ -360,12 +357,6 @@ def _clip_halfplane(
                 k = i
         kept = kept[k:] + kept[:k]
     return tuple(kept)
-
-
-def clip_polygon(body: ConvexPolygon, a, b, c) -> Optional[ConvexPolygon]:
-    """The part of the polygon in {a*x + b*y <= c}, or None when empty."""
-    verts = _clip_halfplane(body._hom, *_integer_plane(a, b, c))
-    return None if verts is None else ConvexPolygon._from_hom(verts)
 
 
 def _dimension(bodies: Sequence[ConvexBody]) -> int:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from . import family as familymod
@@ -35,13 +35,14 @@ from .bounds import dim1_threshold, hd_exact_region
 from .errors import ArityError, BudgetExceededError, DimensionMismatchError, PremiseViolationError
 from .family import Family
 from .geometry import (
-    ConvexPolygon,
     Line,
     Point,
+    _clip_halfplane,
+    _contains_hom,
+    _lexmax,
     _point,
     bodies_meet,
     body_contains_point,
-    clip_polygon,
     intersect_bodies,
     lexmax_body,
     line_meets_body,
@@ -248,20 +249,6 @@ def hd_pierce(F: Family, p: int, q: int) -> PiercingSet:
     return _certified(F, points)
 
 
-def _effective_witness_polygon(body: ConvexPolygon, x0: Point) -> ConvexPolygon:
-    """Closure of the part of the body at or lexicographically beyond x0:
-    clip to x >= x0.x, and when that leaves only the vertical boundary
-    line, refine to y >= x0.y on it."""
-    if not body.contains(x0):
-        raise AssertionError("x0 not in body while building witness polygon")
-    clipped = clip_polygon(body, Fraction(-1), Fraction(0), -x0.x)
-    if clipped is not None and all(v.x == x0.x for v in clipped.vertices):
-        clipped = clip_polygon(clipped, Fraction(0), Fraction(-1), -x0.y)
-    if clipped is None:
-        raise AssertionError("clip emptied a polygon that must stay nonempty")
-    return clipped
-
-
 def _line_guarantee_holds(F: Family, ai: int, bi: int, line: Line) -> bool:
     """Whether every body meeting both A and B meets the line; which bodies
     meet is read off the family's pair memo, and a body meets itself."""
@@ -277,6 +264,8 @@ def ms_line(F: Family) -> LineLemmaWitness:
     lexmax of the pair intersection, and search for a line through x0
     weakly separating the beyond-x0 parts wa, wb of the minimizing pair.
     The guarantee predicate is verified against the family before returning.
+    Branch (ii) runs on integer vertex triples and pairs; only the answer's
+    x0 becomes a `Point`, and only a separating direction a `Line`.
 
     Why the directions searched always hold such a line: wa and wb lie in
     the halfplane x >= x0.x and meet only in x0.  A common point right of
@@ -305,22 +294,35 @@ def ms_line(F: Family) -> LineLemmaWitness:
                 raise AssertionError("separating line failed the guarantee predicate")
             return LineLemmaWitness(A_index=i, B_index=j, line=line, x0=None)
 
-    x0, (ai, bi) = min((lexmax_body(region), ij) for ij, region in F.pair_regions.items())
-    wa = _effective_witness_polygon(F.bodies[ai], x0)
-    wb = _effective_witness_polygon(F.bodies[bi], x0)
+    # x0 and the pair, ties to the smaller pair, over one denominator
+    lexmaxes = {ij: _lexmax(region._hom) for ij, region in F.pair_regions.items()}
+    L = lcm(*(W for _, _, W in lexmaxes.values()))
+    *_, (ai, bi) = min((X * (L // W), Y * (L // W), ij) for ij, (X, Y, W) in lexmaxes.items())
+    X, Y, W = x0 = lexmaxes[ai, bi]
+    parts = []
+    for body in (F.bodies[ai], F.bodies[bi]):
+        if not _contains_hom(body, x0):
+            raise AssertionError("x0 not in body while building witness polygon")
+        part = _clip_halfplane(body._hom, -W, 0, -X)
+        if part is not None and all(vX * W == X * vW for vX, _, vW in part):
+            part = _clip_halfplane(part, 0, -W, -Y)
+        if part is None:
+            raise AssertionError("clip emptied a polygon that must stay nonempty")
+        parts.append(part)
 
-    directions = {Point(Fraction(0), Fraction(1))}
-    for poly in (wa, wb):
-        verts = poly.vertices
-        directions.update(w - u for u, w in zip(verts, verts[1:] + verts[:1]) if u != w)
-
-    # each line once, first met in the order of its directions
-    for line in dict.fromkeys(Line.from_point_direction(x0, dvec) for dvec in sorted(directions)):
-        sa = [line.side(v) for v in wa.vertices]
-        sb = [line.side(v) for v in wb.vertices]
-        separates = (min(sa) >= 0 and max(sb) <= 0) or (max(sa) <= 0 and min(sb) >= 0)
-        if separates and _line_guarantee_holds(F, ai, bi, line):
-            return LineLemmaWitness(A_index=ai, B_index=bi, line=line, x0=x0)
+    # the parts' vertices less x0 as integer pairs over one denominator, so
+    # that the edge vectors sort as the rational ones do
+    L = lcm(W, *(vW for part in parts for _, _, vW in part))
+    wa, wb = ([(vX * (L // vW) - X * (L // W), vY * (L // vW) - Y * (L // W)) for vX, vY, vW in part]
+              for part in parts)
+    directions = {(0, 1)} | {(w[0] - u[0], w[1] - u[1]) for verts in (wa, wb)
+                             for u, w in zip(verts, verts[1:] + verts[:1]) if u != w}
+    for dx, dy in sorted(directions):
+        sa, sb = ([dy * x - dx * y for x, y in verts] for verts in (wa, wb))
+        if (min(sa) >= 0 and max(sb) <= 0) or (max(sa) <= 0 and min(sb) >= 0):
+            line = Line(dy * W, -dx * W, dy * X - dx * Y)
+            if _line_guarantee_holds(F, ai, bi, line):
+                return LineLemmaWitness(A_index=ai, B_index=bi, line=line, x0=_point(x0))
     raise AssertionError("no witness line found; construction bug")
 
 

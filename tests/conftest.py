@@ -102,6 +102,65 @@ def fraction_bisector(A: ConvexPolygon, B: ConvexPolygon) -> Line:
     return Line(n.x, n.y, dot(n, mid))
 
 
+def line_through(p: Point, d: Point) -> Line:
+    """The line through p along the nonzero direction d."""
+    return Line(d.y, -d.x, d.y * p.x - d.x * p.y)
+
+
+def clip(body: ConvexPolygon, a, b, c) -> Optional[ConvexPolygon]:
+    """The part of the polygon in {a*x + b*y <= c}, or None when empty:
+    ``geometry._clip_halfplane`` on its vertex triples and the plane's
+    primitive triple, the result checked canonical as a polygon."""
+    verts = geometry._clip_halfplane(body._hom, *geometry._integer_plane(a, b, c))
+    return None if verts is None else ConvexPolygon._from_hom(verts)
+
+
+def _fraction_witness_polygon(body: ConvexPolygon, x0: Point) -> ConvexPolygon:
+    """Closure of the part of the body at or lexicographically beyond x0:
+    clip to x >= x0.x, and when that leaves only the vertical boundary
+    line, refine to y >= x0.y on it."""
+    if not body.contains(x0):
+        raise AssertionError("x0 not in body while building witness polygon")
+    clipped = clip(body, Fraction(-1), Fraction(0), -x0.x)
+    if clipped is not None and all(v.x == x0.x for v in clipped.vertices):
+        clipped = clip(clipped, Fraction(0), Fraction(-1), -x0.y)
+    if clipped is None:
+        raise AssertionError("clip emptied a polygon that must stay nonempty")
+    return clipped
+
+
+def fraction_ms_line(F: Family) -> piercingmod.LineLemmaWitness:
+    """``piercing.ms_line`` as it was with its all-pairs-meet branch on
+    Points: x0 the least `Point` lexmax of a pair region, the witness
+    parts clipped as polygons, each line made from x0 and a `Point`
+    direction and each vertex's side a Fraction; the oracle for the
+    integer branch."""
+    for i, j in itertools.combinations(range(len(F)), 2):
+        if F.pair_region(i, j) is None:
+            line = geometry.separating_line(F.bodies[i], F.bodies[j])
+            if not piercingmod._line_guarantee_holds(F, i, j, line):
+                raise AssertionError("separating line failed the guarantee predicate")
+            return piercingmod.LineLemmaWitness(A_index=i, B_index=j, line=line, x0=None)
+
+    x0, (ai, bi) = min((lexmax_body(region), ij) for ij, region in F.pair_regions.items())
+    wa = _fraction_witness_polygon(F.bodies[ai], x0)
+    wb = _fraction_witness_polygon(F.bodies[bi], x0)
+
+    directions = {Point(Fraction(0), Fraction(1))}
+    for poly in (wa, wb):
+        verts = poly.vertices
+        directions.update(w - u for u, w in zip(verts, verts[1:] + verts[:1]) if u != w)
+
+    # each line once, first met in the order of its directions
+    for line in dict.fromkeys(line_through(x0, dvec) for dvec in sorted(directions)):
+        sa = [line.side(v) for v in wa.vertices]
+        sb = [line.side(v) for v in wb.vertices]
+        separates = (min(sa) >= 0 and max(sb) <= 0) or (max(sa) <= 0 and min(sb) >= 0)
+        if separates and piercingmod._line_guarantee_holds(F, ai, bi, line):
+            return piercingmod.LineLemmaWitness(A_index=ai, B_index=bi, line=line, x0=x0)
+    raise AssertionError("no witness line found; construction bug")
+
+
 def box(x0, y0, x1, y1) -> ConvexPolygon:
     return ConvexPolygon.from_points([pt(x0, y0), pt(x1, y0), pt(x1, y1), pt(x0, y1)])
 

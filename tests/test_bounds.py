@@ -174,9 +174,20 @@ class TestCeilPower:
         assert ceil_power(2, Fraction(1048575)) == 2**1048575
         assert ceil_power(3, Fraction(661577)) == 3**661577
         for p, a in ((2, 1048576), (3, 661578), (100, 1000005)):
-            with pytest.raises(BudgetExceededError,
-                               match=rf"ceil_power needs {p}\^{a}, past the budget of 1048576 bits"):
+            with pytest.raises(BudgetExceededError, match=(
+                    rf"^ceil_power needs p\^a with p of {p.bit_length()} bits and a of "
+                    rf"{a.bit_length()} bits, past the budget of 1048576 bits$")):
                 ceil_power(p, Fraction(a, 7))
+
+    def test_power_budget_message_past_the_str_limit(self):
+        # a numerator of 5001 digits, past CPython's 4300-digit int-to-str
+        # limit: the message gives its size, so it prints and stays short
+        a = 10 ** 5000 + 1
+        with pytest.raises(BudgetExceededError) as got:
+            ceil_power(10, Fraction(a, 10 ** 4999))
+        assert str(got.value) == (f"ceil_power needs p^a with p of 4 bits and a of "
+                                  f"{a.bit_length()} bits, past the budget of 1048576 bits")
+        assert len(str(got.value)) < 200
 
     def test_root_of_a_long_power(self):
         # the root's start comes from a float estimate, so the Newton

@@ -1,5 +1,6 @@
 """CLI surface: round trips, exit codes, machine-readable outputs."""
 
+import fractions
 import json
 import subprocess
 import sys
@@ -128,7 +129,15 @@ class TestDocumentRoundTrip:
 def rational_or_error(value, where="body 0"):
     """What the document path made of a coordinate before it parsed to
     ints: the Fraction, or the message of its ParseError, which cuts the
-    value's repr and Fraction's message as ``cli._shown`` does."""
+    value's repr and Fraction's message as ``cli._shown`` does.  A value
+    in Fraction's own grammar with an exponent, whose digits and exponent
+    add up to more than 4300, is refused before Fraction reads it."""
+    form = fractions._RATIONAL_FORMAT.match(str(value))
+    if form and form["exp"]:
+        digits = [(form[name] or "").replace("_", "") for name in ("num", "decimal")]
+        exponent = form["exp"].lstrip("+-").replace("_", "")
+        if len(exponent) > 4300 or sum(map(len, digits)) + int(exponent) > 4300:
+            return f"bad rational {cli._shown(value)} in {where}: more than 4300 digits"
     try:
         return Fraction(str(value))
     except (ValueError, ZeroDivisionError) as exc:
@@ -136,12 +145,14 @@ def rational_or_error(value, where="body 0"):
 
 
 #: JSON values a coordinate may hold: strings near the plain grammar, ints
-#: near 2^64 and past 2000 bits, bools, floats, null
+#: near 2^64 and past 2000 bits, exponent forms at and past 4300 digits,
+#: bools, floats, null
 COORDINATE_VALUES = st.one_of(
     st.text(alphabet="0123456789-+/.e_ \n\u0661", max_size=8),
     st.from_regex(r"-?[0-9]{1,30}(/[0-9]{1,30})?", fullmatch=True),
     st.integers(-2 ** 70, 2 ** 70),
-    st.sampled_from([10 ** 700, -(2 ** 2001), 2 ** 2000 - 1, "9" * 5000, "1/" + "7" * 4400]),
+    st.sampled_from([10 ** 700, -(2 ** 2001), 2 ** 2000 - 1, "9" * 5000, "1/" + "7" * 4400,
+                     "1e4299", "-.5E-4299", "1_0e4299", "1e999999999", "9" * 4300 + "e1"]),
     st.booleans(), st.floats(allow_nan=False), st.none())
 
 
@@ -257,12 +268,107 @@ class TestLongRejectedValues:
                                     "bodies": [{"type": "polygon", "vertices": [[0, 0]]}]}))
         self.check(run_cli(*(arg.replace("{doc}", str(path)) for arg in argv), capsys=capsys), shown)
 
+    @pytest.mark.parametrize("spec, error, shown", [
+        ({"kind": LONG}, "ArityError", "unknown generator kind " + CUT),
+        ({"kind": list(range(1000))}, "ArityError", "unknown generator kind list"),
+        ({"kind": 10 ** 100}, "ArityError", "unknown generator kind " + cut(str(10 ** 100))),
+        ({"kind": "random_intervals", LONG: 1}, "ParseError",
+         "unknown spec fields: " + cut(str([LONG]))),
+        ({"kind": "random_intervals", **{f"x{i:04}": 1 for i in range(1000)}}, "ParseError",
+         "unknown spec fields: " + cut(str([f"x{i:04}" for i in range(1000)]))),
+    ], ids=["long-kind", "list-kind", "int-kind", "long-field", "many-fields"])
+    def test_spec_json(self, spec, error, shown, capsys):
+        self.check(run_cli("generate", "--spec-json", json.dumps(spec), capsys=capsys), shown, error)
+
+    @pytest.mark.parametrize("spec, error, message", [
+        ({"kind": "mystery"}, "ArityError", "unknown generator kind 'mystery'"),
+        ({"kind": 7}, "ArityError", "unknown generator kind 7"),
+        ({"kind": "random_intervals", "zz": 1, "a0": 2}, "ParseError",
+         "unknown spec fields: ['a0', 'zz']"),
+        ({"kind": "mystery", "n": "x"}, "ParseError", "spec field n must be an int, got 'x'"),
+    ], ids=["kind", "int-kind", "fields", "field-type-first"])
+    def test_short_spec_json_values_shown_whole(self, spec, error, message, capsys):
+        code, out = run_cli("generate", "--spec-json", json.dumps(spec), capsys=capsys)
+        assert code == EXIT_INPUT
+        assert json.loads(out)["error"] == {"type": error, "message": message}
+
     @staticmethod
-    def check(result, shown):
+    def check(result, shown, error="ParseError"):
         code, out = result
         assert code == EXIT_INPUT and len(out.encode()) < 200
-        error = json.loads(out)["error"]
-        assert error["type"] == "ParseError" and error["message"].endswith(shown)
+        got = json.loads(out)["error"]
+        assert got["type"] == error and got["message"].endswith(shown)
+
+
+#: Fraction would build 10^999999999 and not finish
+HUGE = "1e999999999"
+
+
+class TestExponentPastTheDigitLimit:
+    """A value in exponent form whose digits and exponent add up to more
+    than 4300, the limit CPython puts on plain numerals, is refused before
+    Fraction builds it, at every entry point that reads a rational."""
+
+    @pytest.mark.parametrize("argv, where, value", [
+        (["bounds", "thm2", "--p", "10", "--q", "6", "--d", "2", "--epsilon", HUGE],
+         "--epsilon", HUGE),
+        (["bounds", "remark", "--p", "10", "--q", "6", "--d", "2", "--f", "3",
+          "--epsilon=-" + HUGE], "--epsilon", "-" + HUGE),
+        (["pierce", "{2d}", "--strategy", "line", "--p", "2", "--k", "0", "--line", "1,1," + HUGE],
+         "--line", HUGE),
+        (["analyze", "{1d}", "--p", "1", "--q", "1"], "body 1", HUGE),
+        (["pierce", "{2d-huge}"], "body 0", " " + HUGE),
+    ], ids=["thm2-epsilon", "remark-epsilon", "line-part", "interval-end", "polygon-coordinate"])
+    def test_entry_points_refuse_at_once(self, argv, where, value, tmp_path, capsys):
+        docs = {
+            "{2d}": {"format_version": "1", "dimension": 2,
+                     "bodies": [{"type": "polygon", "vertices": [[0, 0], [1, 1]]}] * 2},
+            "{1d}": {"format_version": "1", "dimension": 1,
+                     "bodies": [{"type": "interval", "lo": "0", "hi": "1"},
+                                {"type": "interval", "lo": "0", "hi": HUGE}]},
+            "{2d-huge}": {"format_version": "1", "dimension": 2,
+                          "bodies": [{"type": "polygon", "vertices": [[0, 0], [" " + HUGE, 1]]}]},
+        }
+        for name, doc in docs.items():
+            (tmp_path / name).write_text(json.dumps(doc))
+        argv = [str(tmp_path / arg) if arg in docs else arg for arg in argv]
+        start = time.process_time()
+        code, out = run_cli(*argv, capsys=capsys)
+        assert time.process_time() - start < 0.5
+        assert code == EXIT_INPUT
+        assert json.loads(out)["error"] == {"type": "ParseError", "message":
+                                            f"bad rational {value!r} in {where}: more than 4300 digits"}
+
+    def test_library_refuses_at_once(self):
+        start = time.process_time()
+        with pytest.raises(ParseError, match="more than 4300 digits"):
+            document_to_family({"format_version": "1", "dimension": 1,
+                                "bodies": [{"type": "interval", "lo": "-" + HUGE, "hi": "0"}]})
+        assert time.process_time() - start < 0.5
+
+    @pytest.mark.parametrize("text, value", [
+        ("1e4299", Fraction(10 ** 4299)),
+        ("-12.5e-4297", Fraction(-125, 10 ** 4298)),
+        ("1_2.3_4E+4_296", Fraction(1234 * 10 ** 4294)),
+        ("9" * 4300, Fraction(int("9" * 4300))),
+        ("1" * 4300 + ".5", Fraction(int("1" * 4300) * 10 + 5, 10)),
+    ])
+    def test_at_the_limit_read(self, text, value):
+        assert cli._parse_rational(text, "x") == value
+
+    @pytest.mark.parametrize("text", ["1e4300", "-12.5e-4298", "1_2.3_4E+4_297",
+                                      "9" * 4300 + "e1", "1e" + "0" * 4301])
+    def test_past_the_limit_refused(self, text):
+        with pytest.raises(ParseError, match=r"more than 4300 digits$"):
+            cli._parse_rational(text, "x")
+
+    def test_budget_error_past_the_str_limit_prints(self, capsys):
+        # epsilon = 10^-4000 makes the power's exponent a 4001-digit
+        # numerator; the budget error gives its size and exits 4
+        code, out = run_cli("bounds", "thm2", "--p", "10", "--q", "6", "--d", "2",
+                            "--epsilon", "1e-4000", capsys=capsys)
+        assert code == EXIT_BUDGET and len(out.encode()) < 200
+        assert json.loads(out)["error"]["type"] == "BudgetExceededError"
 
 
 class TestBoundsCommand:

@@ -1,5 +1,6 @@
 """Generator constructions and their closed-form properties."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -113,6 +114,22 @@ class TestRandomFamilies:
         spec = GeneratorSpec("random_intervals", n=3, seed=0)
         with pytest.raises(BudgetExceededError):
             sample_until(spec, lambda fam: False, max_tries=5)
+
+    def test_filtered_sampling_returns_the_first_accepted_seed(self):
+        # seeds 7, 8, 9, ... are drawn in turn, and the first family the
+        # predicate accepts is returned
+        spec = GeneratorSpec("random_intervals", n=4, seed=7)
+        seen = []
+        F = sample_until(spec, lambda fam: seen.append(fam) or len(seen) == 3, max_tries=5)
+        assert seen == [random_family(replace(spec, seed=seed)) for seed in (7, 8, 9)]
+        assert F == seen[-1]
+
+    def test_filtered_sampling_budget_counts_tries(self):
+        spec = GeneratorSpec("random_polygons", n=3, seed=11)
+        seen = []
+        with pytest.raises(BudgetExceededError, match="^no accepted family within 4 tries from seed 11$"):
+            sample_until(spec, lambda fam: seen.append(fam), max_tries=4)
+        assert seen == [random_family(replace(spec, seed=seed)) for seed in range(11, 15)]
 
     @pytest.mark.parametrize("seed", [None, True, 1.0, "1"])
     def test_seed_must_be_int(self, seed):

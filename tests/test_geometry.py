@@ -18,7 +18,6 @@ from pqpierce.geometry import (
     Point,
     _homogeneous,
     bodies_meet,
-    clip_polygon,
     convex_hull,
     intersect_bodies,
     lexmax_body,
@@ -28,7 +27,7 @@ from pqpierce.geometry import (
     separating_line,
 )
 
-from conftest import box, dot, fraction_bisector, fraction_hull
+from conftest import box, clip, dot, fraction_bisector, fraction_hull, line_through
 
 
 coords = st.integers(min_value=-8, max_value=8)
@@ -280,7 +279,7 @@ def polygon_trace(body, line):
     sides of the line as polygons, then each vertex projected."""
     if not line_meets_body(line, body):
         return None
-    trace = clip_polygon(clip_polygon(body, line.a, line.b, line.c), -line.a, -line.b, -line.c)
+    trace = clip(clip(body, line.a, line.b, line.c), -line.a, -line.b, -line.c)
     base, direction = line.some_point(), line.direction()
     scale = dot(direction, direction)
     ts = [dot(v - base, direction) / scale for v in trace.vertices]
@@ -308,7 +307,7 @@ class TestLineTrace:
     @settings(max_examples=100, deadline=None)
     def test_points_and_segments(self, body, data):
         vertex = data.draw(st.sampled_from(body.vertices))
-        line = Line.from_point_direction(vertex, data.draw(directions))
+        line = line_through(vertex, data.draw(directions))
         assert line_trace(body, line) == polygon_trace(body, line) is not None
 
     @given(polygons(), st.data())
@@ -316,10 +315,10 @@ class TestLineTrace:
     def test_lines_through_a_vertex_along_an_edge_and_missing(self, body, data):
         i = data.draw(st.integers(0, len(body.vertices) - 1))
         u, w = body.vertices[i - 1], body.vertices[i]
-        through = Line.from_point_direction(w, data.draw(directions))
+        through = line_through(w, data.draw(directions))
         cases = [through, Line(through.a, through.b, through.c + 1000)]
         if u != w:
-            cases.append(Line.from_point_direction(u, w - u))
+            cases.append(line_through(u, w - u))
         for line in cases:
             assert line_trace(body, line) == polygon_trace(body, line)
         assert line_trace(body, cases[0]) is not None
@@ -490,19 +489,19 @@ class TestClipAgainstHullRebuild:
             body = ConvexPolygon(hull)
             for a, b, c in lines_for(rng, hull, radius):
                 want = hull_rebuild_clip(hull, a, b, c)
-                got = clip_polygon(body, a, b, c)
+                got = clip(body, a, b, c)
                 assert (got.vertices if got is not None else None) == want, (hull, a, b, c)
         assert min(sizes.values()) >= 30  # points, segments and polygons all drawn
 
     def test_unchanged_when_nothing_outside(self):
         tri = ConvexPolygon.from_points([pt(0, 0), pt(4, 0), pt(0, 4)])
-        assert clip_polygon(tri, 1, 1, 4).vertices == tri.vertices
-        assert clip_polygon(tri, 1, 1, -1) is None
+        assert clip(tri, 1, 1, 4).vertices == tri.vertices
+        assert clip(tri, 1, 1, -1) is None
 
     def test_edge_on_line_keeps_that_edge(self):
         tri = ConvexPolygon.from_points([pt(0, 0), pt(4, 0), pt(0, 4)])
-        assert clip_polygon(tri, 0, 1, 0).vertices == (pt(0, 0), pt(4, 0))
-        assert clip_polygon(tri, -1, 0, -4).vertices == (pt(4, 0),)
+        assert clip(tri, 0, 1, 0).vertices == (pt(0, 0), pt(4, 0))
+        assert clip(tri, -1, 0, -4).vertices == (pt(4, 0),)
 
 
 class TestLinearCanonicalCheck:
@@ -616,7 +615,7 @@ class TestIntegerKernelAgainstFractionOracles:
         kind = data.draw(st.sampled_from(KINDS))
         hull = data.draw(hull_of(kind))
         a, b, c = data.draw(halfplane_for(hull, kind))
-        assert vertices_or_none(clip_polygon(ConvexPolygon(hull), a, b, c)) == \
+        assert vertices_or_none(clip(ConvexPolygon(hull), a, b, c)) == \
             fraction_clip_halfplane(hull, a, b, c)
 
     @given(st.data())
@@ -699,7 +698,7 @@ class TestBodiesMeet:
         kind = data.draw(st.sampled_from(KINDS))
         bodies = [ConvexPolygon(data.draw(hull_of(kind))) for _ in range(data.draw(st.integers(1, 3)))]
         # a part of a body cut off through one of its vertices meets it
-        cut = clip_polygon(bodies[0], *data.draw(halfplane_for(bodies[0].vertices, kind)))
+        cut = clip(bodies[0], *data.draw(halfplane_for(bodies[0].vertices, kind)))
         bodies += [cut] if cut is not None else []
         bodies += data.draw(st.lists(st.sampled_from(bodies), max_size=2))
         bodies = data.draw(st.permutations(bodies))
@@ -739,7 +738,7 @@ class TestIntegerForm:
         kind = data.draw(st.sampled_from(KINDS))
         body = ConvexPolygon(data.draw(hull_of(kind)))
         assert_primitive_form(body)
-        clipped = clip_polygon(body, *data.draw(halfplane_for(body.vertices, kind)))
+        clipped = clip(body, *data.draw(halfplane_for(body.vertices, kind)))
         if clipped is not None:
             assert_primitive_form(clipped)
             assert clipped == ConvexPolygon(clipped.vertices)

@@ -23,6 +23,7 @@ from pqpierce.geometry import (
     _homogeneous,
     body_contains_point,
     intersect_bodies,
+    Point,
     lexmax_body,
     line_meets_body,
     pt,
@@ -43,6 +44,7 @@ from conftest import (
     box,
     brute_pair_regions,
     exhaustive_candidate_points,
+    fraction_ms_line,
     frozenset_branch_and_bound,
     intervals,
     point_candidate_points,
@@ -354,6 +356,21 @@ class TestMsLine:
         min_piercing(F)
         assert len(clip_calls) == comb(5, 2)
 
+    def test_meeting_branch_makes_only_the_answer_point(self, monkeypatch):
+        # with the pair regions built, the branch makes no polygon, and
+        # no Fraction but the two coordinates of the x0 it returns
+        F = Family.of([box(-1, -2, 1, 1), box(0, -1, 2, 2), box(-3, 0, 0, 1),
+                       box(-1, -1, 0, 0), box(0, 0, 3, 3)])
+        assert len(F.pair_regions) == comb(5, 2)
+        fractions, polygons = [], []
+        new, check = Fraction.__new__, ConvexPolygon.__post_init__
+        monkeypatch.setattr(Fraction, "__new__",
+                            lambda cls, *args, **kwargs: fractions.append(args) or new(cls, *args, **kwargs))
+        monkeypatch.setattr(ConvexPolygon, "__post_init__", lambda poly: polygons.append(poly) or check(poly))
+        witness = ms_line(F)
+        assert (fractions, polygons) == ([(0, 1), (0, 1)], [])
+        assert witness.x0 == pt(0, 0)
+
     @staticmethod
     def degenerate_corpus():
         """Pairwise-meeting families of points, segments and bodies that
@@ -397,6 +414,77 @@ class TestMsLine:
     def test_pair_regions_on_degenerate_corpus(self):
         for F in self.degenerate_corpus():
             assert list(F.pair_regions.items()) == list(brute_pair_regions(F).items())
+
+
+def quadrant_body(rng, cx, cy, r):
+    """The hull of an integer point in each open quadrant around (cx, cy),
+    each at most r from it along each axis, and maybe one more such point:
+    (cx, cy) lies inside."""
+    signs = [(1, 1), (-1, 1), (-1, -1), (1, -1)]
+    signs += rng.sample(signs, rng.randint(0, 1))
+    return ConvexPolygon.from_points(
+        [pt(cx + sx * rng.randint(1, r), cy + sy * rng.randint(1, r)) for sx, sy in signs])
+
+
+def witness_corpus():
+    """2,967 families, 1,153 of them pairwise meeting: seven bodies through
+    one point, four clusters of two bodies 40 apart, random polygon
+    families of spans 3, 5 and 12, and the degenerate corpus."""
+    rng = random.Random(26)
+    for _ in range(400):
+        cx, cy = rng.randint(-3, 3), rng.randint(-3, 3)
+        yield Family.of([quadrant_body(rng, cx, cy, 14) for _ in range(7)])
+    for _ in range(200):
+        yield Family.of([quadrant_body(rng, 40 * (c % 3) + rng.randint(-8, 8),
+                                       40 * (c // 3) + rng.randint(-8, 8), 14)
+                         for c in range(4) for _ in range(2)])
+    for span in (3, 5, 12):
+        for seed in range(600):
+            yield random_family(GeneratorSpec("random_polygons", n=6, seed=seed, span=span))
+    yield from TestMsLine.degenerate_corpus()
+
+
+#: coordinates for the witness cross-check: small integers, and values
+#: within 40 of 2^64 over denominators up to 7
+SMALL = st.integers(-4, 4).map(Fraction)
+NEAR_2_64 = st.builds(lambda k, d: 2 ** 64 + Fraction(k, d), st.integers(-40, 40), st.integers(1, 7))
+
+
+@st.composite
+def mostly_meeting_families(draw):
+    """Two to five bodies of one to four points, so points and segments
+    among them; most hold one shared point, so most families take the
+    all-pairs-meet branch."""
+    kind = draw(st.sampled_from((SMALL, NEAR_2_64, st.one_of(SMALL, NEAR_2_64))))
+    shared = draw(st.builds(Point, kind, kind))
+    bodies = []
+    for _ in range(draw(st.integers(2, 5))):
+        points = draw(st.lists(st.builds(Point, kind, kind), max_size=3))
+        if not points or draw(st.integers(0, 4)):
+            points.append(shared)
+        bodies.append(ConvexPolygon.from_points(points))
+    return Family.of(bodies)
+
+
+class TestMsLineAgainstFractionBranch:
+    """The integer branch returns the witness, repr for repr, that the
+    Fraction branch it replaced returned."""
+
+    def test_corpus(self):
+        count = meeting = 0
+        for F in witness_corpus():
+            witness = ms_line(F)
+            assert repr(witness) == repr(fraction_ms_line(F))
+            count += 1
+            meeting += witness.x0 is not None
+        assert (count, meeting) == (2967, 1153)
+
+    @given(mostly_meeting_families())
+    @settings(max_examples=150, deadline=None)
+    def test_points_segments_and_coordinates_near_2_64(self, F):
+        witness = ms_line(F)
+        assert repr(witness) == repr(fraction_ms_line(F))
+        assert_witness(F, witness)
 
 
 class TestLinePierce:
