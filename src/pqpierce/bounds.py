@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, isqrt, log2
 
-from .errors import ArityError, BudgetExceededError
+from .errors import ArityError, BudgetExceededError, _number
 
 #: Attached whenever a result relies on an asymptotic hypothesis whose
 #: explicit constant is unknown.
@@ -123,7 +123,7 @@ def ceil_power(p: int, exponent: Fraction) -> int:
     integers (m >= p^(a/b) iff m^b >= p^a).  Raises BudgetExceededError
     when p^a has more than :data:`POWER_BIT_BUDGET` bits."""
     if p < 1 or exponent < 0:
-        raise ArityError(f"need p >= 1 and exponent >= 0, got p={p}, e={exponent}")
+        raise ArityError(f"need p >= 1 and exponent >= 0, got p={_number(p)}, e={_number(exponent)}")
     num, den = exponent.numerator, exponent.denominator
     # p^a has over num * (p.bit_length() - 1) bits, so it is built only
     # when it has at most twice the budget's bits
@@ -138,7 +138,7 @@ def ceil_power(p: int, exponent: Fraction) -> int:
 def _regime_m(p: int, d: int, epsilon) -> int:
     """M = ceil(p^((d-1)/d + epsilon)), the edge of Theorem 2's regime."""
     if (epsilon := Fraction(epsilon)) <= 0:
-        raise ArityError(f"epsilon must be positive, got {epsilon}")
+        raise ArityError(f"epsilon must be positive, got {_number(epsilon)}")
     return ceil_power(p, Fraction(d - 1, d) + epsilon)
 
 

@@ -29,11 +29,13 @@ from . import family as familymod
 from . import generators as genmod
 from . import piercing as piercingmod
 from .errors import (
+    SHOWN,  # the length _shown cuts a value to, read as cli.SHOWN
     ArityError,
     BudgetExceededError,
     DimensionMismatchError,
     ParseError,
     PremiseViolationError,
+    _shown,
 )
 from .family import Family
 from .geometry import ConvexPolygon, Interval, Line, Point
@@ -75,19 +77,6 @@ CSV_COLUMNS = [
 # ---------------------------------------------------------------------------
 # FamilyDocument serialization
 # ---------------------------------------------------------------------------
-
-#: the most characters of a rejected value, or of a message that repeats
-#: it, that an error shows
-SHOWN = 50
-
-
-def _shown(value, show=repr) -> str:
-    """A rejected value in a message: a list or an object by its type,
-    anything else by ``show``, cut to SHOWN characters and "...", so that
-    the message stays short."""
-    text = type(value).__name__ if isinstance(value, (list, dict)) else show(value)
-    return text if len(text) <= SHOWN else text[:SHOWN] + "..."
-
 
 #: the most digits of a value read by Fraction, CPython's limit on plain
 #: numerals; Fraction's exponent form (integer digits, fraction digits,
@@ -327,8 +316,6 @@ def _spec_from_args(args) -> genmod.GeneratorSpec:
         for name, value in raw.items():
             if name != "kind" and type(value) is not int:
                 raise ParseError(f"spec field {name} must be an int, got {_shown(value)}")
-        if type(raw["kind"]) is not str or raw["kind"] not in genmod.KINDS:
-            raise ArityError(f"unknown generator kind {_shown(raw['kind'])}")
         return genmod.GeneratorSpec(**raw)
     if args.kind is None:
         raise ArityError("generate requires a kind or --spec-json")

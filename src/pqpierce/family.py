@@ -4,9 +4,11 @@ A family is an ordered multiset of same-dimension bodies; duplicates are
 distinct members (index identity), which the extremal constructions rely
 on.  Each family holds one lazy nerve, one memo of pair and triple
 flags, Helly cliques.  A pair is clipped when first asked for and its
-region kept (:attr:`Family.pair_regions` is the all-pairs view); a
-triple's flag is the meet test of a kept pair region with the third
-body, which clips but builds no region.  By Helly's theorem a subfamily
+region kept (:attr:`Family.pair_regions` is the all-pairs view).  A
+triple meets exactly when its three pairs meet and no halfplane of the
+third body holds the first two's region strictly outside, so its flag
+reads two pair flags and tests the kept region's vertices against the
+third body's halfplanes, with no clip.  By Helly's theorem a subfamily
 of three or more planar bodies meets exactly when each of its triples
 does, so every larger subfamily is read off the memoised flags, with no
 geometry.  In 1D every answer depends only on the order of the
@@ -55,22 +57,25 @@ from functools import cached_property, lru_cache
 from math import comb, lcm
 
 from .errors import ArityError, BudgetExceededError, DimensionMismatchError
-from .geometry import (ConvexBody, Line, _contains_hom, _lexmax, _point, bodies_meet, intersect_bodies,
-                       line_trace)
+from .geometry import (ConvexBody, Line, _contains_hom, _lexmax, _pair_region_meets, _point,
+                       intersect_bodies, line_trace)
 
 #: Hard cap on C(n,p) * C(p,q) aggregation work per query.
 DEFAULT_WORK_BUDGET = 5_000_000
 
 
 class _Nerve:
-    """The pair regions and triple flags of one family, each asked of the
-    kernel once, when first needed, in one memo: ``memo[i, j]`` holds the
-    region of the pair i < j, or None when it misses, and ``memo[i, j, k]``
-    whether that pair's region meets body k, i < j < k.  ``root`` is the
-    mask of the n bodies, each of which meets on its own."""
+    """The pair regions and triple flags of one family, each decided once,
+    when first needed, in one memo: ``memo[i, j]`` holds the region of the
+    pair i < j, clipped by the kernel, or None when it misses, and
+    ``memo[i, j, k]`` whether that pair's region meets body k, i < j < k,
+    read off the pairs (i, k) and (j, k) and, in 2D, the one-sided test
+    ``_pair_region_meets``.  ``root`` is the mask of the n bodies, each of
+    which meets on its own."""
 
     def __init__(self, bodies):
         self.bodies, self.n, self.root = bodies, len(bodies), (1 << len(bodies)) - 1
+        self.dimension = bodies[0].dimension
         self.memo: dict[tuple[int, ...], object] = {}
 
     def pair(self, i: int, j: int):
@@ -83,12 +88,17 @@ class _Nerve:
         """Whether the intersecting subfamily ``chosen`` plus k, past all
         its members, meets.  By Helly it does when k meets chosen's first
         member and each pair of chosen's members meets k, asked for in
-        that order up to the first miss."""
+        that order up to the first miss.  The pair i, j meets k when k
+        meets i and j and, in 2D, no halfplane of k holds the region of
+        i and j strictly outside (Helly alone in 1D); the pairs are asked
+        first, so a missing one settles the flag with no test."""
         if chosen and self.pair(chosen[0], k) is None:
             return False
         for i, j in itertools.combinations(chosen, 2):
             if (i, j, k) not in self.memo:
-                self.memo[i, j, k] = bodies_meet([self.pair(i, j), self.bodies[k]])
+                self.memo[i, j, k] = (self.pair(i, k) is not None and self.pair(j, k) is not None
+                                      and (self.dimension == 1
+                                           or _pair_region_meets(self.pair(i, j), self.bodies[k])))
             if not self.memo[i, j, k]:
                 return False
         return True

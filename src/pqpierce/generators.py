@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ArityError, BudgetExceededError
+from .errors import ArityError, BudgetExceededError, _number, _shown
 from .family import Family
 from .geometry import ConvexPolygon, Interval, Point
 
@@ -44,19 +44,19 @@ class GeneratorSpec:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ArityError(f"unknown generator kind {self.kind!r}")
+            raise ArityError(f"unknown generator kind {_shown(self.kind)}")
         # random.Random(None) would seed from the OS, a new family per call
         if type(self.seed) is not int:
-            raise ArityError(f"seed must be an int, got {self.seed!r}")
+            raise ArityError(f"seed must be an int, got {_shown(self.seed)}")
         if self.grid < 1:  # coordinates are multiples of 1/grid
-            raise ArityError(f"grid must be >= 1, got {self.grid}")
+            raise ArityError(f"grid must be >= 1, got {_number(self.grid)}")
         # the least value of each range a random kind draws from
         lows = {"random_intervals": {"span": 0, "extent": 1},
                 "random_polygons": {"span": 0, "extent": 0, "min_vertices": 1,
                                     "max_vertices": self.min_vertices}}
         for name, low in lows.get(self.kind, {}).items():
             if getattr(self, name) < low:
-                raise ArityError(f"{name} must be >= {low}, got {getattr(self, name)}")
+                raise ArityError(f"{name} must be >= {low}, got {_number(getattr(self, name))}")
 
 
 def extremal_dim1(p: int, k: int) -> Family:

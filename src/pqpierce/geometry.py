@@ -22,10 +22,14 @@ lines, so coordinates do not grow along a chain of clips.
 A caller asks only for what it reads.  `intersect_bodies` returns the
 common region; `bodies_meet` runs the same chain of clips and only says
 whether it ends nonempty, so a yes-or-no question builds no polygon.  A
-polygon's lexmax (`_lexmax`), membership (`_contains_hom`) and one
-halfplane clip (`_clip_halfplane`) also work on vertex triples, so the
-2D candidate-point scan and the line lemma's witness search of the
-layers above make a `Point` only for the point they return.
+nerve's triple flag clips nothing: `_pair_region_meets` decides whether
+the region of a meeting pair meets a body that meets both members by the
+body's halfplanes alone, each against the region's vertices, a one-sided
+separating axis test.  A polygon's lexmax (`_lexmax`), membership
+(`_contains_hom`) and one halfplane clip (`_clip_halfplane`) also work on
+vertex triples, so the 2D candidate-point scan and the line lemma's
+witness search of the layers above make a `Point` only for the point
+they return.
 
 Degenerate convex polygons are first class: a single point has one vertex,
 a segment has two.  Intersections clip one halfplane at a time in a single
@@ -405,6 +409,42 @@ def bodies_meet(bodies: Sequence[ConvexBody]) -> bool:
     if _dimension(bodies) == 1:
         return max(body.lo for body in bodies) <= min(body.hi for body in bodies)
     return _clip_chain(bodies) is not None
+
+
+def _pair_region_meets(region: ConvexPolygon, body: ConvexPolygon) -> bool:
+    """Whether R = A∩B, the region of a meeting pair, meets a body C that
+    meets both A and B: exactly when no halfplane of ``C._planes`` has
+    every vertex of R strictly outside it.  Nothing is clipped and no
+    polygon is made; each halfplane stops at the first vertex of R that is
+    not strictly outside it.
+
+    Proof.  A halfplane of C with R strictly outside separates the two.
+    Conversely, let R and C be disjoint, so that D = R - C, the set of
+    differences, misses the origin.  If D is two-dimensional, each of its
+    edges is parallel to an edge of R or of C (a segment's two edges are
+    its two sides), and one of them has the origin strictly outside: an
+    edge halfplane of R holds C strictly outside, or one of C holds R.
+    The first cannot be.  An edge of R lies on an edge of A or of B, and a
+    segment R lies on a line that A and B touch from its two sides, or in
+    one of them that is a segment; so each edge halfplane of R contains A
+    or B, and C meets both.  If D is a segment or a point, R and C are
+    points or parallel segments.  On two distinct lines, the side of R's
+    line away from C would again be an edge halfplane of R, so R is a
+    point, C is a segment, and the side of C's line away from R holds R
+    strictly outside.  On one line, R lies strictly to one side of C along
+    it, and C's end there, or for a point C the halfplane x <= x_C,
+    x >= x_C, y <= y_C or y >= y_C across a coordinate that changes along
+    the line, holds R strictly outside; ``_planes`` gives a point or a
+    segment exactly these four halfplanes.
+    """
+    hom = region._hom
+    for a, b, c in body._planes:
+        for X, Y, W in hom:
+            if a * X + b * Y <= c * W:
+                break
+        else:
+            return False
+    return True
 
 
 def _lexmax(hom: tuple[Homogeneous, ...]) -> Homogeneous:

@@ -210,6 +210,49 @@ def intersecting_subfamilies(F: Family, sizes: range):
                     stack.append((chosen + (i,), sub))
 
 
+def lattice_hulls(width: int, height: int) -> list[ConvexPolygon]:
+    """The distinct hulls of the nonempty sets of points of a width by
+    height integer grid, in the order first met: points, segments and
+    polygons that touch, share edges and nest (48 for 2 by 3, 213 for
+    3 by 3)."""
+    grid = [pt(x, y) for x in range(width) for y in range(height)]
+    hulls = {}
+    for size in range(1, len(grid) + 1):
+        for points in itertools.combinations(grid, size):
+            body = ConvexPolygon.from_points(points)
+            hulls.setdefault(body, body)
+    return list(hulls)
+
+
+def check_triple_flags(hulls) -> tuple[int, int]:
+    """Check ``geometry._pair_region_meets`` and the nerve's triple flags
+    against the clip chain on the hulls: for every pair a <= b whose
+    region R meets and every c, R meets hull c as
+    ``intersect_bodies([A, B, C])`` says whenever C meets A and B, and for
+    a < b < c the flag ``fits`` gives, premises included, is that answer.
+    Returns the pairwise-meeting triples (a, b, c), a <= b, and how many
+    of them miss."""
+    n = len(hulls)
+    nerve = Family.of(hulls)._nerve
+    meets = [[intersect_bodies([A, B]) is not None for B in hulls] for A in hulls]
+    checked = missed = 0
+    for a, b in itertools.combinations_with_replacement(range(n), 2):
+        region = intersect_bodies([hulls[a], hulls[b]])
+        if region is None:
+            continue
+        for c in range(n):
+            pairwise = meets[a][c] and meets[b][c]
+            want = pairwise and intersect_bodies([hulls[a], hulls[b], hulls[c]]) is not None
+            if pairwise:
+                assert geometry._pair_region_meets(region, hulls[c]) == want, (a, b, c)
+                checked += 1
+                missed += not want
+            if a < b < c:
+                assert nerve.fits((a, b), c) == want, (a, b, c)
+                nerve.memo.pop((a, b, c), None)  # the memo keeps pairs only
+    return checked, missed
+
+
 def exhaustive_candidate_points(F: Family) -> list:
     """Lexmax of the intersection of every intersecting subfamily; the
     unreduced candidate set used to validate the pair reduction."""
@@ -611,19 +654,23 @@ def polygon_families(draw, max_size=8):
 
 @pytest.fixture
 def clip_calls(monkeypatch):
-    """Every intersect_bodies and bodies_meet call made through the names
-    the program imports, counted: the geometry questions asked, whether
-    the answer is a region or a flag."""
+    """Every intersect_bodies, bodies_meet and _pair_region_meets call made
+    through the names the program imports, counted by the bodies it asks
+    about: the geometry questions asked, whether the answer is a region or
+    a flag."""
     calls = []
 
     def counting(kernel):
-        def counted(bodies):
-            calls.append(len(bodies))
-            return kernel(bodies)
+        def counted(*args):
+            # a list of bodies, or a pair region and a third body
+            calls.append(len(args[0]) if len(args) == 1 else len(args))
+            return kernel(*args)
         return counted
 
+    # taken before any patch: a wrapper's __name__ is "counted"
+    kernels = (intersect_bodies, bodies_meet, geometry._pair_region_meets)
     for module in (geometry, familymod, piercingmod):
-        for kernel in (intersect_bodies, bodies_meet):
+        for kernel in kernels:
             if hasattr(module, kernel.__name__):
                 monkeypatch.setattr(module, kernel.__name__, counting(kernel))
     return calls

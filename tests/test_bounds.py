@@ -189,6 +189,27 @@ class TestCeilPower:
                                   f"{a.bit_length()} bits, past the budget of 1048576 bits")
         assert len(str(got.value)) < 200
 
+    def test_arity_messages_past_the_str_limit(self):
+        # a negative exponent or epsilon over a 5001-digit denominator is
+        # refused by its bit lengths, not by the int-to-str ValueError;
+        # short values keep their exact messages
+        den = 10 ** 5000
+        cases = (
+            (lambda: ceil_power(10, Fraction(-den - 1, den // 10)),
+             "need p >= 1 and exponent >= 0, got p=10, "
+             f"e=a negative rational of {(den + 1).bit_length()} bits over {(den // 10).bit_length()} bits"),
+            (lambda: ceil_power(-den, Fraction(1)),
+             f"need p >= 1 and exponent >= 0, got p=a negative number of {den.bit_length()} bits, e=1"),
+            (lambda: thm2_threshold(10, 6, 2, Fraction(-1, den)),
+             f"epsilon must be positive, got a negative rational of 1 bits over {den.bit_length()} bits"),
+            (lambda: ceil_power(10, Fraction(-1, 3)), "need p >= 1 and exponent >= 0, got p=10, e=-1/3"),
+            (lambda: thm2_threshold(10, 6, 2, Fraction(-1, 7)), "epsilon must be positive, got -1/7"),
+        )
+        for call, message in cases:
+            with pytest.raises(ArityError) as got:
+                call()
+            assert str(got.value) == message
+
     def test_root_of_a_long_power(self):
         # the root's start comes from a float estimate, so the Newton
         # steps are few however large the root's degree

@@ -155,6 +155,22 @@ class TestRandomFamilies:
         assert len(random_family(GeneratorSpec("extremal_dim1", p=4, k=0, span=-1))) == 4
         GeneratorSpec("random_intervals", n=3, min_vertices=0, max_vertices=-1)
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"kind": "x" * 5000}, "unknown generator kind '" + "x" * 49 + "..."),
+        ({"kind": 10 ** 5000}, f"unknown generator kind a number of {(10 ** 5000).bit_length()} bits"),
+        ({"kind": "random_intervals", "seed": "1" * 5000}, "seed must be an int, got '" + "1" * 49 + "..."),
+        ({"kind": "random_intervals", "grid": -10 ** 5000},
+         f"grid must be >= 1, got a negative number of {(10 ** 5000).bit_length()} bits"),
+        ({"kind": "random_polygons", "span": -10 ** 5000},
+         f"span must be >= 0, got a negative number of {(10 ** 5000).bit_length()} bits"),
+        ({"kind": "mystery"}, "unknown generator kind 'mystery'"),
+        ({"kind": "random_intervals", "seed": "1"}, "seed must be an int, got '1'"),
+    ])
+    def test_long_values_are_cut(self, fields, message):
+        with pytest.raises(ArityError) as got:
+            GeneratorSpec(**fields)
+        assert str(got.value) == message
+
     def test_unknown_kind(self):
         with pytest.raises(ArityError):
             GeneratorSpec("mystery")

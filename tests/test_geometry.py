@@ -17,6 +17,7 @@ from pqpierce.geometry import (
     Line,
     Point,
     _homogeneous,
+    _pair_region_meets,
     bodies_meet,
     convex_hull,
     intersect_bodies,
@@ -27,7 +28,8 @@ from pqpierce.geometry import (
     separating_line,
 )
 
-from conftest import box, clip, dot, fraction_bisector, fraction_hull, line_through
+from conftest import (box, check_triple_flags, clip, dot, fraction_bisector, fraction_hull, lattice_hulls,
+                      line_through)
 
 
 coords = st.integers(min_value=-8, max_value=8)
@@ -720,6 +722,54 @@ class TestBodiesMeet:
         assert not bodies_meet([square, point]) and not bodies_meet([square, segment, point])
         assert bodies_meet([Interval(0, 1), Interval(1, 2)])
         assert not bodies_meet([Interval(0, 1), Interval(Fraction(3, 2), 2)])
+
+
+@st.composite
+def pairwise_meeting(draw, kind):
+    """Three hulls A, B, C that meet pairwise: each holds the points it
+    shares with the other two, drawn like the vertices, and up to two
+    points of its own.  A shared point is often a copy of another, so
+    points, segments, touching bodies and common points are frequent."""
+    shared: list[Point] = []
+    for _ in range(3):
+        copy = shared and draw(st.booleans())
+        shared.append(draw(st.sampled_from(shared)) if copy else Point(draw(kind), draw(kind)))
+    ab, ac, bc = shared
+    own = st.lists(st.builds(Point, kind, kind), max_size=2)
+    return [ConvexPolygon.from_points([u, w] + draw(own)) for u, w in ((ab, ac), (ab, bc), (ac, bc))]
+
+
+class TestPairRegionMeets:
+    """``_pair_region_meets(A∩B, C)``, which tests only C's halfplanes
+    against the pair region's vertices, says what the clip chain says of
+    A, B and C whenever C meets A and B."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_pairwise_meeting_triples(self, data):
+        kind = data.draw(st.sampled_from(KINDS))
+        A, B, C = data.draw(pairwise_meeting(kind))
+        region = intersect_bodies([A, B])
+        assert _pair_region_meets(region, C) == (intersect_bodies([A, B, C]) is not None)
+
+    def test_every_lattice_triple(self):
+        """Every pairwise-meeting triple of the 48 lattice hulls of a 2 by 3
+        grid, and every nerve flag among them; tests/exhaustive_2d_triples.py
+        runs the 3 by 3 grid."""
+        assert check_triple_flags(lattice_hulls(2, 3)) == (36580, 3624)
+
+    def test_the_pair_premise_is_needed(self):
+        """C touches A at (1, 1) and misses B.  Only the region's own edge
+        on x = y/2, an edge of B, holds C strictly outside, and no halfplane
+        of C holds the region outside: the test alone says they meet, and
+        the nerve's flag is false because the pair B, C misses."""
+        A = ConvexPolygon.from_points([pt(0, 0), pt(1, 1), pt(0, 1)])
+        B = ConvexPolygon.from_points([pt(0, 0), pt(1, 2), pt(0, 1)])
+        C = ConvexPolygon.from_points([pt(1, 1), pt(2, 1), pt(2, 2)])
+        assert intersect_bodies([A, B, C]) is None and intersect_bodies([B, C]) is None
+        assert _pair_region_meets(intersect_bodies([A, B]), C)
+        assert not Family.of([A, B, C])._nerve.fits((0, 1), 2)
+        assert f_vector(Family.of([A, B, C])) == (3, 2, 0)
 
 
 def assert_primitive_form(body):

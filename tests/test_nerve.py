@@ -237,14 +237,14 @@ def meeting(seed):
 
 #: query -> (family maker, query, its clips on the families of seeds 0-5)
 CLIP_PINS = {
-    "max_r": (dense, lambda F: max_r(F, 5, 3), [39, 43, 31, 41, 39, 51]),
-    "count": (dense, lambda F: count_intersecting_qtuples(F, 4), [33, 42, 27, 37, 34, 50]),
-    "f_vector": (dense, f_vector, [40, 44, 33, 42, 41, 52]),
+    "max_r": (dense, lambda F: max_r(F, 5, 3), [37, 43, 28, 41, 33, 51]),
+    "count": (dense, lambda F: count_intersecting_qtuples(F, 4), [34, 43, 27, 39, 30, 51]),
+    "f_vector": (dense, f_vector, [37, 43, 29, 41, 33, 51]),
     "degeneracy": (dense, degeneracy_level, [21] * 6),
     "min_piercing": (dense, min_piercing, [21] * 6),
     "ms_line_sparse": (sparse, ms_line, [10, 8, 7, 8, 9, 9]),
     "ms_line_meeting": (meeting, ms_line, [21] * 6),
-    "satisfies_pqr": (dense, lambda F: satisfies_pqr(F, len(F), len(F) - 1, 1), [12, 5, 5, 33, 10, 43]),
+    "satisfies_pqr": (dense, lambda F: satisfies_pqr(F, len(F), len(F) - 1, 1), [14, 5, 5, 37, 10, 48]),
 }
 
 
