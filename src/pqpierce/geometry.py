@@ -19,14 +19,15 @@ document gives them) never passes through `Fraction`.  Each new vertex of
 a clip is the primitive form of the meeting point of two input edge
 lines, so coordinates do not grow along a chain of clips.
 
-A caller asks only for what it reads.  `intersect_bodies` returns the
-common region; `bodies_meet` runs the same chain of clips and only says
-whether it ends nonempty, so a yes-or-no question builds no polygon.  A
-nerve's triple flag clips nothing: `_pair_region_meets` decides whether
-the region of a meeting pair meets a body that meets both members by the
-body's halfplanes alone, each against the region's vertices, a one-sided
-separating axis test.  A polygon's lexmax (`_lexmax`), membership
-(`_contains_hom`) and one halfplane clip (`_clip_halfplane`) also work on
+A caller asks only for what it reads, and each 2D question has one way
+in.  A region is `intersect_bodies`, the one chain of clips, which stops
+at the first empty clip and so builds no polygon for bodies that miss.
+A nerve's triple flag clips nothing: `_pair_region_meets` decides
+whether the region of a meeting pair meets a body that meets both
+members by the body's halfplanes alone, each against the region's
+vertices, a one-sided separating axis test.  A point is `_contains_hom`,
+and a line is `line_meets_body` or `line_trace`.  These, a polygon's
+lexmax (`_lexmax`) and one halfplane clip (`_clip_halfplane`) work on
 vertex triples, so the 2D candidate-point scan and the line lemma's
 witness search of the layers above make a `Point` only for the point
 they return.
@@ -363,52 +364,32 @@ def _clip_halfplane(
     return tuple(kept)
 
 
-def _dimension(bodies: Sequence[ConvexBody]) -> int:
-    """The one dimension the bodies share; raises if there is none."""
+def intersect_bodies(bodies: Sequence[ConvexBody]) -> Optional[ConvexBody]:
+    """Exact common intersection of the bodies, or None when empty.
+
+    All bodies must share one dimension.  In 2D the result is computed by
+    successively clipping the first body with every supporting halfplane
+    of the others, stopping at the first empty clip, so a caller that
+    only asks whether the bodies meet gets None before any polygon is
+    built.
+    """
+    bodies = list(bodies)
     if not bodies:
         raise ValueError("need at least one body")
     dims = {body.dimension for body in bodies}
     if len(dims) != 1:
         raise DimensionMismatchError(f"mixed dimensions: {sorted(dims)}")
-    return dims.pop()
-
-
-def _clip_chain(bodies: Sequence[ConvexPolygon]) -> Optional[tuple[Homogeneous, ...]]:
-    """The vertex triples of the common part of the polygons, or None when
-    it is empty: the first body clipped with every supporting halfplane of
-    the others, stopping at the first empty clip."""
+    if dims == {1}:
+        lo = max(body.lo for body in bodies)
+        hi = min(body.hi for body in bodies)
+        return Interval(lo, hi) if lo <= hi else None
     verts = bodies[0]._hom
     for body in bodies[1:]:
         for a, b, c in body._planes:
             verts = _clip_halfplane(verts, a, b, c)
             if verts is None:
                 return None
-    return verts
-
-
-def intersect_bodies(bodies: Sequence[ConvexBody]) -> Optional[ConvexBody]:
-    """Exact common intersection of the bodies, or None when empty.
-
-    All bodies must share one dimension.  In 2D the result is computed by
-    successively clipping the first body with every supporting halfplane
-    of the others.
-    """
-    bodies = list(bodies)
-    if _dimension(bodies) == 1:
-        lo = max(body.lo for body in bodies)
-        hi = min(body.hi for body in bodies)
-        return Interval(lo, hi) if lo <= hi else None
-    verts = _clip_chain(bodies)
-    return None if verts is None else ConvexPolygon._from_hom(verts)
-
-
-def bodies_meet(bodies: Sequence[ConvexBody]) -> bool:
-    """Whether the bodies share a point: ``intersect_bodies(bodies) is not
-    None``, decided by the same clips but with no region built."""
-    bodies = list(bodies)
-    if _dimension(bodies) == 1:
-        return max(body.lo for body in bodies) <= min(body.hi for body in bodies)
-    return _clip_chain(bodies) is not None
+    return ConvexPolygon._from_hom(verts)
 
 
 def _pair_region_meets(region: ConvexPolygon, body: ConvexPolygon) -> bool:

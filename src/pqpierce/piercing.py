@@ -41,7 +41,6 @@ from .geometry import (
     _contains_hom,
     _lexmax,
     _point,
-    bodies_meet,
     body_contains_point,
     intersect_bodies,
     lexmax_body,
@@ -225,7 +224,7 @@ def hd_pierce(F: Family, p: int, q: int) -> PiercingSet:
         points.append(x0)
         survivors = [i for i in active if not body_contains_point(F.bodies[i], x0)]
         for i in survivors:
-            if bodies_meet([F.bodies[i], a_region]):
+            if intersect_bodies([F.bodies[i], a_region]) is not None:
                 raise AssertionError(
                     "body missing x0 still meets the minimizing tuple's intersection"
                 )

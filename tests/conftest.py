@@ -20,7 +20,6 @@ from pqpierce.geometry import (
     Interval,
     Line,
     Point,
-    bodies_meet,
     body_contains_point,
     intersect_bodies,
     lexmax_body,
@@ -654,10 +653,9 @@ def polygon_families(draw, max_size=8):
 
 @pytest.fixture
 def clip_calls(monkeypatch):
-    """Every intersect_bodies, bodies_meet and _pair_region_meets call made
-    through the names the program imports, counted by the bodies it asks
-    about: the geometry questions asked, whether the answer is a region or
-    a flag."""
+    """Every intersect_bodies and _pair_region_meets call made through the
+    names the program imports, counted by the bodies it asks about: the
+    geometry questions asked, whether the answer is a region or a flag."""
     calls = []
 
     def counting(kernel):
@@ -668,7 +666,7 @@ def clip_calls(monkeypatch):
         return counted
 
     # taken before any patch: a wrapper's __name__ is "counted"
-    kernels = (intersect_bodies, bodies_meet, geometry._pair_region_meets)
+    kernels = (intersect_bodies, geometry._pair_region_meets)
     for module in (geometry, familymod, piercingmod):
         for kernel in kernels:
             if hasattr(module, kernel.__name__):

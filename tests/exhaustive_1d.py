@@ -15,6 +15,8 @@ from conftest import assert_1d_search_matches_scan, check_1d_claims, dim1_claims
 
 
 def main(n: int) -> None:
+    if not __debug__:  # the checks are asserts, which -O strips
+        sys.exit("run without -O: every check of this script is an assert")
     start = time.process_time()
     count = 0
     tight: set = set()

@@ -18,7 +18,6 @@ from pqpierce.geometry import (
     Point,
     _homogeneous,
     _pair_region_meets,
-    bodies_meet,
     convex_hull,
     intersect_bodies,
     lexmax_body,
@@ -45,6 +44,8 @@ def polygons(min_pts=1, max_pts=7):
 class TestIntervals:
     def test_overlap(self):
         assert intersect_bodies([Interval(0, 2), Interval(1, 3)]) == Interval(1, 2)
+        assert intersect_bodies([Interval(0, 1), Interval(1, 2)]) == Interval(1, 1)
+        assert intersect_bodies([Interval(0, 1), Interval(Fraction(3, 2), 2)]) is None
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -90,6 +91,14 @@ class TestIntersection:
     def test_disjoint_squares(self):
         assert intersect_bodies([box(0, 0, 1, 1), box(2, 0, 3, 1)]) is None
 
+    def test_touching_and_missing(self):
+        square, point = box(0, 0, 1, 1), ConvexPolygon.from_points([pt(2, 1)])
+        segment = ConvexPolygon.from_points([pt(1, 1), pt(2, 1)])
+        assert intersect_bodies([square, segment]).vertices == (pt(1, 1),)
+        assert intersect_bodies([segment, point]) == point
+        assert intersect_bodies([square, point]) is None
+        assert intersect_bodies([square, segment, point]) is None
+
     def test_triangle_pair_frozen(self):
         # independently derived: the second triangle's constraints are
         # x >= 1, y >= 1 and x+y <= 6; only x+y <= 4 from the first binds
@@ -109,11 +118,10 @@ class TestIntersection:
                 assert out.contains(p) == (t1.contains(p) and t2.contains(p))
 
     def test_mixed_dimensions_rejected(self):
-        for kernel in (intersect_bodies, bodies_meet):
-            with pytest.raises(DimensionMismatchError):
-                kernel([Interval(0, 1), box(0, 0, 1, 1)])
-            with pytest.raises(ValueError, match="at least one body"):
-                kernel([])
+        with pytest.raises(DimensionMismatchError, match=r"mixed dimensions: \[1, 2\]"):
+            intersect_bodies([Interval(0, 1), box(0, 0, 1, 1)])
+        with pytest.raises(ValueError, match="need at least one body"):
+            intersect_bodies([])
 
     @given(polygons(), polygons(), polygons())
     @settings(max_examples=60, deadline=None)
@@ -688,40 +696,6 @@ class TestIntegerKernelAgainstFractionOracles:
                 assert str(got.value) == str(oracle)
             else:
                 assert ConvexPolygon(verts).vertices == verts
-
-
-class TestBodiesMeet:
-    """``bodies_meet`` answers what ``intersect_bodies`` would, with no
-    region built."""
-
-    @given(st.data())
-    @settings(max_examples=120, deadline=None)
-    def test_polygons_points_and_segments(self, data):
-        kind = data.draw(st.sampled_from(KINDS))
-        bodies = [ConvexPolygon(data.draw(hull_of(kind))) for _ in range(data.draw(st.integers(1, 3)))]
-        # a part of a body cut off through one of its vertices meets it
-        cut = clip(bodies[0], *data.draw(halfplane_for(bodies[0].vertices, kind)))
-        bodies += [cut] if cut is not None else []
-        bodies += data.draw(st.lists(st.sampled_from(bodies), max_size=2))
-        bodies = data.draw(st.permutations(bodies))
-        assert bodies_meet(bodies) == (intersect_bodies(bodies) is not None)
-
-    @given(st.data())
-    @settings(max_examples=100, deadline=None)
-    def test_intervals(self, data):
-        kind = data.draw(st.sampled_from(KINDS))
-        ends = st.tuples(kind, kind).map(sorted)
-        bodies = [Interval(lo, hi) for lo, hi in data.draw(st.lists(ends, min_size=1, max_size=4))]
-        bodies += data.draw(st.lists(st.sampled_from(bodies), max_size=2))
-        assert bodies_meet(bodies) == (intersect_bodies(bodies) is not None)
-
-    def test_touching_and_missing(self):
-        square, point = box(0, 0, 1, 1), ConvexPolygon.from_points([pt(2, 1)])
-        segment = ConvexPolygon.from_points([pt(1, 1), pt(2, 1)])
-        assert bodies_meet([square, segment]) and bodies_meet([segment, point])
-        assert not bodies_meet([square, point]) and not bodies_meet([square, segment, point])
-        assert bodies_meet([Interval(0, 1), Interval(1, 2)])
-        assert not bodies_meet([Interval(0, 1), Interval(Fraction(3, 2), 2)])
 
 
 @st.composite

@@ -26,7 +26,7 @@ from pqpierce.family import (
 )
 from pqpierce.generators import GeneratorSpec, random_family
 from pqpierce.geometry import ConvexPolygon, Line, line_meets_body, pt
-from pqpierce.piercing import candidate_points, min_piercing, ms_line
+from pqpierce.piercing import candidate_points, hd_pierce, min_piercing, ms_line
 
 from conftest import (LINES, assert_memo_holds_q_up_to_3, box, brute_pair_regions, canonical_links,
                       grouped, intersecting_subfamilies, intervals, polygon_families,
@@ -235,6 +235,15 @@ def meeting(seed):
                       for _ in range(7)])
 
 
+def hd_family(seed):
+    """Six boxes through the origin and two far boxes: hd_pierce(7, 5)
+    pierces them with 3 points."""
+    rng = random.Random(seed)
+    return Family.of(list(meeting(seed).bodies[:6])
+                     + [box(10, 10, 10 + rng.randint(1, 3), 10 + rng.randint(1, 3)),
+                        box(-20, 5, -20 + rng.randint(1, 3), 5 + rng.randint(1, 3))])
+
+
 #: query -> (family maker, query, its clips on the families of seeds 0-5)
 CLIP_PINS = {
     "max_r": (dense, lambda F: max_r(F, 5, 3), [37, 43, 28, 41, 33, 51]),
@@ -245,6 +254,7 @@ CLIP_PINS = {
     "ms_line_sparse": (sparse, ms_line, [10, 8, 7, 8, 9, 9]),
     "ms_line_meeting": (meeting, ms_line, [21] * 6),
     "satisfies_pqr": (dense, lambda F: satisfies_pqr(F, len(F), len(F) - 1, 1), [14, 5, 5, 37, 10, 48]),
+    "hd_pierce": (hd_family, lambda F: hd_pierce(F, 7, 5), [51] * 6),
 }
 
 

@@ -281,6 +281,17 @@ class TestHdPierce:
         with pytest.raises(ArityError, match=r"need d\*q > \(d-1\)\*p \+ d for the construction"):
             hd_pierce(full, 6, 4)
 
+    def test_survivor_meeting_the_minimizing_region_is_caught(self, monkeypatch):
+        # four boxes hold x0 = (1, 1); report the first as missing it, so
+        # that it survives although it meets the minimizing pair's region
+        F = Family.of([box(-1, -1, 1, 1) for _ in range(4)] + [box(5, 5, 6, 6)])
+        assert len(hd_pierce(F, 5, 4)) == 2
+        holder, contains = F.bodies[0], piercingmod.body_contains_point
+        monkeypatch.setattr(piercingmod, "body_contains_point",
+                            lambda body, p: body is not holder and contains(body, p))
+        with pytest.raises(AssertionError, match="still meets the minimizing tuple's intersection"):
+            hd_pierce(F, 5, 4)
+
     def test_small_family_rejected(self):
         F = intervals((0, 1), (1, 2))
         with pytest.raises(ArityError):
