@@ -52,7 +52,7 @@ EXIT_INTERNAL = 5
 #: The exit code of each error type the CLI reports (OSError: an --output
 #: path that cannot be written); any other exception is an internal fault.
 ERROR_EXITS = (
-    ((ParseError, ArityError, DimensionMismatchError, ValueError, OSError), EXIT_INPUT),
+    ((ParseError, ArityError, DimensionMismatchError, OSError), EXIT_INPUT),
     (PremiseViolationError, EXIT_PREMISE),
     (BudgetExceededError, EXIT_BUDGET),
 )
@@ -178,9 +178,17 @@ def dump_family(F: Family, metadata: dict | None = None) -> str:
     return json.dumps(family_to_document(F, metadata), sort_keys=True, indent=2) + "\n"
 
 
+def _open(path: str, mode: str = "r"):
+    """``open(path, mode)``; a path that open refuses, one with a NUL byte, is a ParseError."""
+    try:
+        return open(path, mode)
+    except ValueError as exc:
+        raise ParseError(f"cannot {'read' if mode == 'r' else 'write'} {path}: {exc}") from None
+
+
 def _read_json(path: str):
     try:
-        with open(path) as handle:
+        with _open(path) as handle:
             return json.load(handle)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
@@ -533,14 +541,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if "--line" in argv[:-1]:
-        # argparse reads a value such as "-1,1,0" as an option name
+    while "--line" in argv[:-1]:  # argparse reads a value such as "-1,1,0" as an option name
         i = argv.index("--line")
         argv[i:i + 2] = ["--line=" + argv[i + 1]]
     try:
         args = build_parser().parse_args(argv)
         if getattr(args, "output", None):
-            with open(args.output, "w") as handle:
+            with _open(args.output, "w") as handle:
                 return args.func(args, handle)
         return args.func(args, sys.stdout)
     except SystemExit:  # only --help exits; usage errors raise ParseError

@@ -22,10 +22,10 @@ table of pair masks, ``adj``, and answer one depth-first walk over index
 masks, which gives each intersecting prefix the mask of the members that
 extend it: the ranks from their pair masks, the 2D nerve from its triple
 flags.  The 2D q-tuple counts and f-vector are bit counts of those
-masks.  The meeting q-tuples reach the search as links grouped by their
-last two members (for q <= 3 one mask of first members per pair, for
-q = 2 off ``adj``), one memo keeping those of q <= 3 for the last few
-nerves asked.  They are aggregated by a depth-first search over
+masks.  The meeting q-tuples of every q reach the search off the same
+walk, as links grouped by their last two members (for q <= 3 one mask of
+first members per pair), one memo keeping those of q <= 3 for the last
+few nerves asked.  They are aggregated by a depth-first search over
 p-subsets, with the fixed work cap DEFAULT_WORK_BUDGET instead of silent
 truncation.  The search carries, for every later index, the count a pick
 of it would add, and skips a branch whose lower bound reaches the fewest
@@ -127,11 +127,6 @@ class _Nerve:
         fits, each asked of :meth:`fits`.  ``within`` (what chosen's parent
         fits) is not read, so a query asks what the tuple walk asked."""
         return sum(1 << k for k in range(stop - 1, chosen[-1], -1) if self.fits(chosen, k))
-
-    def low(self, j: int, k: int) -> int:
-        """The mask of the i < j whose pair with j meets and that fit k: the
-        questions a walk for q = 3 asks."""
-        return sum(1 << i for i in range(j) if self.pair(i, j) is not None and self.fits((i, j), k))
 
 
 @dataclass(frozen=True)
@@ -263,11 +258,6 @@ class _Ranks:
         """``above[j]``: the bits of ``adj[j]`` past j."""
         return [mask >> j + 1 << j + 1 for j, mask in enumerate(self.adj)]
 
-    def low(self, j: int, k: int) -> int:
-        """The mask of the i < j for which intervals i, j and k meet: by
-        Helly, those that meet both when j and k meet."""
-        return self.adj[j] & self.adj[k] & ((1 << j) - 1) if self.adj[j] >> k & 1 else 0
-
     @cached_property
     def taus(self) -> list[int]:
         """``taus[j]`` bounds the groups that the entries with index at
@@ -330,30 +320,31 @@ def _walk(nerve, lo: int, hi: int):
 
 
 def _build_links(nerve, q: int) -> tuple[list[int], list[dict]]:
-    """The nerve's meeting q-tuples as links: ``root[j]`` is 1 when (j,) is
-    one of them (q = 1), and ``later[j]`` maps j' > j to the link of those
-    whose last two members are j and j', if any.  For q = 2 and 3 a link
-    is the mask of their first members, 1 << j off the pair masks ``adj``
-    (q = 2) and the nerve's ``low`` (q = 3); past that, the list of the
-    masks of their first q - 2 members, read off :func:`_walk`."""
+    """The nerve's meeting q-tuples as links, read off one :func:`_walk`:
+    ``root[j]`` is 1 when (j,) is one of them (q = 1, bit j of the empty
+    tuple's ext), and ``later[j]`` maps j' > j to the link of those whose
+    last two members are j and j', if any.  For q = 2 and 3 a link is the
+    mask of their first members, the OR of one bit per tuple; past that,
+    the list of the masks of their first q - 2 members."""
     n = nerve.n
     root, later = [0] * n, [{} for _ in range(n)]
-    if q >= 4:
-        bit = [1 << k for k in range(n)]
-        for chosen, rest, ext in _walk(nerve, q, q):
-            row = later[chosen[-1]]
-            while ext:
-                k = ext.bit_length() - 1
-                ext ^= bit[k]
-                if k in row:
-                    row[k].append(rest)
-                else:
-                    row[k] = [rest]
-    elif q >= 2:
-        link = nerve.low if q == 3 else lambda j, k: nerve.adj[j] >> k & 1 and 1 << j
-        later = [{k: mask for k in range(j + 1, n) if (mask := link(j, k))} for j in range(n)]
-    else:
-        root = [nerve.root >> j & 1 for j in range(n)]
+    bit = [1 << k for k in range(n)]
+    for chosen, rest, ext in _walk(nerve, q, q):
+        if not chosen:
+            root = [ext >> j & 1 for j in range(n)]
+            continue
+        # rest masks chosen's members but its last; for q = 2, where that
+        # is empty, the link bit is chosen's one member
+        row, mask = later[chosen[-1]], rest | bit[chosen[0]]
+        while ext:
+            k = ext.bit_length() - 1
+            ext ^= bit[k]
+            if q <= 3:
+                row[k] = row.get(k, 0) | mask
+            elif k in row:
+                row[k].append(mask)
+            else:
+                row[k] = [mask]
     return root, later
 
 

@@ -29,10 +29,10 @@ from pqpierce.cli import (
 )
 from pqpierce.errors import BudgetExceededError, ParseError
 from pqpierce import family as familymod
-from pqpierce.family import DEFAULT_WORK_BUDGET
+from pqpierce.family import DEFAULT_WORK_BUDGET, Family
 from pqpierce.generators import GeneratorSpec, extremal_dim1, random_family
 
-from conftest import fraction_document_to_family
+from conftest import box, fraction_document_to_family
 
 
 def run_cli(*argv, capsys=None):
@@ -575,6 +575,22 @@ class TestPierceCommand:
         assert code == EXIT_OK
         assert json.loads(out)["points"] == [["2", "2"]]
 
+    @pytest.mark.parametrize("F, p, k, lines, differ", [
+        (random_family(GeneratorSpec("random_polygons", n=5, seed=1)), "5", "2",
+         ["1,1,1", "-1,1,0"], False),
+        (Family.of([box(0, 0, 2, 2), box(1, 1, 3, 3)]), "2", "0", ["0,1,1", "-1,1,0"], True),
+        (Family.of([box(0, 0, 2, 2), box(1, 1, 3, 3)]), "2", "0", ["-1,1,0", "0,1,1"], True),
+    ], ids=["random-polygons", "squares", "squares-reversed"])
+    def test_last_of_two_lines_is_kept(self, F, p, k, lines, differ, tmp_path, capsys):
+        # argparse keeps an option's last value: every --line is joined to
+        # its value, so a leading minus in either is no option name
+        path = tmp_path / "fam.json"
+        path.write_text(dump_family(F))
+        argv = ["pierce", str(path), "--strategy", "line", "--p", p, "--k", k]
+        alone = [run_cli(*argv, "--line", line, capsys=capsys) for line in lines]
+        assert run_cli(*argv, "--line", lines[0], "--line", lines[1], capsys=capsys) == alone[1]
+        assert (alone[0] != alone[1]) == differ
+
     @pytest.mark.parametrize("p, k, message", [
         ("1", "0", "need p >= q >= 2, got p=1, q=2"),
         ("5", "-1", "need 0 <= k <= p-q, got k=-1, p=5, q=2"),
@@ -952,6 +968,36 @@ class TestInternalFault:
         }
         assert captured.out.count("\n") == 1
         assert "Traceback" in captured.err
+
+    def test_value_error_is_an_internal_fault(self, tmp_path, capsys, monkeypatch):
+        # a ValueError no input check raised is a bug, not an input error
+        def broken(F, p, q):
+            raise ValueError("a bug")
+
+        monkeypatch.setattr(familymod, "max_r", broken)
+        path = tmp_path / "fam.json"
+        path.write_text(dump_family(extremal_dim1(4, 0)))
+        code = main(["analyze", str(path), "--p", "3", "--q", "2"])
+        captured = capsys.readouterr()
+        assert code == EXIT_INTERNAL
+        assert captured.out == '{"error": {"message": "a bug", "type": "ValueError"}}\n'
+        assert "Traceback" in captured.err and "ValueError: a bug" in captured.err
+
+
+class TestNulPaths:
+    """A NUL byte in a path makes open raise ValueError, not OSError: each
+    path the CLI opens reports it as an input error."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["analyze", "a\0b", "--p", "1", "--q", "1"], "cannot read a\0b: embedded null byte"),
+        (["experiment", "a\0b"], "cannot read a\0b: embedded null byte"),
+        (["bounds", "thm1", "--p", "6", "--q", "3", "--output", "o\0x"],
+         "cannot write o\0x: embedded null byte"),
+    ], ids=["family", "experiment-config", "output"])
+    def test_nul_path_exit_2(self, argv, message, capsys):
+        code, out = run_cli(*argv, capsys=capsys)
+        assert code == EXIT_INPUT and out.count("\n") == 1
+        assert json.loads(out)["error"] == {"type": "ParseError", "message": message}
 
 
 class TestConsoleEntry:

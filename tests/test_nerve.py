@@ -3,6 +3,7 @@ cliques for larger subfamilies), checked against the region walk it
 replaced and the tuple walk that the mask walk replaced, which stay as
 oracles."""
 
+import itertools
 import pickle
 import random
 from math import comb
@@ -59,6 +60,41 @@ def test_qtuples_counts_and_f_vector_match_the_walk(F):
         assert links == canonical_links(grouped(want[q - 1], n, q))
         assert count_intersecting_qtuples(F, q) == len(want[q - 1])
     assert f_vector(F) == tuple(len(tuples) for tuples in want)
+
+
+class TupleNerve:
+    """A nerve with only the walk's interface, ``n``, ``root`` and
+    ``extend``, answered from a set of index tuples closed under subsets:
+    no geometry behind it, and no pair masks."""
+
+    def __init__(self, n, tuples):
+        self.n, self.tuples = n, tuples
+        self.root = sum(1 << j for j in range(n) if (j,) in tuples)
+
+    def extend(self, chosen, within, stop):
+        return sum(1 << k for k in range(chosen[-1] + 1, stop) if chosen + (k,) in self.tuples)
+
+
+@st.composite
+def subset_closed_tuples(draw):
+    """(n, tuples): n <= 7 and the sorted index tuples of every nonempty
+    subset of a few drawn sets."""
+    n = draw(st.integers(1, 7))
+    tops = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1), max_size=6))
+    return n, {sub for top in tops for size in range(1, len(top) + 1)
+               for sub in itertools.combinations(sorted(top), size)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(subset_closed_tuples())
+def test_links_on_a_nerve_no_geometry_makes(drawn):
+    """The links of every q come off the walk alone: a nerve that answers
+    only ``n``, ``root`` and ``extend`` gives the regrouped tuples."""
+    n, tuples = drawn
+    nerve = TupleNerve(n, tuples)
+    for q in range(1, n + 1):
+        want = {tup for tup in tuples if len(tup) == q}
+        assert canonical_links(_build_links(nerve, q)) == canonical_links(grouped(want, n, q))
 
 
 def asked(query, F):
