@@ -49,8 +49,9 @@ EXIT_PREMISE = 3
 EXIT_BUDGET = 4
 EXIT_INTERNAL = 5
 
-#: The exit code of each error type the CLI reports (OSError: an --output
-#: path that cannot be written); any other exception is an internal fault.
+#: The exit code of each error type the CLI reports (OSError: a read or a
+#: write that fails on a file once open); any other exception is an
+#: internal fault.
 ERROR_EXITS = (
     ((ParseError, ArityError, DimensionMismatchError, OSError), EXIT_INPUT),
     (PremiseViolationError, EXIT_PREMISE),
@@ -179,10 +180,11 @@ def dump_family(F: Family, metadata: dict | None = None) -> str:
 
 
 def _open(path: str, mode: str = "r"):
-    """``open(path, mode)``; a path that open refuses, one with a NUL byte, is a ParseError."""
+    """``open(path, mode)``; a path that open refuses, by an OSError or for
+    a NUL byte, is a ParseError."""
     try:
         return open(path, mode)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise ParseError(f"cannot {'read' if mode == 'r' else 'write'} {path}: {exc}") from None
 
 
@@ -190,8 +192,6 @@ def _read_json(path: str):
     try:
         with _open(path) as handle:
             return json.load(handle)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
     except (ValueError, RecursionError) as exc:  # bad JSON, an int past the str limit, deep nesting
         raise ParseError(f"invalid JSON in {path}: {exc}") from None
 

@@ -226,10 +226,10 @@ class ConvexPolygon:
 
     @classmethod
     def _from_hom(cls, hom: tuple[Homogeneous, ...]) -> "ConvexPolygon":
-        """A polygon from its integer form; its Points are made when read."""
+        """A polygon from its integer form, unchecked: the caller vouches
+        that ``hom`` is canonical.  Its Points are made when read."""
         poly = object.__new__(cls)
         poly.__dict__["_hom"] = hom
-        poly.__post_init__()
         return poly
 
     def __post_init__(self):
@@ -260,7 +260,9 @@ class ConvexPolygon:
         hull = _hull(ratios)
         if not hull:
             raise ValueError("no points given")
-        return cls._from_hom(hull)
+        poly = cls._from_hom(hull)
+        poly.__post_init__()
+        return poly
 
     @property
     def dimension(self) -> int:

@@ -111,7 +111,11 @@ def clip(body: ConvexPolygon, a, b, c) -> Optional[ConvexPolygon]:
     ``geometry._clip_halfplane`` on its vertex triples and the plane's
     primitive triple, the result checked canonical as a polygon."""
     verts = geometry._clip_halfplane(body._hom, *geometry._integer_plane(a, b, c))
-    return None if verts is None else ConvexPolygon._from_hom(verts)
+    if verts is None:
+        return None
+    region = ConvexPolygon._from_hom(verts)
+    region.__post_init__()
+    return region
 
 
 def _fraction_witness_polygon(body: ConvexPolygon, x0: Point) -> ConvexPolygon:

@@ -459,7 +459,18 @@ class TestBoundsCommand:
         code, out = run_cli("bounds", "thm1", "--p", "6", "--q", "3",
                             "--output", str(tmp_path / "missing" / "out.json"), capsys=capsys)
         assert code == EXIT_INPUT
-        assert json.loads(out)["error"]["type"] == "FileNotFoundError"
+        error = json.loads(out)["error"]
+        assert error["type"] == "ParseError"
+        assert error["message"].startswith(f"cannot write {tmp_path / 'missing' / 'out.json'}: [Errno 2]")
+
+    @pytest.mark.parametrize("command", [["analyze", "--p", "1", "--q", "1"], ["experiment"]],
+                             ids=["family", "experiment-config"])
+    def test_unreadable_input_exit_2(self, command, tmp_path, capsys):
+        path = str(tmp_path / "missing.json")
+        code, out = run_cli(command[0], path, *command[1:], capsys=capsys)
+        assert code == EXIT_INPUT
+        assert json.loads(out)["error"] == {
+            "type": "ParseError", "message": f"cannot read {path}: [Errno 2] No such file or directory: {path!r}"}
 
     def test_reused_parser_leaks_no_options(self, capsys):
         fresh = subprocess.run(

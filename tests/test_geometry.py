@@ -746,6 +746,41 @@ class TestPairRegionMeets:
         assert f_vector(Family.of([A, B, C])) == (3, 2, 0)
 
 
+def assert_canonical_region(bodies):
+    """The clip chain's region of the bodies, unchecked on construction,
+    passes the public constructor's canonical check."""
+    region = intersect_bodies(bodies)
+    if region is not None:
+        region.__post_init__()
+        assert region == ConvexPolygon(region.vertices)
+    return region
+
+
+class TestClipChainIsCanonical:
+    """``intersect_bodies`` builds its region without the canonical check,
+    so these tests are the guard that the clip chain's output is canonical:
+    lexmin first, counter-clockwise, no three vertices collinear."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_random_chains(self, data):
+        """2 to 4 points, segments and polygons, half the time all through
+        one common point drawn like the vertices, so that they meet."""
+        kind = data.draw(st.sampled_from(KINDS))
+        hulls = [data.draw(hull_of(kind)) for _ in range(data.draw(st.integers(2, 4)))]
+        if data.draw(st.booleans()):
+            common = Point(data.draw(kind), data.draw(kind))
+            hulls = [hull + (common,) for hull in hulls]
+        assert_canonical_region([ConvexPolygon.from_points(hull) for hull in hulls])
+
+    def test_every_lattice_pair(self):
+        """Every pair, a body with itself included, of the 48 lattice hulls
+        of a 2 by 3 grid: 985 of the 1176 meet."""
+        hulls = lattice_hulls(2, 3)
+        regions = [assert_canonical_region(pair) for pair in itertools.combinations_with_replacement(hulls, 2)]
+        assert sum(region is not None for region in regions) == 985
+
+
 def assert_primitive_form(body):
     """Each vertex is a primitive (X, Y, W), W > 0, that round-trips."""
     assert len(body._hom) == len(body.vertices)

@@ -368,16 +368,19 @@ class TestMsLine:
         assert len(clip_calls) == comb(5, 2)
 
     def test_meeting_branch_makes_only_the_answer_point(self, monkeypatch):
-        # with the pair regions built, the branch makes no polygon, and
-        # no Fraction but the two coordinates of the x0 it returns
+        # with the pair regions built, the branch makes no polygon, checked
+        # or unchecked, and no Fraction but the two coordinates of the x0
+        # it returns
         F = Family.of([box(-1, -2, 1, 1), box(0, -1, 2, 2), box(-3, 0, 0, 1),
                        box(-1, -1, 0, 0), box(0, 0, 3, 3)])
         assert len(F.pair_regions) == comb(5, 2)
         fractions, polygons = [], []
-        new, check = Fraction.__new__, ConvexPolygon.__post_init__
+        new, check, unchecked = Fraction.__new__, ConvexPolygon.__post_init__, ConvexPolygon._from_hom
         monkeypatch.setattr(Fraction, "__new__",
                             lambda cls, *args, **kwargs: fractions.append(args) or new(cls, *args, **kwargs))
         monkeypatch.setattr(ConvexPolygon, "__post_init__", lambda poly: polygons.append(poly) or check(poly))
+        monkeypatch.setattr(ConvexPolygon, "_from_hom",
+                            classmethod(lambda cls, hom: polygons.append(hom) or unchecked(hom)))
         witness = ms_line(F)
         assert (fractions, polygons) == ([(0, 1), (0, 1)], [])
         assert witness.x0 == pt(0, 0)
