@@ -22,6 +22,10 @@ lines, so coordinates do not grow along a chain of clips.
 A caller asks only for what it reads, and each 2D question has one way
 in.  A region is `intersect_bodies`, the one chain of clips, which stops
 at the first empty clip and so builds no polygon for bodies that miss.
+A clip keeps canonical vertices canonical, so the region skips the
+canonical check, which runs, as an explicit raise, only where vertices
+come from outside the kernel: `ConvexPolygon(vertices)` and every hull,
+whether built by `from_points` or from a family document.
 A nerve's triple flag clips nothing: `_pair_region_meets` decides
 whether the region of a meeting pair meets a body that meets both
 members by the body's halfplanes alone, each against the region's
@@ -213,7 +217,9 @@ class ConvexPolygon:
     a point, two are a segment.  Construction checks in one pass that the
     argument is canonical (lexmin first, a strict left turn at every vertex,
     lexicographic order rising once and then falling once) and rejects it
-    if not; use :meth:`from_points` to build from an arbitrary point set.
+    if not; use :meth:`from_points` to build from an arbitrary point set,
+    whose hull is checked the same way.  Only the regions of
+    `intersect_bodies`, canonical by construction, skip the check.
     Equality, hashing and every predicate read the integer form.
     """
 
@@ -226,8 +232,9 @@ class ConvexPolygon:
 
     @classmethod
     def _from_hom(cls, hom: tuple[Homogeneous, ...]) -> "ConvexPolygon":
-        """A polygon from its integer form, unchecked: the caller vouches
-        that ``hom`` is canonical.  Its Points are made when read."""
+        """A polygon from its integer form, without the canonical check:
+        the caller vouches that ``hom`` is canonical.  Its Points are made
+        when read."""
         poly = object.__new__(cls)
         poly.__dict__["_hom"] = hom
         return poly
@@ -373,7 +380,8 @@ def intersect_bodies(bodies: Sequence[ConvexBody]) -> Optional[ConvexBody]:
     successively clipping the first body with every supporting halfplane
     of the others, stopping at the first empty clip, so a caller that
     only asks whether the bodies meet gets None before any polygon is
-    built.
+    built.  Each clip keeps its input canonical, so the region is built
+    without the canonical check.
     """
     bodies = list(bodies)
     if not bodies:
