@@ -457,7 +457,7 @@ def cmd_experiment(args, out) -> int:
         rows.append(row)
         if violation is not None:
             dump_path = (args.output or "experiment") + ".violation.json"
-            with open(dump_path, "w") as handle:
+            with _open(dump_path, "w") as handle:
                 handle.write(dump_family(F, metadata={"violation": violation}))
             sys.stderr.write(f"violation: {violation}; family dumped to {dump_path}\n")
             return EXIT_VIOLATION
@@ -467,7 +467,7 @@ def cmd_experiment(args, out) -> int:
     writer.writeheader()
     writer.writerows(rows)
     if args.output:
-        with open(args.output + ".config.json", "w") as handle:
+        with _open(args.output + ".config.json", "w") as handle:
             json.dump(config, handle, sort_keys=True, indent=2)
             handle.write("\n")
     else:

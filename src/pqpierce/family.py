@@ -20,32 +20,35 @@ intervals meets exactly when its pairs do; the through-line property is
 that sweep over the bodies' traces on the line.  Both nerves keep one
 table of pair masks, ``adj``, and answer one depth-first walk over index
 masks, which gives each intersecting prefix the mask of the members that
-extend it: the ranks from their pair masks, the 2D nerve from its triple
-flags.  The 2D q-tuple counts and f-vector are bit counts of those
-masks.  The meeting q-tuples of every q reach the search off the same
-walk, as links grouped by their last two members (for q <= 3 one mask of
-first members per pair), one memo keeping those of q <= 3 for the last
-few nerves asked.  They are aggregated by a depth-first search over
-p-subsets, with the fixed work cap DEFAULT_WORK_BUDGET instead of silent
-truncation.  The search carries, for every later index, the count a pick
-of it would add, and skips a branch whose lower bound reaches the fewest
-found so far: no subset under it can be strictly better, so the answer
-is the one a full scan gives.  The bound is the counts so far plus the
-smallest additions still to come, which only grow, plus, for q >= 2 in
-1D and through a line, the q-tuples the remaining picks must hold among
-themselves: bodies that t points pierce split into at most t groups that
-each share a point, so any m of them hold at least the q-tuples of t
-near-equal cliques (C(., q) is convex).  Those tuples have no member in
-the prefix, so the other terms never count them.  Any upper bound on t
-serves, and a body that misses the line is a group of its own; for q = 1
-the additions already count each pick's singleton, so nothing is added.
-The 1D degeneracy level is one sweep over the sorted endpoint ranks.  In
-2D the candidate points (the lexmax of each body and each pair region)
-are primitive integer triples, deduplicated as triples and sorted as
-integer pairs over one common denominator.  One lazy builder masks the
-bodies whose integer halfplanes hold each: the exact solver reads these
-covers, and the degeneracy scan their bit counts, up to the first as
-deep as the largest pair degree allows, which alone becomes a Point.
+extend it, read off its parent's: by Helly, a member the parent's mask
+holds extends the prefix when it meets the prefix's last member (the
+ranks' pair masks) and, in 2D, each pair of that last member and a
+member of the parent (the triple flags).  The 2D q-tuple counts and
+f-vector are bit counts of those masks.  The meeting q-tuples of every q
+reach the search off the same walk, as links grouped by their last two
+members (for q <= 3 one mask of first members per pair), one memo
+keeping those of q <= 3 for the last few nerves asked.  They are
+aggregated by a depth-first search over p-subsets, with the fixed work
+cap DEFAULT_WORK_BUDGET instead of silent truncation.  The search
+carries, for every later index, the count a pick of it would add, and
+skips a branch whose lower bound reaches the fewest found so far: no
+subset under it can be strictly better, so the answer is the one a full
+scan gives.  The bound is the counts so far plus the smallest additions
+still to come, which only grow, plus, for q >= 2 in 1D and through a
+line, the q-tuples the remaining picks must hold among themselves:
+bodies that t points pierce split into at most t groups that each share
+a point, so any m of them hold at least the q-tuples of t near-equal
+cliques (C(., q) is convex).  Those tuples have no member in the prefix,
+so the other terms never count them.  Any upper bound on t serves, and a
+body that misses the line is a group of its own; for q = 1 the additions
+already count each pick's singleton, so nothing is added.  The 1D
+degeneracy level is one sweep over the sorted endpoint ranks.  In 2D the
+candidate points (the lexmax of each body and each pair region) are
+primitive integer triples, deduplicated as triples and sorted as integer
+pairs over one common denominator.  One lazy builder masks the bodies
+whose integer halfplanes hold each: the exact solver reads these covers,
+and the degeneracy scan their bit counts, up to the first as deep as the
+largest pair degree allows, which alone becomes a Point.
 """
 
 from __future__ import annotations
@@ -80,28 +83,34 @@ class _Nerve:
 
     def pair(self, i: int, j: int):
         """The region of bodies i < j, or None when they miss."""
-        if (i, j) not in self.memo:
-            self.memo[i, j] = intersect_bodies([self.bodies[i], self.bodies[j]])
-        return self.memo[i, j]
+        try:
+            return self.memo[i, j]
+        except KeyError:
+            region = self.memo[i, j] = intersect_bodies([self.bodies[i], self.bodies[j]])
+            return region
+
+    def triple(self, i: int, j: int, k: int) -> bool:
+        """Whether bodies i < j < k meet: when k meets i and j and, in 2D,
+        no halfplane of k holds the region of i and j strictly outside
+        (Helly alone in 1D); the pairs are asked first, so a missing one
+        settles the flag with no test."""
+        flag = self.memo.get((i, j, k))
+        if flag is None:
+            flag = self.memo[i, j, k] = (
+                self.pair(i, k) is not None and self.pair(j, k) is not None
+                and (self.dimension == 1 or _pair_region_meets(self.pair(i, j), self.bodies[k])))
+        return flag
 
     def fits(self, chosen: tuple[int, ...], k: int) -> bool:
         """Whether the intersecting subfamily ``chosen`` plus k, past all
-        its members, meets.  By Helly it does when k meets chosen's first
-        member and each pair of chosen's members meets k, asked for in
-        that order up to the first miss.  The pair i, j meets k when k
-        meets i and j and, in 2D, no halfplane of k holds the region of
-        i and j strictly outside (Helly alone in 1D); the pairs are asked
-        first, so a missing one settles the flag with no test."""
+        its members, meets, with nothing known of chosen's parent.  By
+        Helly it does when k meets chosen's first member and each pair of
+        chosen's members meets k, asked for in that order up to the first
+        miss.  :meth:`extend` asks it for the one k its ``within`` leaves
+        out, and the tuple walk kept as the tests' oracle for every k."""
         if chosen and self.pair(chosen[0], k) is None:
             return False
-        for i, j in itertools.combinations(chosen, 2):
-            if (i, j, k) not in self.memo:
-                self.memo[i, j, k] = (self.pair(i, k) is not None and self.pair(j, k) is not None
-                                      and (self.dimension == 1
-                                           or _pair_region_meets(self.pair(i, j), self.bodies[k])))
-            if not self.memo[i, j, k]:
-                return False
-        return True
+        return all(self.triple(i, j, k) for i, j in itertools.combinations(chosen, 2))
 
     @cached_property
     def all_pairs(self) -> dict[tuple[int, int], ConvexBody]:
@@ -123,10 +132,30 @@ class _Nerve:
         return _Ranks(self.bodies)
 
     def extend(self, chosen: tuple[int, ...], within: int, stop: int) -> int:
-        """The mask of the k < stop past chosen's last member that chosen
-        fits, each asked of :meth:`fits`.  ``within`` (what chosen's parent
-        fits) is not read, so a query asks what the tuple walk asked."""
-        return sum(1 << k for k in range(stop - 1, chosen[-1], -1) if self.fits(chosen, k))
+        """The mask of the k < stop past chosen's last member j that chosen
+        fits.  By Helly, chosen + (k,) meets when k is in ``within`` (what
+        chosen's parent fits), k meets j, and each triple (i, j, k), i in
+        the parent, meets, asked for in that order up to the first miss.
+        ``within`` is cut at the parent's stop, which in a walk that skips
+        small sizes is one below stop: that one k, when past j and not in
+        ``within``, is asked of :meth:`fits`.  So a query asks a subset of
+        what the tuple walk asked."""
+        j, parent = chosen[-1], chosen[:-1]
+        pair, triple = self.pair, self.triple
+        last = stop - 1
+        ext = 1 << last if last > j and not within >> last & 1 and self.fits(chosen, last) else 0
+        todo = within >> j + 1 << j + 1 & (1 << stop) - 1
+        while todo:
+            k = todo.bit_length() - 1
+            todo ^= 1 << k
+            if pair(j, k) is None:
+                continue
+            for i in parent:
+                if not triple(i, j, k):
+                    break
+            else:
+                ext |= 1 << k
+        return ext
 
 
 @dataclass(frozen=True)

@@ -458,6 +458,54 @@ def walked_qtuples(F: Family, q: int) -> frozenset[tuple[int, ...]]:
     return frozenset(tuple_walk(F, q, q))
 
 
+def mask_walk_tuples(nerve, lo: int, hi: int) -> list[tuple[int, ...]]:
+    """Every chosen + (k,), k in ext, of the nodes ``family._walk`` yields:
+    the intersecting subfamilies of size lo..hi, each once."""
+    return [chosen + (k,) for chosen, _, ext in familymod._walk(nerve, lo, hi)
+            for k in range(nerve.n) if ext >> k & 1]
+
+
+def asked(query, F: Family) -> set:
+    """The pair and triple questions a query asks of a fresh copy of F."""
+    G = Family(F.dimension, F.bodies)
+    query(G)
+    return set(G._nerve.memo)
+
+
+def assert_walks_match_tuple_walk(F: Family) -> None:
+    """The mask walk against the tuple walk kept as its oracle, in both
+    widths: the wide walk of ``f_vector`` (sizes 1..n) and, for each q,
+    the narrow walk (size q alone, so a prefix's ext is cut below n) of
+    ``count_intersecting_qtuples`` and ``_build_links``.  Each gives the
+    oracle's tuples, counts and links, and asks a subset of its
+    questions: the mask walk reads what a prefix's parent fits, so it may
+    ask fewer, never another."""
+    n = len(F)
+    every = list(tuple_walk(F, 1, n))
+    assert sorted(mask_walk_tuples(F._nerve, 1, n)) == sorted(every)
+    assert familymod.f_vector(F) == tuple(sum(len(tup) == size for tup in every)
+                                          for size in range(1, n + 1))
+    assert asked(familymod.f_vector, F) <= asked(lambda G: list(tuple_walk(G, 1, n)), F)
+    for q in range(1, n + 1):
+        tuples = walked_qtuples(F, q)
+        assert sorted(mask_walk_tuples(F._nerve, q, q)) == sorted(tuples)
+        assert familymod.count_intersecting_qtuples(F, q) == len(tuples)
+        links = canonical_links(familymod._build_links(F._nerve, q))
+        assert links == canonical_links(grouped(tuples, n, q))
+        oracle = asked(lambda G: list(tuple_walk(G, q, q)), F)
+        assert asked(lambda G: familymod.count_intersecting_qtuples(G, q), F) <= oracle
+        assert asked(lambda G: familymod._build_links(G._nerve, q), F) <= oracle
+
+
+def lattice_families(n: int):
+    """Every family of n members drawn, repeats allowed, from the 15
+    lattice hulls of a 2 by 2 grid (4 points, 6 segments, 4 triangles and
+    the square): C(n + 14, n) multisets, 3,060 for n = 4."""
+    hulls = lattice_hulls(2, 2)
+    for members in itertools.combinations_with_replacement(hulls, n):
+        yield Family.of(members)
+
+
 def grouped(tuples, n: int, q: int) -> tuple[list[int], list[dict]]:
     """Sorted index q-tuples of an n-member family as links: ``root[j]``
     is 1 when (j,) is one of them (q = 1), and ``later[j]`` maps j' > j to

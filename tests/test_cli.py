@@ -962,6 +962,23 @@ class TestExperimentClaims:
             GeneratorSpec("random_intervals", n=5, seed=2))
         assert captured.err == f"violation: {message}; family dumped to {dump}\n"
 
+    def test_unwritable_config_copy_exit_2(self, tmp_path, capsys):
+        # the rows are written; the copy of the config is refused as any
+        # --output is, not by its own OSError class
+        path = tmp_path / "rows.csv.config.json"
+        path.mkdir()
+        code, captured, rows = self.run(tmp_path, capsys, {"theorem": "prop-dim1", "grid": {"p": [5]}})
+        assert_parse_error(code, captured.out, f"cannot write {path}: ")
+        assert len(rows) > 1
+
+    def test_unwritable_violation_dump_exit_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(bounds, "kalai_bound", lambda p, q, s, d: 0)
+        path = tmp_path / "rows.csv.violation.json"
+        path.mkdir()
+        code, captured, _ = self.run(tmp_path, capsys,
+                                     {"theorem": "kalai", "dimension": 1, "n": 5, "seeds": [0, 2]})
+        assert_parse_error(code, captured.out, f"cannot write {path}: ")
+
 
 class TestInternalFault:
     def test_uncaught_exception_exit_5(self, tmp_path, capsys, monkeypatch):

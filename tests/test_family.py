@@ -473,6 +473,15 @@ class TestMaxR:
         with pytest.raises(BudgetExceededError, match="needs 2640 steps, budget is 10"):
             max_r(F, 5, 3)
 
+    def test_budget_boundary(self, monkeypatch):
+        # a query needing exactly the budget runs; one step more is refused
+        F = intervals(*[(i, i + 1) for i in range(10)])
+        monkeypatch.setattr(familymod, "DEFAULT_WORK_BUDGET", 2640)
+        assert max_r(F, 5, 3).max_r == 0
+        monkeypatch.setattr(familymod, "DEFAULT_WORK_BUDGET", 2639)
+        with pytest.raises(BudgetExceededError, match="needs 2640 steps, budget is 2639"):
+            max_r(F, 5, 3)
+
     def test_capped_by_total_count(self):
         from math import comb
 

@@ -8,6 +8,7 @@ from math import gcd
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from pqpierce import geometry
 from pqpierce.errors import DimensionMismatchError, PremiseViolationError
 from pqpierce.family import Family, f_vector, max_r
 from pqpierce.generators import GeneratorSpec, random_family
@@ -191,6 +192,20 @@ class TestSeparation:
             {line.side(v) > 0 for v in tri.vertices} == {True}
             and {line.side(v) < 0 for v in sq.vertices} == {True}
         )
+
+    @pytest.mark.parametrize("flip, foot", [(False, 2), (False, 4), (True, 2), (True, 4)],
+                             ids=["touches-first-below", "touches-second-above",
+                                  "touches-second-below", "touches-first-above"])
+    def test_wrong_closest_pair_is_caught(self, flip, foot, monkeypatch):
+        """A nearest-point search that names (0, 0) and (foot, 0) as the
+        closest pair gives the bisector x = foot / 2, which touches one of
+        the boxes: the guard raises, under -O too, whichever box comes
+        first and whichever side of the line the touched one lies on."""
+        left, right = box(0, 0, 1, 1), box(2, 0, 3, 1)
+        monkeypatch.setattr(geometry, "_foot",
+                            lambda p, u, w: (0, (foot, 0, 1)) if p == (0, 0) else (1, (0, 0, 1)))
+        with pytest.raises(AssertionError, match="closest pair bug"):
+            separating_line(*((right, left) if flip else (left, right)))
 
     def test_intersecting_rejected(self):
         with pytest.raises(PremiseViolationError):

@@ -29,9 +29,10 @@ from pqpierce.generators import GeneratorSpec, random_family
 from pqpierce.geometry import ConvexPolygon, Line, line_meets_body, pt
 from pqpierce.piercing import candidate_points, hd_pierce, min_piercing, ms_line
 
-from conftest import (LINES, assert_memo_holds_q_up_to_3, box, brute_pair_regions, canonical_links,
-                      grouped, intersecting_subfamilies, intervals, polygon_families,
-                      seeded_polygon_families, tied_families, tuple_walk, walked_qtuples)
+from conftest import (LINES, assert_memo_holds_q_up_to_3, assert_walks_match_tuple_walk, box,
+                      brute_pair_regions, canonical_links, grouped, intersecting_subfamilies,
+                      intervals, lattice_families, polygon_families, seeded_polygon_families,
+                      tied_families, walked_qtuples)
 
 
 def walked(F, q):
@@ -97,22 +98,25 @@ def test_links_on_a_nerve_no_geometry_makes(drawn):
         assert canonical_links(_build_links(nerve, q)) == canonical_links(grouped(want, n, q))
 
 
-def asked(query, F):
-    """The pair and triple questions a query asks of a fresh copy of F."""
-    G = Family(F.dimension, F.bodies)
-    query(G)
-    return set(G._nerve.memo)
-
-
 @settings(max_examples=60, deadline=None)
 @given(polygon_families())
 def test_mask_walk_asks_what_the_tuple_walk_asked(F):
-    n = len(F)
-    assert asked(f_vector, F) == asked(lambda G: list(tuple_walk(G, 1, n)), F)
-    for q in range(1, n + 1):
-        walk = asked(lambda G: list(tuple_walk(G, q, q)), F)
-        assert asked(lambda G: count_intersecting_qtuples(G, q), F) == walk
-        assert asked(lambda G: _build_links(G._nerve, q), F) == walk
+    """The same tuples, counts and links, from a subset of the tuple
+    walk's questions: a prefix's ext reads its parent's."""
+    assert_walks_match_tuple_walk(F)
+
+
+class TestEveryLatticeFamily:
+    def test_up_to_four_members(self):
+        # 15 + 120 + 680 + 3,060 families: both walk widths on every
+        # family of the 2 by 2 lattice hulls, not on a sample;
+        # tests/exhaustive_2d_walks.py runs six members in CI
+        for n in range(1, 5):
+            count = 0
+            for F in lattice_families(n):
+                assert_walks_match_tuple_walk(F)
+                count += 1
+            assert count == comb(n + 14, n)
 
 
 @pytest.mark.parametrize("F", [
