@@ -110,7 +110,11 @@ class _Nerve:
         out, and the tuple walk kept as the tests' oracle for every k."""
         if chosen and self.pair(chosen[0], k) is None:
             return False
-        return all(self.triple(i, j, k) for i, j in itertools.combinations(chosen, 2))
+        triple = self.triple
+        for i, j in itertools.combinations(chosen, 2):
+            if not triple(i, j, k):
+                return False
+        return True
 
     @cached_property
     def all_pairs(self) -> dict[tuple[int, int], ConvexBody]:
@@ -318,15 +322,18 @@ def _interval_sweep(ranks: _Ranks):
 
 
 def _walk(nerve, lo: int, hi: int):
-    """Yield (chosen, rest, ext), in lexicographic order, for every
-    intersecting index tuple ``chosen`` with lo - 1 <= len(chosen) < hi:
+    """Yield (chosen, rest, ext), in lexicographic order, for the
+    intersecting index tuples ``chosen`` with lo - 1 <= len(chosen) < hi:
     ``rest`` masks its members but the last, and ``ext`` the k past them
     for which chosen + (k,) meets, so each intersecting subfamily of size
     lo..hi is one chosen + (k,).  Depth-first with an explicit stack (hi
     may exceed the recursion limit), from ``nerve.root``, the ext of the
     empty tuple; a child's ext is ``nerve.extend(child, ext, stop)``.  A
     tuple of size s is extended only by the k < n - max(lo - s - 1, 0),
-    from which size lo can still be reached."""
+    from which size lo can still be reached.  From size lo - 1 on, a
+    tuple's ext holds every k past it that it fits, so its child at the
+    last of them has an empty ext: that one is not made, and every other
+    tuple is yielded."""
     n, extend = nerve.n, nerve.extend
     bit = [1 << k for k in range(n)]  # made once, not one new int per child
     stops = [n - max(lo - size - 1, 0) for size in range(hi + 1)]
@@ -338,6 +345,10 @@ def _walk(nerve, lo: int, hi: int):
         if size < hi - 1:
             mask = rest | bit[chosen[-1]] if chosen else 0
             stop, todo = stops[size + 1], ext & limits[size]
+            if size >= lo - 1:
+                # ext holds every k past chosen that chosen fits, so the
+                # child at its last bit would fit none: it is not made
+                todo &= ~bit[todo.bit_length() - 1]
             # children last index first, so the smallest pops next
             while todo:
                 k = todo.bit_length() - 1

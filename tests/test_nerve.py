@@ -119,6 +119,18 @@ class TestEveryLatticeFamily:
             assert count == comb(n + 14, n)
 
 
+def test_wide_walk_makes_no_child_that_nothing_extends():
+    # six nested boxes: every subfamily meets, so the wide walk makes the
+    # 2^5 - 1 nonempty prefixes of members 0..4, each with 5 in its ext,
+    # and none of the 2^5 tuples ending in 5, whose ext is empty
+    F = Family.of([box(-i, -i, i + 1, i + 1) for i in range(6)])
+    nerve, made = F._nerve, []
+    extend = nerve.extend
+    nerve.extend = lambda chosen, within, stop: made.append(chosen) or extend(chosen, within, stop)
+    assert f_vector(F) == tuple(comb(6, size) for size in range(1, 7))
+    assert len(made) == 31 and all(5 not in chosen for chosen in made)
+
+
 @pytest.mark.parametrize("F", [
     intervals((0, 2), (1, 3), (2, 4), (0, 4), (3, 5)),
     Family.of([box(0, 0, 2, 2), box(1, 1, 3, 3), box(2, 0, 4, 2), box(0, 1, 4, 2), box(3, 3, 5, 5)]),
