@@ -356,7 +356,7 @@ def _experiment_rows(config):
         raise ParseError(f"experiment config must be a JSON object, got {_shown(config)}")
     seeds = config.get("seeds", 20)
     if type(seeds) is int and seeds >= 0:
-        seeds = list(range(seeds))
+        seeds = range(seeds)
     elif not _int_list(seeds):
         raise ParseError(f"seeds must be a nonnegative int or a list of ints, got {_shown(seeds)}")
     dimension = config.get("dimension", 1)

@@ -22,10 +22,9 @@ lines, so coordinates do not grow along a chain of clips.
 A caller asks only for what it reads, and each 2D question has one way
 in.  A region is `intersect_bodies`, the one chain of clips, which stops
 at the first empty clip and so builds no polygon for bodies that miss.
-A clip keeps canonical vertices canonical, so the region skips the
-canonical check, which runs, as an explicit raise, only where vertices
-come from outside the kernel: `ConvexPolygon(vertices)` and every hull,
-whether built by `from_points` or from a family document.
+The canonical check runs, as an explicit raise, only on the vertex list
+a caller hands to `ConvexPolygon(vertices)`: hulls and clip regions are
+canonical by construction, held so by tests, and skip it.
 A nerve's triple flag clips nothing: `_pair_region_meets` decides
 whether the region of a meeting pair meets a body that meets both
 members by the body's halfplanes alone, each against the region's
@@ -169,9 +168,10 @@ def _hull(ratios: Iterable[tuple[int, int, int, int]]) -> tuple[Homogeneous, ...
     points (xn/xd, yn/yd), xd, yd > 0.
 
     Every point is put on the lcm of all the denominators, and a monotone
-    chain (Andrew 1979) runs on the distinct integer pairs, sorted so that
-    the lexmin comes first; it keeps a vertex only where it turns strictly
-    left, which drops collinear points.
+    chain (Andrew 1979) runs on the distinct integer pairs.  The hull is
+    canonical by construction: the sorted input puts the lexmin first,
+    strict left turns drop collinear points, and the chain runs
+    counter-clockwise, its lower half first.
     """
     ratios = list(ratios)
     scale = lcm(*(d for _, xd, _, yd in ratios for d in (xd, yd)))
@@ -217,9 +217,9 @@ class ConvexPolygon:
     a point, two are a segment.  Construction checks in one pass that the
     argument is canonical (lexmin first, a strict left turn at every vertex,
     lexicographic order rising once and then falling once) and rejects it
-    if not; use :meth:`from_points` to build from an arbitrary point set,
-    whose hull is checked the same way.  Only the regions of
-    `intersect_bodies`, canonical by construction, skip the check.
+    if not; use :meth:`from_points` to build from an arbitrary point set.
+    Hulls and the regions of `intersect_bodies` are canonical by
+    construction, held so by tests, and skip the check.
     Equality, hashing and every predicate read the integer form.
     """
 
@@ -263,13 +263,12 @@ class ConvexPolygon:
 
     @classmethod
     def _from_ratios(cls, ratios: Iterable[tuple[int, int, int, int]]) -> "ConvexPolygon":
-        """The hull of the points (xn/xd, yn/yd), xd, yd > 0."""
+        """The hull of the points (xn/xd, yn/yd), xd, yd > 0, without the
+        canonical check: `_hull` builds it canonical."""
         hull = _hull(ratios)
         if not hull:
             raise ValueError("no points given")
-        poly = cls._from_hom(hull)
-        poly.__post_init__()
-        return poly
+        return cls._from_hom(hull)
 
     @property
     def dimension(self) -> int:

@@ -2,12 +2,14 @@
 
 import itertools
 from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 import pytest
 from hypothesis import strategies as st
 
+from pqpierce import bounds
 from pqpierce import family as familymod
 from pqpierce import geometry
 from pqpierce import piercing as piercingmod
@@ -504,6 +506,84 @@ def lattice_families(n: int):
     hulls = lattice_hulls(2, 2)
     for members in itertools.combinations_with_replacement(hulls, n):
         yield Family.of(members)
+
+
+#: the claims that hold for every p, which the lattice checks assert;
+#: remark_threshold and thm2_threshold carry the unknown-p0 caveat, so
+#: their rows are reported and never asserted
+ASSERTED_2D_CLAIMS = ("ms", "lemma_r0", "hd", "thm3")
+
+
+@dataclass
+class ClaimRow:
+    """One claimed 2D bound at one (p, q) and parameter, over the families
+    checked: the most points a family that reaches the threshold needs,
+    whether one exactly one r below it needs more, and the families that
+    reach it and need more (a break of the claim)."""
+
+    threshold: int
+    bound: int
+    worst: int = 0
+    below: bool = False
+    broken: list = field(default_factory=list)
+
+    @property
+    def tight(self) -> bool:
+        """The worst family at the threshold needs exactly the claimed
+        points, and one r below it needs more: a threshold one too high
+        would leave a row loose, and one too low would break it."""
+        return self.worst == self.bound and self.below
+
+
+def claims_2d(p: int, q: int):
+    """(name, parameter, BoundResult) of every claimed 2D bound at (p, q):
+    ms_threshold, lemma_r0_threshold for each f, hd_exact_region (the
+    (p, q) property, r >= 1), thm3_threshold for each k,
+    remark_threshold for each f and thm2_threshold at two epsilons."""
+    yield "ms", None, bounds.ms_threshold(p, q, 2)
+    for f in range(1, p // 2):
+        yield "lemma_r0", f, bounds.lemma_r0_threshold(p, q, 2, f)
+    if (claimed := bounds.hd_exact_region(p, q, 2)) is not None:
+        yield "hd", None, bounds.BoundResult(1, claimed)
+    for k in range(p - q):
+        yield "thm3", k, bounds.thm3_threshold(p, q, 2, k)
+    for f in range(1, p):
+        yield "remark", f, bounds.remark_threshold(p, q, 2, f)
+    for epsilon in (Fraction(1, 10), Fraction(1, 2)):
+        yield "thm2", epsilon, bounds.thm2_threshold(p, q, 2, epsilon)
+
+
+def check_2d_claims(F: Family, rows: dict) -> None:
+    """Check every claimed 2D bound on the polygon family F with p = |F|.
+    Asserted: Kalai's bound on the f-vector at each s where no
+    (s + 3)-tuple meets, and for each q from 3 to p, where r = max_r(F, p,
+    q) >= 1, the (p, q') property at q' = implied_q(p, q, r, 2).  Each
+    claim of :func:`claims_2d` goes into ``rows[name, p, q, parameter]``
+    as a :class:`ClaimRow`; thm3_threshold only on non-(p-q)-degenerate
+    families."""
+    p = len(F)
+    pierced = len(piercingmod.min_piercing(F))
+    fvec = familymod.f_vector(F)
+    for s in range(p - 2):
+        if fvec[2 + s] == 0:
+            for q in range(1, p + 1):
+                assert fvec[q - 1] <= bounds.kalai_bound(p, q, s, 2), (F, q, s)
+    level = familymod.degeneracy_level(F)[0]
+    for q in range(3, p + 1):
+        r = familymod.max_r(F, p, q).max_r
+        if r:
+            implied = bounds.implied_q(p, q, r, 2)
+            assert familymod.max_r(F, p, implied).max_r >= 1, (F, q, r, implied)
+        for name, parameter, claim in claims_2d(p, q):
+            if name == "thm3" and level <= p - q:
+                continue
+            row = rows.setdefault((name, p, q, parameter), ClaimRow(claim.threshold_r, claim.pierce_bound))
+            if r >= row.threshold:
+                row.worst = max(row.worst, pierced)
+                if pierced > row.bound:
+                    row.broken.append(F)
+            elif r == row.threshold - 1 and pierced > row.bound:
+                row.below = True
 
 
 def grouped(tuples, n: int, q: int) -> tuple[list[int], list[dict]]:

@@ -25,6 +25,8 @@ from pqpierce.bounds import (
 )
 from pqpierce.errors import ArityError, BudgetExceededError
 
+from conftest import ASSERTED_2D_CLAIMS, check_2d_claims, lattice_families
+
 
 class TestBinom:
     def test_values(self):
@@ -539,3 +541,24 @@ class TestReductionIdentity:
                         thm3_threshold(p, q, d, p - q - 1).threshold_r
                         == ms_threshold(p, q, d).threshold_r
                     )
+
+
+class TestEveryLatticeFamily:
+    def test_claims_up_to_four_members(self):
+        # every claimed 2D bound on all 15 + 120 + 680 + 3,060 families of
+        # one to four 2 by 2 lattice hulls, not on a sample;
+        # tests/exhaustive_2d_claims.py runs six members in CI
+        rows: dict = {}
+        for n in range(1, 5):
+            for F in lattice_families(n):
+                check_2d_claims(F, rows)
+        asserted = {key: row for key, row in rows.items() if key[0] in ASSERTED_2D_CLAIMS}
+        assert {key: row.broken[0] for key, row in asserted.items() if row.broken} == {}
+        # tight: the worst family at the threshold needs exactly the claimed
+        # points, and one r below it needs more; the loose rows are ms at
+        # (4, 3), where no family one r below needs three points, and thm3
+        # at (4, 3, 0), whose threshold no non-degenerate family reaches
+        assert {key for key, row in asserted.items() if row.tight} == {
+            ("ms", 3, 3, None), ("hd", 3, 3, None), ("ms", 4, 4, None), ("hd", 4, 4, None),
+            ("lemma_r0", 4, 3, 1), ("lemma_r0", 4, 4, 1)}
+        assert len(asserted) == 8 and asserted["thm3", 4, 3, 0].worst == 0

@@ -867,6 +867,12 @@ class TestExperimentCommand:
         assert len(out.encode()) < 200
         assert json.loads(out)["error"]["message"].endswith(shown)
 
+    def test_large_seed_count_yields_rows_lazily(self):
+        # a seed count is walked as a range, never built as a list, so the
+        # first row of 10^12 seeds comes at once
+        row, F, violation = next(cli._experiment_rows({"theorem": "thm5", "seeds": 10**12, "n": 6}))
+        assert (row["seed"], row["theorem_tag"], len(F), violation) == (0, "thm5", 6, None)
+
 
 class TestExperimentClaims:
     def run(self, tmp_path, capsys, config):

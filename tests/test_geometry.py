@@ -8,7 +8,7 @@ from math import gcd
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from pqpierce import geometry
+from pqpierce import cli, geometry
 from pqpierce.errors import DimensionMismatchError, PremiseViolationError
 from pqpierce.family import Family, f_vector, max_r
 from pqpierce.generators import GeneratorSpec, random_family
@@ -794,6 +794,81 @@ class TestClipChainIsCanonical:
         hulls = lattice_hulls(2, 3)
         regions = [assert_canonical_region(pair) for pair in itertools.combinations_with_replacement(hulls, 2)]
         assert sum(region is not None for region in regions) == 985
+
+
+def assert_canonical_hull(body, points):
+    """The hull ``body`` of the points, unchecked on construction, passes
+    the public constructor's canonical check and is the Fraction hull."""
+    body.__post_init__()
+    assert body == ConvexPolygon(fraction_hull(points))
+
+
+class TestHullIsCanonical:
+    """``_hull`` builds every hull, for ``from_points``, the generators and
+    every family document, without the canonical check, so these tests are
+    the guard that its output is canonical: lexmin first,
+    counter-clockwise, no repeated or collinear vertices."""
+
+    def test_every_grid_subset(self):
+        """All 511 nonempty subsets of a 3 by 3 grid, which hull to its
+        213 distinct lattice hulls."""
+        grid = [pt(x, y) for x in range(3) for y in range(3)]
+        hulls = set()
+        for size in range(1, 10):
+            for points in itertools.combinations(grid, size):
+                body = ConvexPolygon.from_points(points)
+                assert_canonical_hull(body, points)
+                hulls.add(body)
+        assert len(hulls) == 213
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_random_point_sets(self, data):
+        """The vertices of a drawn hull with points along its edges and
+        repeats added, in any order."""
+        kind = data.draw(st.sampled_from(KINDS))
+        hull = data.draw(hull_of(kind))
+        points = list(hull)
+        unit = st.fractions(min_value=0, max_value=1, max_denominator=7 ** 3)
+        for u, w in zip(hull, hull[1:] + hull[:1]):
+            points += [u + (w - u).scaled(t) for t in data.draw(st.lists(unit, max_size=2))]
+        points += data.draw(st.lists(st.sampled_from(points), max_size=3))
+        points = data.draw(st.permutations(points))
+        assert_canonical_hull(ConvexPolygon.from_points(points), points)
+
+    def test_every_document_polygon(self):
+        """Every body of generated 2D documents, read as written and again
+        with each vertex list reversed, each edge's midpoint and a repeat
+        added."""
+        specs = [GeneratorSpec("random_polygons", n=8, seed=seed, grid=grid, min_vertices=1)
+                 for seed in range(4) for grid in (1, 4, 7)]
+        specs.append(GeneratorSpec("disjoint_plus_container", a=3, b=2, dimension=2))
+        for spec in specs:
+            doc = cli.family_to_document(random_family(spec))
+            for raw in doc["bodies"]:
+                verts = [Point(Fraction(x), Fraction(y)) for x, y in raw["vertices"]]
+                mids = [(u + w).scaled(Fraction(1, 2)) for u, w in zip(verts, verts[1:] + verts[:1])]
+                raw["noisy"] = [[str(v.x), str(v.y)] for v in (verts + mids + verts[:1])[::-1]]
+            for key in ("vertices", "noisy"):
+                bodies = [{"type": "polygon", "vertices": raw[key]} for raw in doc["bodies"]]
+                F = cli.document_to_family({"dimension": 2, "bodies": bodies})
+                for body, raw in zip(F.bodies, bodies):
+                    assert_canonical_hull(body, [Point(Fraction(x), Fraction(y)) for x, y in raw["vertices"]])
+
+    def test_only_the_public_constructor_checks(self, monkeypatch):
+        """On fresh inputs, parsing a 2D document and ``from_points`` make
+        no canonical check, and ``ConvexPolygon(vertices)`` makes one."""
+        checked = []
+        check = ConvexPolygon.__post_init__
+        monkeypatch.setattr(ConvexPolygon, "__post_init__", lambda poly: checked.append(poly) or check(poly))
+        cli.document_to_family({"dimension": 2, "bodies": [
+            {"type": "polygon", "vertices": [[0, 0], [4, 0], ["2", "1/3"], [0, 4], [2, 0]]},
+            {"type": "polygon", "vertices": [["-1/2", 5]]}]})
+        assert len(checked) == 0
+        body = ConvexPolygon.from_points([pt(0, 0), pt(3, 1), pt(1, 1), pt(1, 3), pt(3, 1)])
+        assert len(checked) == 0
+        ConvexPolygon(body.vertices)
+        assert len(checked) == 1
 
 
 def assert_primitive_form(body):
