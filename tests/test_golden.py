@@ -65,6 +65,11 @@ def _polygons(*bodies) -> dict:
             "bodies": [{"type": "polygon", "vertices": vertices} for vertices in bodies]}
 
 
+def _intervals(*bodies) -> dict:
+    return {"format_version": "1", "dimension": 1,
+            "bodies": [{"type": "interval", "lo": lo, "hi": hi} for lo, hi in bodies]}
+
+
 BIG = "1234567890123456789012345678901234567890"
 
 #: hand-written family documents, written next to the families; they pin
@@ -98,6 +103,18 @@ DOCUMENTS = {
     # full; past it, the message names the limit in words that differ
     # between Python versions, so tests/test_cli.py checks that case
     "doc-long": _polygons([[0, 0], [1, 0]], [["9" * 4300, 1]], [[2, 2], [3, 2], [2, 3]]),
+    # the 1D twins: the same grammar and the same first reported value,
+    # body by body, lo before hi
+    "doc-strings-1d": _intervals(
+        ["0.5", "1e2"], [" 1/2", "+3"], ["-3/4", "007/010"], ["2.25", " 5 "],
+        ["1/3", "1E1"], ["-0", "0/7"], ["-1.5e1", "2/4"], [0.25, 3], ["3/6", 1.5e1]),
+    "doc-zero-den-1d": _intervals([0, 1], [0, "1/0"], ["abc", 1]),
+    "doc-abc-1d": _intervals([0, 0], ["abc", "1/0"], [1, 2]),
+    "doc-true-1d": _intervals([0, 1], [1, True], [2, 3]),
+    # lo > hi, reported with the body's index
+    "doc-empty-1d": _intervals([0, 1], ["3", "5/2"], [1, 2]),
+    # JSON ints past 2000 bits, off the short path for ints
+    "doc-wide-1d": _intervals([0, 2 ** 2001], [1, 2], [-(2 ** 2001), 0], [2 ** 2001, 2 ** 2002]),
 }
 
 ANALYZE = ((2, 1), (3, 2), (4, 3), (5, 3), (6, 2))
@@ -141,6 +158,14 @@ def calls():
     for theorem in ("thm2", "remark"):
         yield ["bounds", theorem, "--p", "40", "--q", "18", "--d", "2", "--f", "3",
                "--epsilon", "abc"]
+    # --epsilon in each form Fraction reads, each the same 1/10
+    for epsilon in ("0.1", "1e-1", " 1/10 "):
+        yield ["bounds", "thm2", "--p", "40", "--q", "18", "--d", "2", "--epsilon", epsilon]
+        yield ["bounds", "remark", "--p", "40", "--q", "18", "--d", "2", "--f", "3",
+               "--epsilon", epsilon]
+    # --line coefficients in forms only Fraction reads
+    yield ["pierce", "{tmp}/dense0.json", "--strategy", "line", "--p", "5", "--k", "2",
+           "--line", "0.5,1e0,1"]
     for name in CONFIGS:
         yield ["experiment", f"{{tmp}}/{name}.config"]
     # each option a theorem, strategy or generate requires, left out
