@@ -2,13 +2,14 @@
 
 Subcommands: bounds, analyze, pierce, generate, experiment.  Families are
 exchanged as JSON documents with rationals serialized as exact
-"numerator/denominator" strings; experiment matrices are CSV.  A polygon's
-coordinates go from the document to its integer vertex triples without
-`Fraction` when they are JSON ints or plain "n" and "n/d" strings; any
-other form is read by `Fraction`, whose grammar and messages apply.  Exit
-codes: 0 success, 1 theorem-claim violation (experiment), 2 input error
-(a usage error too), 3 premise violation, 4 budget exceeded, 5 internal
-fault (any other exception; its traceback goes to stderr).
+"numerator/denominator" strings; experiment matrices are CSV.  One reader
+takes every rational: the endpoints and coordinates of documents of both
+dimensions, --epsilon and each --line coefficient.  JSON ints and plain "n"
+and "n/d" strings are read as ints; any other form is read by `Fraction`,
+whose grammar and messages apply.  Exit codes: 0 success, 1 theorem-claim
+violation (experiment), 2 input error (a usage error too), 3 premise
+violation, 4 budget exceeded, 5 internal fault (any other exception; its
+traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -87,25 +88,15 @@ _EXPONENT_FORM = re.compile(
     r"\s*[-+]?(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:\.(\d*|\d+(?:_\d+)*))?[eE][-+]?(\d+(?:_\d+)*)\s*")
 
 
-def _parse_rational(text, where: str) -> Fraction:
-    if form := _EXPONENT_FORM.fullmatch(str(text)):  # its digit counts bound the value's
-        whole, part, exponent = (digits.replace("_", "") for digits in form.groups(""))
-        if len(exponent) > MAX_DIGITS or len(whole) + len(part) + int(exponent) > MAX_DIGITS:
-            raise ParseError(f"bad rational {_shown(text)} in {where}: more than {MAX_DIGITS} digits")
-    try:
-        return Fraction(str(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational {_shown(text)} in {where}: {_shown(exc, str)}") from None
-
-
 #: the forms every document this program writes uses
 _PLAIN = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 def _parse_ratio(value, where: str) -> tuple[int, int]:
-    """``_parse_rational(value, where)`` as (numerator, denominator), the
-    denominator positive but not reduced.  JSON ints and plain strings are
-    read as ints; everything else goes through ``_parse_rational``."""
+    """The rational ``value`` as (numerator, denominator), the denominator
+    positive but not reduced.  JSON ints and plain strings are read as
+    ints; everything else by ``Fraction``, once the exponent-form guard
+    has bounded its digits."""
     # 2000 bits is at most 603 digits, under the least int-to-str limit (640)
     if type(value) is int and value.bit_length() <= 2000:
         return value, 1
@@ -117,7 +108,14 @@ def _parse_ratio(value, where: str) -> tuple[int, int]:
             den = 0
         if den:
             return num, den
-    value = _parse_rational(value, where)
+    if form := _EXPONENT_FORM.fullmatch(str(value)):  # its digit counts bound the value's
+        whole, part, exponent = (digits.replace("_", "") for digits in form.groups(""))
+        if len(exponent) > MAX_DIGITS or len(whole) + len(part) + int(exponent) > MAX_DIGITS:
+            raise ParseError(f"bad rational {_shown(value)} in {where}: more than {MAX_DIGITS} digits")
+    try:
+        value = Fraction(str(value))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad rational {_shown(value)} in {where}: {_shown(exc, str)}") from None
     return value.numerator, value.denominator
 
 
@@ -153,9 +151,7 @@ def document_to_family(doc: dict) -> Family:
         kind = raw["type"]
         try:
             if kind == "interval":
-                body = Interval(
-                    _parse_rational(raw.get("lo"), where), _parse_rational(raw.get("hi"), where)
-                )
+                body = Interval(*(Fraction(*_parse_ratio(raw.get(end), where)) for end in ("lo", "hi")))
             elif kind == "polygon":
                 verts = raw.get("vertices")
                 if not isinstance(verts, list) or not verts:
@@ -237,7 +233,7 @@ def _bound_json(result) -> dict:
 
 def _epsilon(args):
     """--epsilon as a Fraction, or None when it is not given."""
-    return None if args.epsilon is None else _parse_rational(args.epsilon, "--epsilon")
+    return None if args.epsilon is None else Fraction(*_parse_ratio(args.epsilon, "--epsilon"))
 
 
 #: Every theorem id of ``bounds``, in help order: the option it requires
@@ -286,9 +282,8 @@ def _parse_line(text: str) -> Line:
     parts = text.split(",")
     if len(parts) != 3:
         raise ParseError(f"--line expects 'a,b,c', got {_shown(text)}")
-    a, b, c = (_parse_rational(part.strip(), "--line") for part in parts)
     try:
-        return Line(a, b, c)
+        return Line(*(Fraction(*_parse_ratio(part.strip(), "--line")) for part in parts))
     except ValueError as exc:
         raise ParseError(f"--line: {exc}") from None
 
@@ -375,13 +370,8 @@ def _experiment_rows(config):
         if key in grid and not _int_list(grid[key]):
             raise ParseError(f"grid {key} must be a list of ints, got {_shown(grid[key])}")
     kind = "random_intervals" if dimension == 1 else "random_polygons"
-    pierced = functools.cache(lambda F: len(piercingmod.min_piercing(F)))  # once per family
-    # one family per (seed, size): every p of a seed with the same max(n, p)
-    # shares one Family, kept for the run, so the links of q <= 3 memoised
-    # on its nerve, and its 2D pair regions, serve all of that seed's
-    # queries; links past q = 3 are built again for each p that asks
-    draw = functools.cache(lambda seed, size: genmod.random_family(
-        genmod.GeneratorSpec(kind, n=size, seed=seed)))
+    draw = lambda seed, size: genmod.random_family(genmod.GeneratorSpec(kind, n=size, seed=seed))
+    piercing_number = lambda F: len(piercingmod.min_piercing(F))
     if tag == "thm5":
         queries = []  # (p, [(q, claimed)]); every grid q is checked before any row
         for p in grid.get("p", [3, 4, 5, 6]):
@@ -398,11 +388,18 @@ def _experiment_rows(config):
                                      f"got p={p}, q={q}, d={dimension}")
             queries.append((p, claims))
         for seed in seeds:
+            # the seed's families, one per size, dropped with the seed: every p
+            # with the same max(n, p) shares one, so the links of q <= 3 memoised
+            # on its nerve, and its 2D pair regions, serve all of the seed's
+            # queries; links past q = 3 are built again for each p that asks
+            sized = functools.cache(functools.partial(draw, seed))
+            pierced = functools.cache(piercing_number)
             for p, claims in queries:
-                F = draw(seed, max(n, p))
+                F = sized(max(n, p))
                 for q, claimed in claims:
                     yield _finish_row(tag, seed, F, p, q, 1, claimed, pierced)
     elif tag == "prop-dim1":
+        pierced = functools.cache(piercing_number)  # for the run: the grid bounds its families
         for p in grid.get("p", [4, 5, 6, 7, 8, 9]):
             for q in grid.get("q") or range(2, p + 1):
                 for k in grid.get("k") or range(0, p - q):
@@ -413,7 +410,7 @@ def _experiment_rows(config):
                     yield _finish_row(tag, 0, F, p, q, r, k + 2, pierced)
     else:  # kalai
         for seed in seeds:
-            F = genmod.random_family(genmod.GeneratorSpec(kind, n=n, seed=seed))
+            F = draw(seed, n)
             fvec = familymod.f_vector(F)
             for s in range(0, len(F) - dimension):
                 if fvec[dimension + s] != 0:

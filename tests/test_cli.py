@@ -1,16 +1,18 @@
 """CLI surface: round trips, exit codes, machine-readable outputs."""
 
 import fractions
+import gc
 import json
 import subprocess
 import sys
 import time
+import weakref
 from decimal import Decimal
 from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pqpierce import bounds, piercing
 from pqpierce.bounds import ms_threshold
@@ -31,6 +33,7 @@ from pqpierce.errors import BudgetExceededError, ParseError
 from pqpierce import family as familymod
 from pqpierce.family import DEFAULT_WORK_BUDGET, Family
 from pqpierce.generators import GeneratorSpec, extremal_dim1, random_family
+from pqpierce.geometry import Interval
 
 from conftest import box, fraction_document_to_family
 
@@ -197,6 +200,29 @@ class TestIntegerDocumentPath:
         assert (F, hash(F), repr(F)) == (oracle, hash(oracle), repr(oracle))
         assert [body._hom for body in F.bodies] == [body._hom for body in oracle.bodies]
 
+    @given(st.lists(st.tuples(spelled(), spelled(), st.booleans()), min_size=1, max_size=6))
+    @example([("0", "0.5", False), ("2/4", 1, True)])
+    @settings(max_examples=60, deadline=None)
+    def test_interval_family_matches_fraction_path(self, ends):
+        # each pair ordered, then reversed when the flag is set: a reversed
+        # pair of unequal ends is the "empty interval" error
+        pairs = [sorted((lo, hi), key=lambda end: Fraction(str(end)))[::-1 if flip else 1]
+                 for lo, hi, flip in ends]
+        doc = {"format_version": "1", "dimension": 1,
+               "bodies": [{"type": "interval", "lo": lo, "hi": hi} for lo, hi in pairs]}
+        try:
+            oracle = Family(1, tuple(Interval(Fraction(str(lo)), Fraction(str(hi)))
+                                     for lo, hi in pairs))
+        except ValueError as exc:
+            index = next(i for i, (lo, hi) in enumerate(pairs)
+                         if Fraction(str(lo)) > Fraction(str(hi)))
+            with pytest.raises(ParseError) as got:
+                document_to_family(json.loads(json.dumps(doc)))
+            assert str(got.value) == f"body {index}: {exc}"
+        else:
+            F = document_to_family(json.loads(json.dumps(doc)))
+            assert (F, hash(F), repr(F)) == (oracle, hash(oracle), repr(oracle))
+
     def test_string_past_the_str_limit_exit_2(self, tmp_path, capsys):
         # the message is the runtime's own; its words differ between
         # Python versions, so it is not in the golden transcript
@@ -354,13 +380,13 @@ class TestExponentPastTheDigitLimit:
         ("1" * 4300 + ".5", Fraction(int("1" * 4300) * 10 + 5, 10)),
     ])
     def test_at_the_limit_read(self, text, value):
-        assert cli._parse_rational(text, "x") == value
+        assert Fraction(*cli._parse_ratio(text, "x")) == value
 
     @pytest.mark.parametrize("text", ["1e4300", "-12.5e-4298", "1_2.3_4E+4_297",
                                       "9" * 4300 + "e1", "1e" + "0" * 4301])
     def test_past_the_limit_refused(self, text):
         with pytest.raises(ParseError, match=r"more than 4300 digits$"):
-            cli._parse_rational(text, "x")
+            Fraction(*cli._parse_ratio(text, "x"))
 
     def test_budget_error_past_the_str_limit_prints(self, capsys):
         # epsilon = 10^-4000 makes the power's exponent a 4001-digit
@@ -872,6 +898,17 @@ class TestExperimentCommand:
         # first row of 10^12 seeds comes at once
         row, F, violation = next(cli._experiment_rows({"theorem": "thm5", "seeds": 10**12, "n": 6}))
         assert (row["seed"], row["theorem_tag"], len(F), violation) == (0, "thm5", 6, None)
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_thm5_drops_a_family_after_its_seed(self, dimension):
+        # a family is kept only while its own seed's rows are made, so a run
+        # of many seeds holds one seed's families, not every family so far
+        rows = cli._experiment_rows({"theorem": "thm5", "dimension": dimension, "seeds": 10**12})
+        first = weakref.ref(next(rows)[1])
+        while next(rows)[0]["seed"] < 2:
+            pass
+        gc.collect()
+        assert first() is None
 
 
 class TestExperimentClaims:
