@@ -547,7 +547,7 @@ class TestEveryLatticeFamily:
     def test_claims_up_to_four_members(self):
         # every claimed 2D bound on all 15 + 120 + 680 + 3,060 families of
         # one to four 2 by 2 lattice hulls, not on a sample;
-        # tests/exhaustive_2d_claims.py runs six members in CI
+        # tests/exhaustive.py claims runs six members in CI
         rows: dict = {}
         for n in range(1, 5):
             for F in lattice_families(n):

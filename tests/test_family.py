@@ -253,7 +253,7 @@ class TestEveryIntervalFamily:
     def test_up_to_five_members(self):
         # 1 + 3 + 15 + 105 + 945 families: the links and the pruned
         # search on every input shape of that size, not on a sample;
-        # tests/exhaustive_1d.py runs six members by hand
+        # tests/exhaustive.py intervals runs six members in CI
         for n in range(1, 6):
             count = 0
             for F in matched_families(n):
@@ -262,8 +262,8 @@ class TestEveryIntervalFamily:
             assert count == prod(range(1, 2 * n, 2))
 
     def test_claims_up_to_five_members(self):
-        # dim1_threshold's piercing claim on every family; tests/exhaustive_1d.py
-        # runs six members by hand
+        # dim1_threshold's piercing claim on every family; tests/exhaustive.py
+        # intervals runs six members in CI
         tight, at_r0 = set(), set()
         for n in range(1, 6):
             for F in matched_families(n):

@@ -743,7 +743,7 @@ class TestPairRegionMeets:
 
     def test_every_lattice_triple(self):
         """Every pairwise-meeting triple of the 48 lattice hulls of a 2 by 3
-        grid, and every nerve flag among them; tests/exhaustive_2d_triples.py
+        grid, and every nerve flag among them; tests/exhaustive.py triples
         runs the 3 by 3 grid."""
         assert check_triple_flags(lattice_hulls(2, 3)) == (36580, 3624)
 

@@ -1,5 +1,5 @@
-"""The CLI's stdout and exit codes, and the library's answers, byte for
-byte, against recorded transcripts.
+"""The CLI's stdout and exit codes, the library's answers and the demos'
+stdout, byte for byte, against recorded transcripts.
 
 ``tests/golden/cli.jsonl`` holds one JSON object per call: its argv, in
 which ``{tmp}`` stands for a scratch directory, its exit code and its
@@ -11,14 +11,22 @@ are written next to them, so the replay needs no fixture files.
 seeded families and the extremal constructors: the query and the repr of
 its answer, or the type and message of the error it raises.
 
-To record both again after a deliberate change of output, run
-``PYTHONPATH=src python tests/test_golden.py``.
+``tests/golden/demo_NN.txt`` holds the stdout of ``demos/NN_*.py``, run in
+process; tier-1 replays each demo with and without ``-O``.
+
+To record all of them again after a deliberate change of output, run
+``PYTHONPATH=src python tests/test_golden.py``.  The exhaustive runner,
+``tests/exhaustive.py``, is smoke-tested here too.
 """
 
 import contextlib
 import io
 import json
+import os
 import pathlib
+import runpy
+import subprocess
+import sys
 
 from pqpierce.cli import main
 from pqpierce.errors import PQPierceError
@@ -28,8 +36,12 @@ from pqpierce.generators import GeneratorSpec, disjoint_plus_container, extremal
 from pqpierce.geometry import Line
 from pqpierce.piercing import candidate_points, hd_pierce, line_pierce, min_piercing, ms_line
 
-TRANSCRIPT = pathlib.Path(__file__).parent / "golden" / "cli.jsonl"
-LIBRARY = pathlib.Path(__file__).parent / "golden" / "library.jsonl"
+TESTS = pathlib.Path(__file__).parent
+TRANSCRIPT = TESTS / "golden" / "cli.jsonl"
+LIBRARY = TESTS / "golden" / "library.jsonl"
+#: demo script -> its recorded stdout
+DEMOS = {demo: TESTS / "golden" / f"demo_{demo.name[:2]}.txt"
+         for demo in sorted((TESTS.parent / "demos").glob("*.py"))}
 
 #: name -> generate options; polygons with a small span meet densely
 FAMILIES = {
@@ -57,7 +69,6 @@ CONFIGS = {
     "thm5-budget": {"theorem": "thm5", "dimension": 1, "n": 30, "seeds": [0],
                     "grid": {"p": [15], "q": [7, 15]}},
 }
-
 
 
 def _polygons(*bodies) -> dict:
@@ -253,6 +264,43 @@ def test_library_answers_are_unchanged():
         [list(pair) for pair in library_answers()]
 
 
+def demo_output(demo: pathlib.Path) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(demo), run_name="__main__")
+    return out.getvalue()
+
+
+def pytest_generate_tests(metafunc):
+    # one test per demo, parametrized here rather than by a decorator, so
+    # that this module imports without pytest and replays on any CPython
+    if "demo" in metafunc.fixturenames:
+        metafunc.parametrize("demo", DEMOS, ids=[demo.stem for demo in DEMOS])
+
+
+def test_demo_output_is_unchanged(demo):
+    assert demo_output(demo) == DEMOS[demo].read_text()
+
+
+def test_exhaustive_runner_at_tiny_sizes():
+    """The exhaustive runner refuses -O, and each of its checks at a tiny
+    size prints its summary line last; the runs start together, each in
+    its own process, and the caller's environment finds pqpierce."""
+    runner = str(TESTS / "exhaustive.py")
+    expected = {("-O", runner): (1, "run without -O: every check of this script is an assert"),
+                (runner, "walks", "2"): (0, "n = 2: 135 lattice families walk the tuple walk's"),
+                (runner, "triples", "2"): (0, "n = 2: 15 lattice hulls, 1032 pairwise-meeting triples"),
+                (runner, "intervals", "3"): (0, "n = 3: 15 families match the full scan"),
+                (runner, "claims", "3"): (0, "n = 3: 680 lattice families break no asserted 2D claim")}
+    env = {**os.environ, "PYTHONOPTIMIZE": ""}  # "" unsets it
+    runs = {args: subprocess.Popen([sys.executable, *args], env=env, stdout=subprocess.PIPE,
+                                   stderr=subprocess.STDOUT, text=True) for args in expected}
+    for args, process in runs.items():
+        output = process.communicate(timeout=60)[0]
+        code, line = expected[args]
+        assert process.returncode == code and output.splitlines()[-1].startswith(line), (args, output)
+
+
 def record(tmp) -> None:
     write_configs(tmp)
     with TRANSCRIPT.open("w") as handle:
@@ -262,6 +310,8 @@ def record(tmp) -> None:
     with LIBRARY.open("w") as handle:
         for query, result in library_answers():
             handle.write(json.dumps({"query": query, "answer": result}) + "\n")
+    for demo, golden in DEMOS.items():
+        golden.write_text(demo_output(demo))
 
 
 if __name__ == "__main__":

@@ -110,7 +110,7 @@ class TestEveryLatticeFamily:
     def test_up_to_four_members(self):
         # 15 + 120 + 680 + 3,060 families: both walk widths on every
         # family of the 2 by 2 lattice hulls, not on a sample;
-        # tests/exhaustive_2d_walks.py runs six members in CI
+        # tests/exhaustive.py walks runs six members in CI
         for n in range(1, 5):
             count = 0
             for F in lattice_families(n):
